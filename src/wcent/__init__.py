@@ -12,7 +12,7 @@ W-algebra generators.
 from .affine import (CenterCheck, CorrespondenceReport, LoopMode, SugawaraTable,
                      VacuumVector, act_mode, center_check, hc_project,
                      loop_realization, normal_order, ss_matrix, ss_vectors,
-                     translate, w_correspondence)
+                     w_correspondence)
 from .cdet import (DiffOp, GeneratorTable, JacobianCertificate, UPoly,
                    column_determinant, generator_window, in_window,
                    jacobian_independence, miura_generators, miura_image,
@@ -44,6 +44,6 @@ __all__ = [
     "lie_bracket", "loop_realization", "lower_basis", "miura_generators",
     "miura_image", "normal_order", "parabolic_basis", "parabolic_project",
     "parse_basis_elt", "pva_axiom_suite", "ss_matrix", "ss_vectors",
-    "trace_form", "translate", "upper_basis", "w_bracket", "w_correspondence",
+    "trace_form", "upper_basis", "w_bracket", "w_correspondence",
     "w_generator_matrix", "w_generators", "w_membership",
 ]

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Iterable, NamedTuple, Optional
 
-from .centralizer import (BasisElt, Partition, Rat, bracket, centralizer_basis,
-                          critical_form)
+from .centralizer import (BasisElt, Partition, Rat, add_into, bracket,
+                          centralizer_basis, critical_form)
 from .cdet import (DiffOp, GeneratorTable, UPoly, basis_u_series,
                    column_determinant, extract_window_tables, miura_image,
                    w_generators)
@@ -84,13 +84,13 @@ def _group(seq: tuple[LoopMode, ...]) -> PBWMono:
     return tuple(out)
 
 
-def _normal_insert(p: Partition, seq: tuple[LoopMode, ...], coeff: Rat,
-                   acc: dict) -> None:
-    """Rewrite a word of negative modes into PBW order, accumulating into acc.
+def _normal_insert(p: Partition, seq: tuple[LoopMode, ...], coeff: Rat):
+    """Rewrite a word of negative modes into PBW order.
 
-    Straightening swaps out-of-order adjacent factors and adds the commutator
-    word; negative modes never meet their opposites, so no central terms
-    appear here.
+    Yields (PBW monomial, coefficient) pairs, unsummed; pass them to
+    add_into.  Straightening swaps out-of-order adjacent factors and adds the
+    commutator word; negative modes never meet their opposites, so no central
+    terms appear here.
     """
     stack = [(seq, coeff)]
     while stack:
@@ -105,12 +105,22 @@ def _normal_insert(p: Partition, seq: tuple[LoopMode, ...], coeff: Rat,
                     stack.append((head + (LoopMode(e.i, e.j, e.r, mm),) + tail, c * cz))
                 break
         else:
-            key = _group(s)
-            c0 = acc.get(key, 0) + c
-            if c0:
-                acc[key] = c0
-            elif key in acc:
-                del acc[key]
+            yield _group(s), c
+
+
+def _pbw_mono(p: Partition, mono) -> PBWMono:
+    """Validate a PBW monomial given as (mode, exponent) pairs, in canonical form."""
+    mono = tuple((LoopMode(*mode), int(e)) for mode, e in mono)
+    keys = [pbw_key(mode) for mode, _ in mono]
+    if any(k2 <= k1 for k1, k2 in zip(keys, keys[1:])):
+        raise ValueError("monomial factors not in PBW order")
+    for mode, e in mono:
+        if mode.m > -1:
+            raise ValueError("non-negative mode %s in a vacuum monomial" % mode.text())
+        if e < 1:
+            raise ValueError("bad exponent")
+        p.check_valid(mode.base)
+    return mono
 
 
 class VacuumVector:
@@ -120,27 +130,10 @@ class VacuumVector:
     __slots__ = ("partition", "terms")
 
     def __init__(self, partition: Partition, terms=None):
-        acc: dict[PBWMono, Rat] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for mono, c in items:
-                mono = tuple((LoopMode(*mode), int(e)) for mode, e in mono)
-                keys = [pbw_key(mode) for mode, _ in mono]
-                if any(k2 <= k1 for k1, k2 in zip(keys, keys[1:])):
-                    raise ValueError("monomial factors not in PBW order")
-                for mode, e in mono:
-                    if mode.m > -1:
-                        raise ValueError("non-negative mode %s in a vacuum monomial" % mode.text())
-                    if e < 1:
-                        raise ValueError("bad exponent")
-                    partition.check_valid(mode.base)
-                c0 = acc.get(mono, 0) + c
-                if c0:
-                    acc[mono] = c0
-                elif mono in acc:
-                    del acc[mono]
+        items = terms.items() if isinstance(terms, dict) else terms
         self.partition = partition
-        self.terms = acc
+        self.terms = add_into({}, ((_pbw_mono(partition, mono), c)
+                                   for mono, c in items or ()))
 
     @classmethod
     def _raw(cls, partition: Partition, terms: dict) -> "VacuumVector":
@@ -173,14 +166,8 @@ class VacuumVector:
 
     def __add__(self, other: "VacuumVector") -> "VacuumVector":
         self._match(other)
-        acc = dict(self.terms)
-        for mono, c in other.terms.items():
-            c0 = acc.get(mono, 0) + c
-            if c0:
-                acc[mono] = c0
-            elif mono in acc:
-                del acc[mono]
-        return VacuumVector._raw(self.partition, acc)
+        return VacuumVector._raw(self.partition,
+                                 add_into(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: "VacuumVector") -> "VacuumVector":
         return self + other.scale(-1)
@@ -201,8 +188,8 @@ class VacuumVector:
         for m1, c1 in self.terms.items():
             f1 = _flatten(m1)
             for m2, c2 in other.terms.items():
-                _normal_insert(self.partition, f1 + _flatten(m2), c1 * c2, acc)
-        return VacuumVector._raw(self.partition, {k: v for k, v in acc.items() if v})
+                add_into(acc, _normal_insert(self.partition, f1 + _flatten(m2), c1 * c2))
+        return VacuumVector._raw(self.partition, acc)
 
     def derive(self, k: int = 1) -> "VacuumVector":
         """Translation operator: a derivation with X(m) -> -m X(m-1)."""
@@ -213,10 +200,10 @@ class VacuumVector:
                 flat = _flatten(mono)
                 for idx, mode in enumerate(flat):
                     nm = LoopMode(mode.i, mode.j, mode.r, mode.m - 1)
-                    _normal_insert(out.partition,
-                                   flat[:idx] + (nm,) + flat[idx + 1:],
-                                   c * (-mode.m), acc)
-            out = VacuumVector._raw(out.partition, {k2: v for k2, v in acc.items() if v})
+                    add_into(acc, _normal_insert(out.partition,
+                                                 flat[:idx] + (nm,) + flat[idx + 1:],
+                                                 c * (-mode.m)))
+            out = VacuumVector._raw(out.partition, acc)
         return out
 
     # -- structure --------------------------------------------------------
@@ -283,15 +270,7 @@ def normal_order(p: Partition, modes: Iterable[LoopMode], coeff: Rat = 1) -> Vac
             raise ValueError("non-negative mode %s cannot be normal-ordered onto the vacuum"
                              % mode.text())
         p.check_valid(mode.base)
-    acc: dict[PBWMono, Rat] = {}
-    if coeff:
-        _normal_insert(p, modes, coeff, acc)
-    return VacuumVector._raw(p, {k: v for k, v in acc.items() if v})
-
-
-def translate(v: VacuumVector, k: int = 1) -> VacuumVector:
-    """Translation operator applied k times."""
-    return v.derive(k)
+    return VacuumVector._raw(p, add_into({}, _normal_insert(p, modes, coeff)))
 
 
 def act_mode(x: BasisElt, m: int, v: VacuumVector) -> VacuumVector:
@@ -308,7 +287,7 @@ def act_mode(x: BasisElt, m: int, v: VacuumVector) -> VacuumVector:
     acc: dict[PBWMono, Rat] = {}
     for mono, c in v.terms.items():
         _act(p, x, m, _flatten(mono), c, acc)
-    return VacuumVector._raw(p, {k: v2 for k, v2 in acc.items() if v2})
+    return VacuumVector._raw(p, acc)
 
 
 def _act(p: Partition, x: BasisElt, m: int, seq: tuple[LoopMode, ...],
@@ -320,18 +299,17 @@ def _act(p: Partition, x: BasisElt, m: int, seq: tuple[LoopMode, ...],
     sub: dict[PBWMono, Rat] = {}
     _act(p, x, m, rest, coeff, sub)
     for mono2, c2 in sub.items():
-        if c2:
-            _normal_insert(p, (y,) + _flatten(mono2), c2, acc)
+        add_into(acc, _normal_insert(p, (y,) + _flatten(mono2), c2))
     t = m + y.m
     for z, cz in bracket(p, x, y.base).terms.items():
         if t >= 0:
             _act(p, z, t, rest, coeff * cz, acc)
         else:
-            _normal_insert(p, (LoopMode(z.i, z.j, z.r, t),) + rest, coeff * cz, acc)
+            add_into(acc, _normal_insert(p, (LoopMode(z.i, z.j, z.r, t),) + rest, coeff * cz))
     if m and y.m == -m:
         q = critical_form(p, x, y.base)
         if q:
-            _normal_insert(p, rest, coeff * m * q, acc)
+            add_into(acc, _normal_insert(p, rest, coeff * m * q))
 
 
 # -- Segal-Sugawara vectors ----------------------------------------------------
@@ -404,7 +382,8 @@ def center_check(v: VacuumVector, spot_checks: int = 3) -> CenterCheck:
 
     Modes beyond the depth of v annihilate it for degree reasons; the scan
     covers 0 <= m <= depth (m-major, then basis order, first witness wins)
-    and asserts the degree bound at depth + 1 on a few sample generators.
+    and checks the degree bound at depth + 1 on a few sample generators,
+    raising ArithmeticError if one of them does not annihilate v.
     """
     p = v.partition
     basis = centralizer_basis(p)
@@ -415,8 +394,8 @@ def center_check(v: VacuumVector, spot_checks: int = 3) -> CenterCheck:
             if img:
                 return CenterCheck(False, (x, m, img))
     for x in basis[:spot_checks]:
-        beyond = act_mode(x, d + 1, v)
-        assert not beyond, "depth bound violated at %s(%d)" % (x.text(), d + 1)
+        if act_mode(x, d + 1, v):
+            raise ArithmeticError("depth bound violated at %s(%d)" % (x.text(), d + 1))
     return CenterCheck(True)
 
 
@@ -446,8 +425,8 @@ def loop_realization(poly: DiffPoly, p: Partition) -> VacuumVector:
         for v, e in mono:
             coeff *= factorial(v.s) ** e
             modes.extend([LoopMode(v.i, v.j, v.r, -v.s - 1)] * e)
-        _normal_insert(p, tuple(modes), coeff, acc)
-    return VacuumVector._raw(p, {k: v for k, v in acc.items() if v})
+        add_into(acc, _normal_insert(p, tuple(modes), coeff))
+    return VacuumVector._raw(p, acc)
 
 
 @dataclass

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Optional
 
-from .centralizer import BasisElt, Partition, Rat
+from .centralizer import BasisElt, Partition, Rat, add_into
 from .diffpoly import DiffPoly, DiffVar, Domain, Grading
 
 
@@ -41,23 +41,12 @@ class UPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        acc = {}
+        self.coeffs = {}
         if coeffs:
-            items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-            for k, c in items:
-                if k < 0:
-                    raise ValueError("negative spectral power")
-                if not c:
-                    continue
-                if k in acc:
-                    s = acc[k] + c
-                    if s:
-                        acc[k] = s
-                    else:
-                        del acc[k]
-                else:
-                    acc[k] = c
-        self.coeffs = acc
+            items = list(coeffs.items() if isinstance(coeffs, dict) else coeffs)
+            if any(k < 0 for k, _ in items):
+                raise ValueError("negative spectral power")
+            add_into(self.coeffs, items)
 
     @classmethod
     def zero(cls) -> "UPoly":
@@ -75,38 +64,15 @@ class UPoly:
         return sorted(self.coeffs.items())
 
     def __add__(self, other: "UPoly") -> "UPoly":
-        acc = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            if k in acc:
-                s = acc[k] + c
-                if s:
-                    acc[k] = s
-                else:
-                    del acc[k]
-            else:
-                acc[k] = c
         out = UPoly()
-        out.coeffs = acc
+        out.coeffs = add_into(dict(self.coeffs), other.coeffs.items())
         return out
 
     def __mul__(self, other: "UPoly") -> "UPoly":
-        acc = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                k = k1 + k2
-                prod = c1 * c2
-                if not prod:
-                    continue
-                if k in acc:
-                    s = acc[k] + prod
-                    if s:
-                        acc[k] = s
-                    else:
-                        del acc[k]
-                else:
-                    acc[k] = prod
         out = UPoly()
-        out.coeffs = acc
+        out.coeffs = add_into({}, ((k1 + k2, c1 * c2)
+                                   for k1, c1 in self.coeffs.items()
+                                   for k2, c2 in other.coeffs.items()))
         return out
 
     def scale(self, q: Rat) -> "UPoly":
@@ -148,71 +114,40 @@ class DiffOp:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        acc = {}
+        self.terms = {}
         if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for key, up in items:
-                a, b = key
-                if a < 0 or b < 0:
-                    raise ValueError("negative operator exponent")
-                if not up:
-                    continue
-                if key in acc:
-                    s = acc[key] + up
-                    if s:
-                        acc[key] = s
-                    else:
-                        del acc[key]
-                else:
-                    acc[key] = up
-        self.terms = acc
+            items = list(terms.items() if isinstance(terms, dict) else terms)
+            if any(a < 0 or b < 0 for (a, b), _ in items):
+                raise ValueError("negative operator exponent")
+            add_into(self.terms, items)
 
     @classmethod
     def zero(cls) -> "DiffOp":
         return cls()
 
     def __add__(self, other: "DiffOp") -> "DiffOp":
-        acc = dict(self.terms)
-        for key, up in other.terms.items():
-            if key in acc:
-                s = acc[key] + up
-                if s:
-                    acc[key] = s
-                else:
-                    del acc[key]
-            else:
-                acc[key] = up
         out = DiffOp()
-        out.terms = acc
+        out.terms = add_into(dict(self.terms), other.terms.items())
         return out
 
     def __mul__(self, other: "DiffOp") -> "DiffOp":
-        acc = {}
-        for (a1, b1), f1 in self.terms.items():
-            for (a2, b2), f2 in other.terms.items():
-                # F1 x^a1 D^b1 F2 x^a2 D^b2
-                #   = sum_m C(b1, m) F1 (d^m F2) x^(a1+a2) D^(b1-m+b2)
-                for m in range(b1 + 1):
-                    f2m = f2.derive(m) if m else f2
-                    if not f2m:
-                        continue
-                    prod = f1 * f2m
-                    cm = comb(b1, m)
-                    if cm != 1:
-                        prod = prod.scale(cm)
-                    if not prod:
-                        continue
-                    key = (a1 + a2, b1 - m + b2)
-                    if key in acc:
-                        s = acc[key] + prod
-                        if s:
-                            acc[key] = s
-                        else:
-                            del acc[key]
-                    else:
-                        acc[key] = prod
+        def products():
+            for (a1, b1), f1 in self.terms.items():
+                for (a2, b2), f2 in other.terms.items():
+                    # F1 x^a1 D^b1 F2 x^a2 D^b2
+                    #   = sum_m C(b1, m) F1 (d^m F2) x^(a1+a2) D^(b1-m+b2)
+                    for m in range(b1 + 1):
+                        f2m = f2.derive(m) if m else f2
+                        if not f2m:
+                            continue
+                        prod = f1 * f2m
+                        cm = comb(b1, m)
+                        if cm != 1:
+                            prod = prod.scale(cm)
+                        yield (a1 + a2, b1 - m + b2), prod
+
         out = DiffOp()
-        out.terms = acc
+        out.terms = add_into({}, products())
         return out
 
     def scale(self, q: Rat) -> "DiffOp":
@@ -446,18 +381,23 @@ def jacobian_poly_order(p: Partition) -> list[tuple[int, int]]:
     return out
 
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
-                 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113)
+def _first_primes(n: int) -> list[int]:
+    """The first n primes, by trial division by the smaller ones."""
+    out: list[int] = []
+    k = 2
+    while len(out) < n:
+        if all(k % q for q in out if q * q <= k):
+            out.append(k)
+        k += 1
+    return out
 
 
 def jacobian_point(p: Partition, seed: int = 0) -> dict[DiffVar, Rat]:
-    """Deterministic evaluation point: distinct small primes at seed 0,
+    """Deterministic evaluation point: the first N primes at seed 0,
     otherwise seeded random small rationals."""
     variables = jacobian_variable_order(p)
     if seed == 0:
-        if len(variables) > len(_SMALL_PRIMES):
-            raise ValueError("partition too large for the prime point")
-        return {v: q for v, q in zip(variables, _SMALL_PRIMES)}
+        return dict(zip(variables, _first_primes(len(variables))))
     import random
     rng = random.Random("%d:%s" % (seed, p))
     return {v: Fraction(rng.randint(1, 40), rng.randint(1, 8)) for v in variables}

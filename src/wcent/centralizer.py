@@ -24,6 +24,26 @@ from typing import NamedTuple, Union
 Rat = Union[int, Fraction]
 
 
+def add_into(acc: dict, items) -> dict:
+    """Add (key, coefficient) pairs into the sparse map acc and return it.
+
+    Every sparse type in the package keeps this invariant through here: no
+    zero coefficient is ever stored, so equal elements are equal dicts.  Zero
+    inputs are skipped and a key whose sum cancels is deleted.  Coefficients
+    may be rationals or ring elements (anything with + and truth testing).
+    """
+    for key, c in items:
+        if not c:
+            continue
+        if key in acc:
+            c = acc[key] + c
+            if not c:
+                del acc[key]
+                continue
+        acc[key] = c
+    return acc
+
+
 class BasisElt(NamedTuple):
     """Basis element E[i,j,r] (1-based block indices)."""
 
@@ -153,16 +173,8 @@ class LieElement:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        acc: dict[BasisElt, Rat] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for e, c in items:
-                c0 = acc.get(e, 0) + c
-                if c0:
-                    acc[e] = c0
-                elif e in acc:
-                    del acc[e]
-        self.terms = acc
+        items = terms.items() if isinstance(terms, dict) else terms
+        self.terms = add_into({}, items or ())
 
     @classmethod
     def zero(cls) -> "LieElement":
@@ -210,26 +222,20 @@ class LieElement:
 def bracket(p: Partition, a: BasisElt, b: BasisElt) -> LieElement:
     """Commutator [E[i,j,r], E[k,l,s]] with truncation at the column size."""
     t = a.r + b.r
-    acc: dict[BasisElt, Rat] = {}
+    terms = []
     if b.i == a.j and t < p.part(b.j):
-        e = BasisElt(a.i, b.j, t)
-        acc[e] = acc.get(e, 0) + 1
+        terms.append((BasisElt(a.i, b.j, t), 1))
     if a.i == b.j and t < p.part(a.j):
-        e = BasisElt(b.i, a.j, t)
-        acc[e] = acc.get(e, 0) - 1
-    out = LieElement()
-    out.terms = {e: c for e, c in acc.items() if c}
-    return out
+        terms.append((BasisElt(b.i, a.j, t), -1))
+    return LieElement(terms)
 
 
 def lie_bracket(p: Partition, x: LieElement, y: LieElement) -> LieElement:
     """Bilinear extension of the commutator."""
-    acc: list[tuple[BasisElt, Rat]] = []
-    for a, ca in x.terms.items():
-        for b, cb in y.terms.items():
-            for e, c in bracket(p, a, b).terms.items():
-                acc.append((e, ca * cb * c))
-    return LieElement(acc)
+    return LieElement((e, ca * cb * c)
+                      for a, ca in x.terms.items()
+                      for b, cb in y.terms.items()
+                      for e, c in bracket(p, a, b).terms.items())
 
 
 def trace_form(p: Partition, a: BasisElt, b: BasisElt) -> Rat:

@@ -301,6 +301,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     elif args.max_N is not None:
         if args.max_N < 1:
             raise ValueError("--max-N must be at least 1")
+        if args.max_n is not None and args.max_n < 1:
+            raise ValueError("--max-n must be at least 1")
         partitions = all_partitions(args.max_N, max_parts=args.max_n)
     else:
         raise ValueError("a partition (-p) or a sweep bound (--max-N) is required")
@@ -311,6 +313,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         seed = int(os.environ.get("WCENT_SEED", "0"))
     if seed < 0:
         raise ValueError("seed must be non-negative")
+    if args.samples < 1:
+        raise ValueError("--samples must be at least 1")
     mode = MembershipMode.GENERATORS if args.mode == "generators" \
         else MembershipMode.FULL_BASIS
     return RunConfig(args.command, partitions, mode, seed, args.fmt, args.samples)

@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from .centralizer import BasisElt, LieElement, Rat
+from .centralizer import BasisElt, LieElement, Rat, add_into
 
 
 class Domain(Enum):
@@ -129,6 +129,16 @@ def _merge_mono(m1: Mono, m2: Mono) -> Mono:
     return tuple(out)
 
 
+def _derive_terms(terms: dict):
+    """The terms of d(P) for P with the given terms, by Leibniz, unsummed."""
+    for mono, c in terms.items():
+        for idx in range(len(mono)):
+            v, e = mono[idx]
+            rest = mono[:idx] + ((v, e - 1),) + mono[idx + 1:] if e > 1 \
+                else mono[:idx] + mono[idx + 1:]
+            yield _merge_mono(rest, ((v.shifted(), 1),)), c * e
+
+
 class DiffPoly:
     """Differential polynomial in canonical sparse form.
 
@@ -139,16 +149,9 @@ class DiffPoly:
     __slots__ = ("domain", "_terms")
 
     def __init__(self, terms=None, domain: Optional[Domain] = None):
-        acc: dict[Mono, Rat] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for mono, c in items:
-                mono = _normalize_mono(mono)
-                c0 = acc.get(mono, 0) + c
-                if c0:
-                    acc[mono] = c0
-                elif mono in acc:
-                    del acc[mono]
+        items = terms.items() if isinstance(terms, dict) else terms
+        acc: dict[Mono, Rat] = add_into(
+            {}, ((_normalize_mono(mono), c) for mono, c in items or ()))
         inferred = Domain.CARTAN
         for mono in acc:
             for v, _ in mono:
@@ -203,18 +206,7 @@ class DiffPoly:
         if not isinstance(other, DiffPoly):
             return NotImplemented
         dom = self.domain.join(other.domain)
-        if not other._terms:
-            return DiffPoly._raw(dom, dict(self._terms))
-        if not self._terms:
-            return DiffPoly._raw(dom, dict(other._terms))
-        acc = dict(self._terms)
-        for mono, c in other._terms.items():
-            c0 = acc.get(mono, 0) + c
-            if c0:
-                acc[mono] = c0
-            elif mono in acc:
-                del acc[mono]
-        return DiffPoly._raw(dom, acc)
+        return DiffPoly._raw(dom, add_into(dict(self._terms), other._terms.items()))
 
     __radd__ = __add__
 
@@ -244,16 +236,10 @@ class DiffPoly:
         dom = self.domain.join(other.domain)
         if not self._terms or not other._terms:
             return DiffPoly._raw(dom, {})
-        acc: dict[Mono, Rat] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = _merge_mono(m1, m2)
-                c0 = acc.get(mono, 0) + c1 * c2
-                if c0:
-                    acc[mono] = c0
-                elif mono in acc:
-                    del acc[mono]
-        return DiffPoly._raw(dom, acc)
+        return DiffPoly._raw(dom, add_into({}, (
+            (_merge_mono(m1, m2), c1 * c2)
+            for m1, c1 in self._terms.items()
+            for m2, c2 in other._terms.items())))
 
     __rmul__ = __mul__
 
@@ -304,19 +290,7 @@ class DiffPoly:
         """Apply the derivation k times (Leibniz over each monomial)."""
         terms = self._terms
         for _ in range(k):
-            acc: dict[Mono, Rat] = {}
-            for mono, c in terms.items():
-                for idx in range(len(mono)):
-                    v, e = mono[idx]
-                    rest = mono[:idx] + ((v, e - 1),) + mono[idx + 1:] if e > 1 \
-                        else mono[:idx] + mono[idx + 1:]
-                    nm = _merge_mono(rest, ((v.shifted(), 1),))
-                    c0 = acc.get(nm, 0) + c * e
-                    if c0:
-                        acc[nm] = c0
-                    elif nm in acc:
-                        del acc[nm]
-            terms = acc
+            terms = add_into({}, _derive_terms(terms))
         return DiffPoly._raw(self.domain, terms)
 
     def partial(self, v: DiffVar) -> "DiffPoly":
@@ -373,28 +347,22 @@ class DiffPoly:
                           domain: Domain) -> "DiffPoly":
         """Algebra map fixing variables where image(v) is None and replacing
         the rest by the returned constant (0 kills the monomial)."""
-        acc: dict[Mono, Rat] = {}
-        for mono, c in self._terms.items():
-            coeff = c
-            kept = []
-            for v, e in mono:
-                val = image(v)
-                if val is None:
-                    kept.append((v, e))
-                elif val:
-                    coeff = coeff * val ** e
+        def images():
+            for mono, c in self._terms.items():
+                coeff = c
+                kept = []
+                for v, e in mono:
+                    val = image(v)
+                    if val is None:
+                        kept.append((v, e))
+                    elif val:
+                        coeff = coeff * val ** e
+                    else:
+                        break  # the monomial maps to zero
                 else:
-                    coeff = 0
-                    break
-            if not coeff:
-                continue
-            key = tuple(kept)
-            c0 = acc.get(key, 0) + coeff
-            if c0:
-                acc[key] = c0
-            elif key in acc:
-                del acc[key]
-        return DiffPoly._raw(domain, acc)
+                    yield tuple(kept), coeff
+
+        return DiffPoly._raw(domain, add_into({}, images()))
 
     # -- display ---------------------------------------------------------
 

@@ -18,34 +18,17 @@ from fractions import Fraction
 from math import comb
 from typing import Optional
 
-from .centralizer import (BasisElt, Partition, Rat, bracket, centralizer_basis,
-                          trace_form, upper_basis)
+from .centralizer import (BasisElt, Partition, Rat, add_into, bracket,
+                          centralizer_basis, trace_form, upper_basis)
 from .diffpoly import DiffPoly, DiffVar, Domain
 
 LCoeffs = dict  # lambda-power -> DiffPoly
 
 
-def _acc_add(acc: LCoeffs, k: int, poly: DiffPoly) -> None:
-    if not poly:
-        return
-    cur = acc.get(k)
-    if cur is None:
-        acc[k] = poly
-    else:
-        s = cur + poly
-        if s:
-            acc[k] = s
-        else:
-            del acc[k]
-
-
 def _shift_once(coeffs: LCoeffs) -> LCoeffs:
     """(lam + d) applied to sum_k C_k lam^k, with d acting on coefficients."""
-    acc: LCoeffs = {}
-    for k, poly in coeffs.items():
-        _acc_add(acc, k + 1, poly)
-        _acc_add(acc, k, poly.derive())
-    return acc
+    return add_into({}, (term for k, poly in coeffs.items()
+                         for term in ((k + 1, poly), (k, poly.derive()))))
 
 
 class LambdaPoly:
@@ -54,14 +37,12 @@ class LambdaPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        acc: LCoeffs = {}
+        self.coeffs = {}
         if coeffs:
-            items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-            for k, poly in items:
-                if k < 0:
-                    raise ValueError("negative lambda power")
-                _acc_add(acc, k, poly)
-        self.coeffs = acc
+            items = list(coeffs.items() if isinstance(coeffs, dict) else coeffs)
+            if any(k < 0 for k, _ in items):
+                raise ValueError("negative lambda power")
+            add_into(self.coeffs, items)
 
     @classmethod
     def zero(cls) -> "LambdaPoly":
@@ -81,11 +62,8 @@ class LambdaPoly:
         return sorted(self.coeffs.items())
 
     def __add__(self, other: "LambdaPoly") -> "LambdaPoly":
-        acc = dict(self.coeffs)
-        for k, poly in other.coeffs.items():
-            _acc_add(acc, k, poly)
         out = LambdaPoly()
-        out.coeffs = acc
+        out.coeffs = add_into(dict(self.coeffs), other.coeffs.items())
         return out
 
     def __sub__(self, other: "LambdaPoly") -> "LambdaPoly":
@@ -102,11 +80,7 @@ class LambdaPoly:
 
     def mul_poly(self, poly: DiffPoly) -> "LambdaPoly":
         out = LambdaPoly()
-        if poly:
-            acc: LCoeffs = {}
-            for k, c in self.coeffs.items():
-                _acc_add(acc, k, c * poly)
-            out.coeffs = acc
+        out.coeffs = add_into({}, ((k, c * poly) for k, c in self.coeffs.items()))
         return out
 
     def shift(self, times: int = 1) -> "LambdaPoly":
@@ -119,11 +93,8 @@ class LambdaPoly:
         return out
 
     def map_coeffs(self, fn) -> "LambdaPoly":
-        acc: LCoeffs = {}
-        for k, poly in self.coeffs.items():
-            _acc_add(acc, k, fn(poly))
         out = LambdaPoly()
-        out.coeffs = acc
+        out.coeffs = add_into({}, ((k, fn(poly)) for k, poly in self.coeffs.items()))
         return out
 
     def __bool__(self) -> bool:
@@ -161,8 +132,7 @@ def neg_lambda_substitute(lp: LambdaPoly) -> LambdaPoly:
         for _ in range(pwr):
             cur = _shift_once(cur)
         sign = -1 if pwr % 2 else 1
-        for k, q in cur.items():
-            _acc_add(acc, k, q.scale(sign))
+        add_into(acc, ((k, q.scale(sign)) for k, q in cur.items()))
     out = LambdaPoly()
     out.coeffs = acc
     return out
@@ -201,8 +171,7 @@ def lambda_bracket_gen(p: Partition, x: BasisElt, poly: DiffPoly) -> LambdaPoly:
             continue
         for _ in range(v.s):
             cur = _shift_once(cur)
-        for k, q in cur.items():
-            _acc_add(acc, k, pv * q)
+        add_into(acc, ((k, pv * q) for k, q in cur.items()))
     out = LambdaPoly()
     out.coeffs = acc
     return out
@@ -231,15 +200,12 @@ def lambda_bracket(p: Partition, a: DiffPoly, b: DiffPoly) -> LambdaPoly:
             mid: LCoeffs = {}
             if br:
                 c0 = DiffPoly.from_lie(br)
-                for k, q in left.items():
-                    _acc_add(mid, k, c0 * q)
+                add_into(mid, ((k, c0 * q) for k, q in left.items()))
             if f:
-                for k, q in _shift_once(left).items():
-                    _acc_add(mid, k, q.scale(f))
+                add_into(mid, ((k, q.scale(f)) for k, q in _shift_once(left).items()))
             for _ in range(v.s):
                 mid = _shift_once(mid)
-            for k, q in mid.items():
-                _acc_add(acc, k, gb * q)
+            add_into(acc, ((k, gb * q) for k, q in mid.items()))
     out = LambdaPoly()
     out.coeffs = acc
     return out
@@ -351,10 +317,12 @@ def w_membership(p: Partition, poly: DiffPoly,
 
 def w_bracket(p: Partition, a: DiffPoly, b: DiffPoly,
               cfg: Optional[ProjectionConfig] = None,
-              check: Optional[bool] = None) -> LambdaPoly:
-    """Induced bracket on members: the projected lambda-bracket."""
-    if check is None:
-        check = __debug__
+              check: bool = True) -> LambdaPoly:
+    """Induced bracket on members: the projected lambda-bracket.
+
+    With check (the default), both arguments must pass w_membership, else
+    ValueError names the first failing one.
+    """
     if check:
         for name, poly in (("first", a), ("second", b)):
             res = w_membership(p, poly, cfg=cfg)
@@ -369,20 +337,6 @@ def w_bracket(p: Partition, a: DiffPoly, b: DiffPoly,
 BiLambda = dict  # (lam-power, mu-power) -> DiffPoly
 
 
-def _bi_add(acc: BiLambda, key: tuple[int, int], poly: DiffPoly) -> None:
-    if not poly:
-        return
-    cur = acc.get(key)
-    if cur is None:
-        acc[key] = poly
-    else:
-        s = cur + poly
-        if s:
-            acc[key] = s
-        else:
-            del acc[key]
-
-
 def jacobi_defect(p: Partition, a: DiffPoly, b: DiffPoly, c: DiffPoly) -> BiLambda:
     """{a_lam {b_mu c}} - {b_mu {a_lam c}} - {{a_lam b}_{lam+mu} c}.
 
@@ -390,17 +344,17 @@ def jacobi_defect(p: Partition, a: DiffPoly, b: DiffPoly, c: DiffPoly) -> BiLamb
     Jacobi identity holds exactly when the result is empty.
     """
     acc: BiLambda = {}
-    for q, f in lambda_bracket(p, b, c).coeffs.items():
-        for k, g in lambda_bracket(p, a, f).coeffs.items():
-            _bi_add(acc, (k, q), g)
-    for k, f in lambda_bracket(p, a, c).coeffs.items():
-        for q, g in lambda_bracket(p, b, f).coeffs.items():
-            _bi_add(acc, (k, q), g.scale(-1))
-    for nn, cn in lambda_bracket(p, a, b).coeffs.items():
-        for mm, d in lambda_bracket(p, cn, c).coeffs.items():
-            # substitute the bracket symbol by lam + mu and tack on lam^nn
-            for alpha in range(mm + 1):
-                _bi_add(acc, (nn + alpha, mm - alpha), d.scale(-comb(mm, alpha)))
+    add_into(acc, (((k, q), g)
+                   for q, f in lambda_bracket(p, b, c).coeffs.items()
+                   for k, g in lambda_bracket(p, a, f).coeffs.items()))
+    add_into(acc, (((k, q), g.scale(-1))
+                   for k, f in lambda_bracket(p, a, c).coeffs.items()
+                   for q, g in lambda_bracket(p, b, f).coeffs.items()))
+    # substitute the bracket symbol by lam + mu and tack on lam^nn
+    add_into(acc, (((nn + alpha, mm - alpha), d.scale(-comb(mm, alpha)))
+                   for nn, cn in lambda_bracket(p, a, b).coeffs.items()
+                   for mm, d in lambda_bracket(p, cn, c).coeffs.items()
+                   for alpha in range(mm + 1)))
     return acc
 
 

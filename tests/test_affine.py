@@ -6,7 +6,8 @@ import pytest
 from wcent import (BasisElt, DiffPoly, DiffVar, LoopMode, Partition,
                    VacuumVector, act_mode, center_check, hc_project,
                    loop_realization, normal_order, ss_matrix, ss_vectors,
-                   translate, w_correspondence, w_generators)
+                   w_correspondence, w_generators)
+from wcent import affine
 from wcent.affine import pbw_key, pbw_sector
 
 
@@ -108,12 +109,12 @@ def test_normal_order_is_word_invariant():
 
 
 def test_translation_examples():
-    assert translate(VacuumVector.vacuum(P11)) == 0
+    assert VacuumVector.vacuum(P11).derive() == 0
     a = single(P11, 1, 1, 0, -1)
-    assert translate(a) == single(P11, 1, 1, 0, -2)
-    assert translate(a, 2) == single(P11, 1, 1, 0, -3, 2)
+    assert a.derive() == single(P11, 1, 1, 0, -2)
+    assert a.derive(2) == single(P11, 1, 1, 0, -3, 2)
     b = single(P11, 2, 2, 0, -1)
-    assert translate(a * b) == \
+    assert (a * b).derive() == \
         single(P11, 1, 1, 0, -1) * single(P11, 2, 2, 0, -2) + \
         single(P11, 2, 2, 0, -1) * single(P11, 1, 1, 0, -2)
 
@@ -127,7 +128,7 @@ def test_translation_is_a_derivation():
 
     for _ in range(25):
         a, b = rand_vec(), rand_vec()
-        assert translate(a * b) == translate(a) * b + a * translate(b)
+        assert (a * b).derive() == a.derive() * b + a * b.derive()
 
 
 def test_act_mode_annihilates_vacuum():
@@ -203,6 +204,17 @@ def test_center_check_passes_on_vectors():
             assert center_check(v).ok
 
 
+def test_center_check_raises_on_violated_depth_bound(monkeypatch):
+    v = ss_vectors(P11).vector(1, 0)
+
+    def beyond_depth_only(x, m, w):
+        return VacuumVector.vacuum(w.partition, 1 if m == w.depth + 1 else 0)
+
+    monkeypatch.setattr(affine, "act_mode", beyond_depth_only)
+    with pytest.raises(ArithmeticError, match=r"E\[1,1,0\]\(%d\)" % (v.depth + 1)):
+        center_check(v)
+
+
 def test_center_check_witness_is_first_in_scan_order():
     res = center_check(single(P11, 1, 1, 0, -1))
     assert not res.ok
@@ -262,7 +274,7 @@ def test_loop_realization_is_multiplicative_and_intertwines():
         a, b = rand_poly(), rand_poly()
         ta, tb = loop_realization(a, P11), loop_realization(b, P11)
         assert loop_realization(a * b, P11) == ta * tb
-        assert loop_realization(a.derive(), P11) == translate(ta)
+        assert loop_realization(a.derive(), P11) == ta.derive()
 
 
 def test_correspondence_reports():

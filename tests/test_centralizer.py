@@ -1,12 +1,13 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from wcent import (BasisElt, LieElement, Partition, TriangularPart,
+from wcent import (BasisElt, DiffPoly, DiffVar, LieElement, Partition, TriangularPart,
                    all_partitions, bracket, cartan_basis, centralizer_basis,
                    centralizer_dim, critical_form, lie_bracket, lower_basis,
                    parabolic_basis, parse_basis_elt, trace_form, upper_basis)
-from wcent.centralizer import form_on_elements, triangular_part
+from wcent.centralizer import add_into, form_on_elements, triangular_part
 
 
 def E(i, j, r):
@@ -158,3 +159,12 @@ def test_parse_basis_elt():
     assert parse_basis_elt(E(2, 1, 0).text()) == E(2, 1, 0)
     with pytest.raises(ValueError):
         parse_basis_elt("E[1,2]")
+
+
+def test_add_into_keeps_no_zero_coefficient():
+    acc = {"a": 1}
+    assert add_into(acc, [("b", 0), ("a", -1), ("c", Fraction(1, 2)), ("c", 0)]) is acc
+    assert acc == {"c": Fraction(1, 2)}
+    x = DiffPoly.var(DiffVar(0, 1, 1, 0))
+    polys = add_into({}, [(0, x), (1, DiffPoly.zero()), (2, x), (0, x.scale(-1))])
+    assert polys == {2: x}

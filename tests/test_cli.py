@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -44,6 +47,12 @@ def test_usage_errors(capsys):
     assert run(capsys, "basis", "-p", "1,2", "--max-N", "3")[0] == 2
     assert run(capsys, "verify-center", "-p", "1,1", "--format", "latex")[0] == 2
     assert run(capsys, "jacobian", "-p", "1,1", "--seed", "-4")[0] == 2
+    for argv in (["pva-axioms", "-p", "1,2", "--samples", "0"],
+                 ["pva-axioms", "-p", "1,2", "--samples", "-3"],
+                 ["basis", "--max-N", "3", "--max-n", "0"]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
     with pytest.raises(SystemExit) as exc:
         cli.main(["not-a-command"])
     assert exc.value.code == 2
@@ -135,3 +144,27 @@ def test_no_timings_in_json(capsys):
     assert "time" not in out and "elapsed" not in out
     _, text = run(capsys, "verify-center", "-p", "1,1")
     assert "[" in text.splitlines()[-1]  # text mode does report elapsed time
+
+
+def test_jacobian_prime_point_past_thirty_boxes(capsys):
+    code, out = run(capsys, "jacobian", "-p", "31", "--format", "json")
+    assert code == 0
+    point = json.loads(out)["point"].values()
+    assert all(q["den"] == "1" for q in point)
+    nums = sorted(int(q["num"]) for q in point)
+    assert len(set(nums)) == 31 and nums[:3] == [2, 3, 5]
+    assert all(all(q % d for d in range(2, q)) for q in nums)
+
+
+def test_sweep_script_json_rows_carry_no_timings(tmp_path):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = tmp_path / "sweep.json"
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "verify_sweep.py"),
+         "--max-N", "2", "--json", str(path)],
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(path.read_text())
+    assert [r["partition"] for r in rows] == ["1", "1,1", "2"]
+    assert all("seconds" not in r and "dim" not in r for r in rows)

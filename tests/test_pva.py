@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -153,6 +156,23 @@ def test_w_bracket_rejects_non_members():
     bad = w_generators(p).out_of_window[(2, 0)]
     with pytest.raises(ValueError):
         w_bracket(p, bad, bad, check=True)
+
+
+def test_w_bracket_checks_membership_under_python_O():
+    code = "\n".join([
+        "from wcent import Partition, w_bracket, w_generators",
+        "if __debug__:",
+        "    raise SystemExit('not running under -O')",
+        "p = Partition.of(1, 2)",
+        "bad = w_generators(p).out_of_window[(2, 0)]",
+        "w_bracket(p, bad, bad)",
+    ])
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1].startswith("ValueError: first argument fails")
 
 
 def test_random_diffpoly_respects_bounds():
