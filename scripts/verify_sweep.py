@@ -59,6 +59,8 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--json", metavar="PATH", help="also write rows as JSON")
     args = ap.parse_args(argv)
+    if args.max_N < 1:
+        ap.error("--max-N must be at least 1")
 
     checks = ["census", "membership", "miura", "jacobian", "center", "iso",
               "commute"]

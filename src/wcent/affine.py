@@ -23,8 +23,8 @@ from typing import Iterable, NamedTuple, Optional
 
 from .centralizer import (BasisElt, Partition, Rat, add_into, bracket,
                           centralizer_basis, critical_form)
-from .cdet import (DiffOp, GeneratorTable, UPoly, basis_u_series,
-                   column_determinant, extract_window_tables, miura_image,
+from .cdet import (DiffOp, GeneratorTable, basis_u_series, column_determinant,
+                   diagonal_entry, extract_window_tables, miura_image,
                    w_generators)
 from .diffpoly import DiffPoly, Domain
 
@@ -329,11 +329,7 @@ def ss_matrix(p: Partition) -> list[list[DiffOp]]:
         row = []
         for j in range(1, n + 1):
             if j == i:
-                row.append(DiffOp({
-                    (1, 0): UPoly({0: one}),
-                    (0, 1): UPoly({0: VacuumVector.vacuum(p, p.part(i))}),
-                    (0, 0): basis_u_series(p, i, i, lift),
-                }))
+                row.append(diagonal_entry(p, i, one, lift))
             else:
                 row.append(DiffOp({(0, 0): basis_u_series(p, i, j, lift)}))
         rows.append(row)

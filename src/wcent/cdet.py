@@ -221,6 +221,17 @@ def basis_u_series(p: Partition, i: int, j: int,
     return UPoly({r: lift(BasisElt(i, j, r)) for r in p.r_window(i, j)})
 
 
+def diagonal_entry(p: Partition, i: int, one,
+                   lift: Callable[[BasisElt], object] = _lift_var) -> DiffOp:
+    """The diagonal operator entry x + lam_i D + E_ii(u), with one the unit
+    of the coefficient ring and lift the embedding of basis elements."""
+    return DiffOp({
+        (1, 0): UPoly({0: one}),
+        (0, 1): UPoly({0: one.scale(p.part(i))}),
+        (0, 0): basis_u_series(p, i, i, lift),
+    })
+
+
 def w_generator_matrix(p: Partition) -> list[list[DiffOp]]:
     """Matrix whose column determinant produces the W-algebra generators.
 
@@ -234,11 +245,7 @@ def w_generator_matrix(p: Partition) -> list[list[DiffOp]]:
         row = []
         for j in range(1, n + 1):
             if j == i:
-                row.append(DiffOp({
-                    (1, 0): UPoly({0: one}),
-                    (0, 1): UPoly({0: DiffPoly.const(p.part(i))}),
-                    (0, 0): basis_u_series(p, i, i),
-                }))
+                row.append(diagonal_entry(p, i, one))
             elif j == i + 1:
                 row.append(DiffOp({(0, 0): UPoly({p.part(j) - 1: one})}))
             elif j < i:
@@ -344,11 +351,7 @@ def miura_generators(p: Partition) -> GeneratorTable:
     one = DiffPoly.const(1)
     prod: Optional[DiffOp] = None
     for i in range(1, p.n + 1):
-        factor = DiffOp({
-            (1, 0): UPoly({0: one}),
-            (0, 1): UPoly({0: DiffPoly.const(p.part(i))}),
-            (0, 0): basis_u_series(p, i, i),
-        })
+        factor = diagonal_entry(p, i, one)
         prod = factor if prod is None else prod * factor
     entries, rejects = extract_window_tables(p, prod, one)
     return GeneratorTable(p, entries, rejects)

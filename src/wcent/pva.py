@@ -25,10 +25,12 @@ from .diffpoly import DiffPoly, DiffVar, Domain
 LCoeffs = dict  # lambda-power -> DiffPoly
 
 
-def _shift_once(coeffs: LCoeffs) -> LCoeffs:
-    """(lam + d) applied to sum_k C_k lam^k, with d acting on coefficients."""
-    return add_into({}, (term for k, poly in coeffs.items()
-                         for term in ((k + 1, poly), (k, poly.derive()))))
+def _shift(coeffs: LCoeffs, times: int) -> LCoeffs:
+    """(lam + d)^times applied to sum_k C_k lam^k, with d acting on coefficients."""
+    for _ in range(times):
+        coeffs = add_into({}, (term for k, poly in coeffs.items()
+                               for term in ((k + 1, poly), (k, poly.derive()))))
+    return coeffs
 
 
 class LambdaPoly:
@@ -45,26 +47,20 @@ class LambdaPoly:
             add_into(self.coeffs, items)
 
     @classmethod
-    def zero(cls) -> "LambdaPoly":
-        return cls()
-
-    @classmethod
-    def of_poly(cls, poly: DiffPoly, power: int = 0) -> "LambdaPoly":
-        return cls({power: poly})
+    def _raw(cls, coeffs: LCoeffs) -> "LambdaPoly":
+        """Wrap a coefficient map that already holds no zero coefficient."""
+        self = object.__new__(cls)
+        self.coeffs = coeffs
+        return self
 
     def coefficient(self, k: int) -> DiffPoly:
         return self.coeffs.get(k, DiffPoly.zero())
-
-    def max_power(self) -> int:
-        return max(self.coeffs) if self.coeffs else 0
 
     def items(self) -> list[tuple[int, DiffPoly]]:
         return sorted(self.coeffs.items())
 
     def __add__(self, other: "LambdaPoly") -> "LambdaPoly":
-        out = LambdaPoly()
-        out.coeffs = add_into(dict(self.coeffs), other.coeffs.items())
-        return out
+        return LambdaPoly._raw(add_into(dict(self.coeffs), other.coeffs.items()))
 
     def __sub__(self, other: "LambdaPoly") -> "LambdaPoly":
         return self + other.scale(-1)
@@ -73,29 +69,21 @@ class LambdaPoly:
         return self.scale(-1)
 
     def scale(self, q: Rat) -> "LambdaPoly":
-        out = LambdaPoly()
-        if q:
-            out.coeffs = {k: poly.scale(q) for k, poly in self.coeffs.items()}
-        return out
+        if not q:
+            return LambdaPoly()
+        return LambdaPoly._raw({k: poly.scale(q) for k, poly in self.coeffs.items()})
 
     def mul_poly(self, poly: DiffPoly) -> "LambdaPoly":
-        out = LambdaPoly()
-        out.coeffs = add_into({}, ((k, c * poly) for k, c in self.coeffs.items()))
-        return out
+        return LambdaPoly._raw(add_into({}, ((k, c * poly)
+                                             for k, c in self.coeffs.items())))
 
     def shift(self, times: int = 1) -> "LambdaPoly":
         """Apply (lam + d) the given number of times."""
-        cur = self.coeffs
-        for _ in range(times):
-            cur = _shift_once(cur)
-        out = LambdaPoly()
-        out.coeffs = dict(cur)
-        return out
+        return LambdaPoly._raw(dict(_shift(self.coeffs, times)))
 
     def map_coeffs(self, fn) -> "LambdaPoly":
-        out = LambdaPoly()
-        out.coeffs = add_into({}, ((k, fn(poly)) for k, poly in self.coeffs.items()))
-        return out
+        return LambdaPoly._raw(add_into({}, ((k, fn(poly))
+                                             for k, poly in self.coeffs.items())))
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -128,87 +116,61 @@ def neg_lambda_substitute(lp: LambdaPoly) -> LambdaPoly:
     """sum_k (-lam-d)^k C_k for lp = sum_k C_k lam^k (skewsymmetry substitution)."""
     acc: LCoeffs = {}
     for pwr, poly in lp.coeffs.items():
-        cur: LCoeffs = {0: poly}
-        for _ in range(pwr):
-            cur = _shift_once(cur)
-        sign = -1 if pwr % 2 else 1
-        add_into(acc, ((k, q.scale(sign)) for k, q in cur.items()))
-    out = LambdaPoly()
-    out.coeffs = acc
-    return out
-
-
-def generator_bracket(p: Partition, x: BasisElt, y: BasisElt) -> LambdaPoly:
-    """{x_lam y} = [x, y] + (x|y) lam on generators."""
-    acc: LCoeffs = {}
-    br = bracket(p, x, y)
-    if br:
-        acc[0] = DiffPoly.from_lie(br)
-    f = trace_form(p, x, y)
-    if f:
-        acc[1] = DiffPoly.const(f)
-    out = LambdaPoly()
-    out.coeffs = acc
-    return out
+        add_into(acc, _shift({0: poly.scale(-1) if pwr % 2 else poly}, pwr).items())
+    return LambdaPoly._raw(acc)
 
 
 def lambda_bracket_gen(p: Partition, x: BasisElt, poly: DiffPoly) -> LambdaPoly:
-    """{x_lam poly} for a single generator x.
+    """{x_lam poly} for a single generator x: the one bracket kernel.
 
-    Expansion by the right Leibniz rule and sesquilinearity:
+    On generators {x_lam y} = [x, y] + (x|y) lam.  Expansion by the right
+    Leibniz rule and sesquilinearity:
     {x_lam P} = sum over variables v[s] of (dP/dv[s]) (lam+d)^s {x_lam v}.
     """
     acc: LCoeffs = {}
     for v, pv in poly.partials().items():
-        cur: LCoeffs = {}
+        gen: LCoeffs = {}
         br = bracket(p, x, v.base)
         if br:
-            cur[0] = DiffPoly.from_lie(br)
+            gen[0] = DiffPoly.from_lie(br)
         f = trace_form(p, x, v.base)
         if f:
-            cur[1] = DiffPoly.const(f)
-        if not cur:
-            continue
-        for _ in range(v.s):
-            cur = _shift_once(cur)
-        add_into(acc, ((k, pv * q) for k, q in cur.items()))
-    out = LambdaPoly()
-    out.coeffs = acc
-    return out
+            gen[1] = DiffPoly.const(f)
+        add_into(acc, ((k, pv * q) for k, q in _shift(gen, v.s).items()))
+    return LambdaPoly._raw(acc)
+
+
+def generator_bracket(p: Partition, x: BasisElt, y: BasisElt) -> LambdaPoly:
+    """{x_lam y} = [x, y] + (x|y) lam on generators."""
+    return lambda_bracket_gen(p, x, DiffPoly.var(DiffVar.of(y)))
 
 
 def lambda_bracket(p: Partition, a: DiffPoly, b: DiffPoly) -> LambdaPoly:
-    """Bilinear lambda-bracket via the master formula.
+    """Bilinear lambda-bracket via the master formula, built on the kernel.
 
+    The master formula reads
     {a_lam b} = sum (db/dv[n]) (lam+d)^n {u _{lam+d} v}-> (-lam-d)^m (da/du[m]),
-    where each shift operator acts on everything to its right.
+    where each shift operator acts on everything to its right.  This routine
+    evaluates it as
+    {a_lam b} = sum over u[m] of sum_k C_k (lam+d)^k (-lam-d)^m (da/du[m]),
+    with sum_k C_k lam^k = {u_lam b} = lambda_bracket_gen(u, b) and each d
+    acting on the da/du[m] factor only.
+
+    Soundness: put mu = lam + d with d acting on that right factor only.  In
+    the master formula the d of (lam+d)^n acts on both the bracket
+    coefficient C and the right factor, so (lam+d)^n = (mu + d_C)^n.  Summing
+    (db/dv[n]) (mu + d_C)^n {u_mu v} over the variables v[n] of b is the
+    kernel's own expansion, so it gives {u_mu b}.
     """
-    pa = a.partials()
-    pb = b.partials()
+    kernel: dict[BasisElt, LCoeffs] = {}  # u.base -> {u_lam b}
     acc: LCoeffs = {}
-    for u, fa in pa.items():
-        left: LCoeffs = {0: fa}
-        for _ in range(u.s):
-            left = _shift_once(left)
-        if u.s % 2:
-            left = {k: q.scale(-1) for k, q in left.items()}
-        for v, gb in pb.items():
-            br = bracket(p, u.base, v.base)
-            f = trace_form(p, u.base, v.base)
-            if not br and not f:
-                continue
-            mid: LCoeffs = {}
-            if br:
-                c0 = DiffPoly.from_lie(br)
-                add_into(mid, ((k, c0 * q) for k, q in left.items()))
-            if f:
-                add_into(mid, ((k, q.scale(f)) for k, q in _shift_once(left).items()))
-            for _ in range(v.s):
-                mid = _shift_once(mid)
-            add_into(acc, ((k, gb * q) for k, q in mid.items()))
-    out = LambdaPoly()
-    out.coeffs = acc
-    return out
+    for u, fa in a.partials().items():
+        if u.base not in kernel:
+            kernel[u.base] = lambda_bracket_gen(p, u.base, b).coeffs
+        right = _shift({0: fa.scale(-1) if u.s % 2 else fa}, u.s)
+        for k, c in kernel[u.base].items():
+            add_into(acc, ((j, c * q) for j, q in _shift(right, k).items()))
+    return LambdaPoly._raw(acc)
 
 
 # -- parabolic projection --------------------------------------------------

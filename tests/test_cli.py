@@ -1,3 +1,5 @@
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -156,15 +158,45 @@ def test_jacobian_prime_point_past_thirty_boxes(capsys):
     assert all(all(q % d for d in range(2, q)) for q in nums)
 
 
-def test_sweep_script_json_rows_carry_no_timings(tmp_path):
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    path = tmp_path / "sweep.json"
-    proc = subprocess.run(
-        [sys.executable, os.path.join(root, "scripts", "verify_sweep.py"),
-         "--max-N", "2", "--json", str(path)],
-        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_sweep_script(*argv):
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "verify_sweep.py"), *argv],
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
         capture_output=True, text=True, timeout=120)
+
+
+def test_sweep_script_json_rows_carry_no_timings(tmp_path):
+    path = tmp_path / "sweep.json"
+    proc = run_sweep_script("--max-N", "2", "--json", str(path))
     assert proc.returncode == 0, proc.stderr
     rows = json.loads(path.read_text())
     assert [r["partition"] for r in rows] == ["1", "1,1", "2"]
     assert all("seconds" not in r and "dim" not in r for r in rows)
+
+
+def test_sweep_script_rejects_empty_sweep():
+    proc = run_sweep_script("--max-N", "0")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].endswith("error: --max-N must be at least 1")
+
+
+def test_benchmark_traced_names_resolve():
+    # perfbench/tracing.py wraps each (module, name) of its TARGETS list by
+    # name; read the list without importing the benchmark.
+    with open(os.path.join(ROOT, "perfbench", "tracing.py")) as fh:
+        tree = ast.parse(fh.read())
+    (targets,) = [ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]]
+    assert targets
+    for modname, target, _ in targets:
+        owner = importlib.import_module("wcent." + modname)
+        if "." in target:
+            clsname, attr = target.split(".")
+            assert attr in vars(getattr(owner, clsname)), target
+        else:
+            assert callable(getattr(owner, target, None)), target

@@ -4,13 +4,18 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wcent import (BasisElt, DiffPoly, DiffVar, Domain, LambdaPoly,
-                   MembershipMode, Partition, ProjectionConfig,
-                   generator_bracket, jacobi_defect, lambda_bracket,
-                   lambda_bracket_gen, parabolic_project, pva_axiom_suite,
-                   w_bracket, w_generators, w_membership)
-from wcent.pva import membership_test_set, neg_lambda_substitute, random_diffpoly
+                   MembershipMode, Partition, ProjectionConfig, all_partitions,
+                   bracket, centralizer_basis, generator_bracket, jacobi_defect,
+                   lambda_bracket, lambda_bracket_gen, parabolic_project,
+                   pva_axiom_suite, trace_form, w_bracket, w_generators,
+                   w_membership)
+from wcent.centralizer import add_into
+from wcent.pva import (LCoeffs, membership_test_set, neg_lambda_substitute,
+                       project_lambda, random_diffpoly)
 
 
 def V(i, j, r, s=0):
@@ -19,6 +24,79 @@ def V(i, j, r, s=0):
 
 def vp(i, j, r, s=0):
     return DiffPoly.var(V(i, j, r, s))
+
+
+# -- reference master formula ----------------------------------------------
+# Oracle for the bracket routines: the master formula evaluated pairwise over
+# the variables of both arguments, reading bracket/trace_form for each pair,
+# independently of lambda_bracket_gen.
+
+
+def _shift_once(coeffs: LCoeffs) -> LCoeffs:
+    """(lam + d) applied to sum_k C_k lam^k, with d acting on coefficients."""
+    return add_into({}, (term for k, poly in coeffs.items()
+                         for term in ((k + 1, poly), (k, poly.derive()))))
+
+
+def _master_formula_oracle(p: Partition, a: DiffPoly, b: DiffPoly) -> LambdaPoly:
+    """Bilinear lambda-bracket via the master formula.
+
+    {a_lam b} = sum (db/dv[n]) (lam+d)^n {u _{lam+d} v}-> (-lam-d)^m (da/du[m]),
+    where each shift operator acts on everything to its right.
+    """
+    pa = a.partials()
+    pb = b.partials()
+    acc: LCoeffs = {}
+    for u, fa in pa.items():
+        left: LCoeffs = {0: fa}
+        for _ in range(u.s):
+            left = _shift_once(left)
+        if u.s % 2:
+            left = {k: q.scale(-1) for k, q in left.items()}
+        for v, gb in pb.items():
+            br = bracket(p, u.base, v.base)
+            f = trace_form(p, u.base, v.base)
+            if not br and not f:
+                continue
+            mid: LCoeffs = {}
+            if br:
+                c0 = DiffPoly.from_lie(br)
+                add_into(mid, ((k, c0 * q) for k, q in left.items()))
+            if f:
+                add_into(mid, ((k, q.scale(f)) for k, q in _shift_once(left).items()))
+            for _ in range(v.s):
+                mid = _shift_once(mid)
+            add_into(acc, ((k, gb * q) for k, q in mid.items()))
+    out = LambdaPoly()
+    out.coeffs = acc
+    return out
+
+
+def var(e: BasisElt) -> DiffPoly:
+    return DiffPoly.var(DiffVar.of(e))
+
+
+SMALL_PARTITIONS = all_partitions(5)
+
+
+@given(st.sampled_from(SMALL_PARTITIONS), st.integers(0, 2**32 - 1))
+def test_bracket_routines_match_master_formula_oracle(p, seed):
+    rng = random.Random(seed)
+    a = random_diffpoly(p, rng, max_terms=3, max_s=3)
+    b = random_diffpoly(p, rng, max_terms=3, max_s=3)
+    x, y = rng.choice(centralizer_basis(p)), rng.choice(centralizer_basis(p))
+    assert lambda_bracket(p, a, b) == _master_formula_oracle(p, a, b)
+    assert lambda_bracket_gen(p, x, b) == _master_formula_oracle(p, var(x), b)
+    assert generator_bracket(p, x, y) == _master_formula_oracle(p, var(x), var(y))
+
+
+@pytest.mark.parametrize("p", [p for p in SMALL_PARTITIONS if p.n >= 2], ids=str)
+def test_membership_witness_matches_master_formula_oracle(p):
+    poly = var(BasisElt(1, 1, 0))
+    res = w_membership(p, poly)
+    assert not res.ok
+    assert res.witness_bracket == \
+        project_lambda(p, _master_formula_oracle(p, var(res.witness_x), poly))
 
 
 def test_generator_bracket_oracles():
