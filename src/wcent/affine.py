@@ -373,13 +373,17 @@ class CenterCheck:
     witness: Optional[tuple[BasisElt, int, VacuumVector]] = None
 
 
-def center_check(v: VacuumVector, spot_checks: int = 3) -> CenterCheck:
+CENTER_SPOT_CHECKS = 3
+
+
+def center_check(v: VacuumVector) -> CenterCheck:
     """Whether every nonnegative mode annihilates v.
 
     Modes beyond the depth of v annihilate it for degree reasons; the scan
     covers 0 <= m <= depth (m-major, then basis order, first witness wins)
-    and checks the degree bound at depth + 1 on a few sample generators,
-    raising ArithmeticError if one of them does not annihilate v.
+    and checks the degree bound at depth + 1 on the first CENTER_SPOT_CHECKS
+    basis elements, raising ArithmeticError if one of them does not
+    annihilate v.
     """
     p = v.partition
     basis = centralizer_basis(p)
@@ -389,7 +393,7 @@ def center_check(v: VacuumVector, spot_checks: int = 3) -> CenterCheck:
             img = act_mode(x, m, v)
             if img:
                 return CenterCheck(False, (x, m, img))
-    for x in basis[:spot_checks]:
+    for x in basis[:CENTER_SPOT_CHECKS]:
         if act_mode(x, d + 1, v):
             raise ArithmeticError("depth bound violated at %s(%d)" % (x.text(), d + 1))
     return CenterCheck(True)

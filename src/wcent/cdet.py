@@ -461,18 +461,25 @@ class JacobianCertificate:
     def symbolic_nonzero(self) -> Optional[bool]:
         return None if self.symbolic_det is None else bool(self.symbolic_det)
 
+    @property
+    def ok(self) -> bool:
+        return self.nonzero and self.symbolic_nonzero is not False
 
-def jacobian_independence(p: Partition, seed: int = 0,
-                          max_attempts: int = 5,
-                          symbolic_limit: int = 4) -> JacobianCertificate:
+
+JACOBIAN_MAX_ATTEMPTS = 5
+JACOBIAN_SYMBOLIC_LIMIT = 4
+
+
+def jacobian_independence(p: Partition, seed: int = 0) -> JacobianCertificate:
     """Certificate that the minimal components of the Miura images are
     algebraically independent.
 
     Evaluates the Jacobian of the minimal-degree components (derivation
     grading) at a deterministic seeded point; a zero determinant is treated
-    as a degenerate point and retried with the next seed, not as a failure of
-    independence.  For N up to symbolic_limit the symbolic determinant is
-    computed as a cross-check.
+    as a degenerate point and retried with the next seed, up to
+    JACOBIAN_MAX_ATTEMPTS points in all, not as a failure of independence.
+    For N up to JACOBIAN_SYMBOLIC_LIMIT the symbolic determinant is computed
+    as a cross-check.
     """
     mt = miura_generators(p)
     leading = {key: poly.min_component(Grading.DERIVATION)
@@ -483,13 +490,13 @@ def jacobian_independence(p: Partition, seed: int = 0,
         raise AssertionError("Jacobian index bookkeeping is off")
     jac = [[leading[key].partial(v) for v in var_order] for key in poly_order]
 
-    symbolic = poly_det(jac) if p.N <= symbolic_limit else None
+    symbolic = poly_det(jac) if p.N <= JACOBIAN_SYMBOLIC_LIMIT else None
 
     attempts = 0
     use_seed = seed
     det: Rat = 0
     point: dict[DiffVar, Rat] = {}
-    while attempts < max_attempts:
+    while attempts < JACOBIAN_MAX_ATTEMPTS:
         attempts += 1
         point = jacobian_point(p, use_seed)
         det = fraction_det([[entry.eval_at(point) for entry in row] for row in jac])

@@ -6,6 +6,12 @@ text, JSON, or LaTeX; JSON reports are deterministic byte-for-byte for a
 fixed configuration (sorted keys, canonical term order, no timings), so two
 seeded runs can be diffed directly.
 
+`sweep` checks the whole claim for each partition by calling the other
+runners: census (`generators`), membership, Miura and Jacobian always;
+centre and iso for N <= --center-bound; pairwise commutativity
+(`verify-commute`) for N <= --commute-bound.  Each row holds one verdict per
+check that ran, and a failed check's report data under `witnesses`.
+
 Exit status: 0 all checks passed, 1 a verification failed, 2 usage error.
 """
 
@@ -17,6 +23,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, Optional
 
 from . import serialize as sz
@@ -32,6 +39,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 DEFAULT_SAMPLES = 100
+DEFAULT_CENTER_BOUND = 5
+DEFAULT_COMMUTE_BOUND = 4
 
 LATEX_COMMANDS = {"basis", "generators", "miura", "ss-vectors", "jacobian"}
 
@@ -44,6 +53,8 @@ class RunConfig:
     seed: int = 0
     fmt: str = "text"
     samples: int = DEFAULT_SAMPLES
+    center_bound: int = DEFAULT_CENTER_BOUND
+    commute_bound: int = DEFAULT_COMMUTE_BOUND
 
 
 @dataclass
@@ -83,7 +94,7 @@ def _run_generators(p: Partition, cfg: RunConfig) -> Report:
     data = sz.generator_table_to_json(t)
     lines = ["partition %s: %d generators" % (p, len(t))]
     lines += ["  w[%d][%d] = %s" % (k, r, poly.text()) for (k, r), poly in t.ordered()]
-    return Report("generators", True, data, lines, sz.latex_table(t))
+    return Report("generators", len(t) == p.N, data, lines, sz.latex_table(t))
 
 
 def _run_check_membership(p: Partition, cfg: RunConfig) -> Report:
@@ -112,27 +123,23 @@ def _run_miura(p: Partition, cfg: RunConfig) -> Report:
     wt = w_generators(p)
     mt = miura_generators(p)
     entries = {}
-    ok = True
+    lines = ["partition %s: Miura images" % p]
     for (k, r), poly in wt.ordered():
         img = miura_image(poly)
-        match = img == mt.entries[(k, r)]
-        ok = ok and match
-        entries[sz.table_key("w", k, r)] = {
-            "pass": match,
-            "image": sz.diffpoly_to_json(img),
-        }
+        match = img == mt.entries.get((k, r))
+        key = sz.table_key("w", k, r)
+        entries[key] = {"pass": match, "image": sz.diffpoly_to_json(img)}
+        lines.append("  %s -> %s%s" % (key, img.text(), "" if match else "  MISMATCH"))
+    unmatched = set(wt.entries) ^ set(mt.entries)
+    ok = not unmatched and all(e["pass"] for e in entries.values())
     data = {"partition": str(p), "entries": entries, "ok": ok}
-    lines = ["partition %s: Miura images" % p]
-    lines += ["  %s -> %s%s" % (sz.table_key("w", k, r), miura_image(poly).text(),
-                                "" if entries[sz.table_key("w", k, r)]["pass"]
-                                else "  MISMATCH")
-              for (k, r), poly in wt.ordered()]
+    if unmatched:
+        data["unmatched"] = [sz.table_key("w", k, r) for k, r in sorted(unmatched)]
     return Report("miura", ok, data, lines, sz.latex_table(mt))
 
 
 def _run_jacobian(p: Partition, cfg: RunConfig) -> Report:
     cert = jacobian_independence(p, seed=cfg.seed)
-    ok = cert.nonzero and cert.symbolic_nonzero is not False
     data = {
         "partition": str(p),
         "nonzero": cert.nonzero,
@@ -146,7 +153,7 @@ def _run_jacobian(p: Partition, cfg: RunConfig) -> Report:
             "computed": cert.symbolic_det is not None,
             "nonzero": cert.symbolic_nonzero,
         },
-        "ok": ok,
+        "ok": cert.ok,
     }
     lines = ["partition %s: Jacobian determinant %s at seed %d (%d attempt%s)%s" % (
         p, cert.det, cert.seed, cert.attempts, "s" if cert.attempts != 1 else "",
@@ -155,7 +162,7 @@ def _run_jacobian(p: Partition, cfg: RunConfig) -> Report:
     latex = r"\det J = %s" % sz.latex_rat(cert.det)
     if cert.symbolic_det is not None:
         latex += ",\\qquad \\det J(E) = %s" % sz.latex_diffpoly(cert.symbolic_det)
-    return Report("jacobian", ok, data, lines, latex)
+    return Report("jacobian", cert.ok, data, lines, latex)
 
 
 def _run_ss_vectors(p: Partition, cfg: RunConfig) -> Report:
@@ -163,7 +170,7 @@ def _run_ss_vectors(p: Partition, cfg: RunConfig) -> Report:
     data = sz.sugawara_table_to_json(t)
     lines = ["partition %s: %d vectors" % (p, len(t))]
     lines += ["  phi[%d][%d] = %s" % (k, r, v.text()) for (k, r), v in t.ordered()]
-    return Report("ss-vectors", True, data, lines, sz.latex_table(t))
+    return Report("ss-vectors", len(t) == p.N, data, lines, sz.latex_table(t))
 
 
 def _run_verify_center(p: Partition, cfg: RunConfig) -> Report:
@@ -207,6 +214,21 @@ def _run_verify_iso(p: Partition, cfg: RunConfig) -> Report:
     return Report("verify-iso", rep.ok, data, lines)
 
 
+def _run_verify_commute(p: Partition, cfg: RunConfig) -> Report:
+    t = ss_vectors(p)
+    commutators = ((ka, kb, a * b - b * a)
+                   for (ka, a), (kb, b) in combinations(t.ordered(), 2))
+    failed = next(((ka, kb, c) for ka, kb, c in commutators if c), None)
+    data = {"partition": str(p), "ok": failed is None}
+    lines = ["partition %s: pairwise commutativity of %d vectors" % (p, len(t))]
+    if failed is not None:
+        ka, kb, c = failed
+        pair = [sz.table_key("phi", *ka), sz.table_key("phi", *kb)]
+        data["witness"] = {"pair": pair, "commutator": sz.vacuum_to_json(c)}
+        lines.append("  [%s, %s] = %s" % (pair[0], pair[1], c.text()))
+    return Report("verify-commute", failed is None, data, lines)
+
+
 def _run_pva_axioms(p: Partition, cfg: RunConfig) -> Report:
     rep = pva_axiom_suite(p, seed=cfg.seed, samples=cfg.samples)
     data = {
@@ -224,6 +246,34 @@ def _run_pva_axioms(p: Partition, cfg: RunConfig) -> Report:
     return Report("pva-axioms", rep.ok, data, lines)
 
 
+# The sweep's checks in row order, each with the runner that decides it.
+SWEEP_CHECKS = {"census": "generators", "membership": "check-membership",
+                "miura": "miura", "jacobian": "jacobian", "center": "verify-center",
+                "iso": "verify-iso", "commute": "verify-commute"}
+
+
+def _run_sweep(p: Partition, cfg: RunConfig) -> Report:
+    bound = {"center": cfg.center_bound, "iso": cfg.center_bound,
+             "commute": cfg.commute_bound}
+    row = {"partition": str(p), "N": p.N}
+    witnesses = {}
+    start = time.perf_counter()
+    for check, command in SWEEP_CHECKS.items():
+        if p.N > bound.get(check, p.N):
+            continue
+        rep = RUNNERS[command](p, cfg)
+        row[check] = rep.ok
+        if not rep.ok:
+            witnesses[check] = rep.data
+    row["ok"] = not witnesses
+    if witnesses:
+        row["witnesses"] = witnesses
+    marks = " ".join("%s=%s" % (check, {True: "ok", False: "FAIL"}.get(row.get(check), "-"))
+                     for check in SWEEP_CHECKS)
+    line = "%-12s %s  (%.2fs)" % (p, marks, time.perf_counter() - start)
+    return Report("sweep", row["ok"], row, [line])
+
+
 RUNNERS: dict[str, Callable[[Partition, RunConfig], Report]] = {
     "basis": _run_basis,
     "generators": _run_generators,
@@ -233,7 +283,9 @@ RUNNERS: dict[str, Callable[[Partition, RunConfig], Report]] = {
     "ss-vectors": _run_ss_vectors,
     "verify-center": _run_verify_center,
     "verify-iso": _run_verify_iso,
+    "verify-commute": _run_verify_commute,
     "pva-axioms": _run_pva_axioms,
+    "sweep": _run_sweep,
 }
 
 
@@ -273,7 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
         ("ss-vectors", "compute the Segal-Sugawara vector table"),
         ("verify-center", "verify the vectors are annihilated by nonnegative modes"),
         ("verify-iso", "verify projected vectors match realized Miura images"),
+        ("verify-commute", "verify the vectors commute pairwise"),
         ("pva-axioms", "verify bracket axioms on seeded random samples"),
+        ("sweep", "run the census, membership, Miura, Jacobian, centre, iso and "
+                  "commutativity checks, one row per partition"),
     ]:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("-p", "--partition", metavar="PARTS",
@@ -290,6 +345,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sample count for pva-axioms (default: %(default)s)")
         sp.add_argument("--format", dest="fmt", choices=["text", "json", "latex"],
                         default="text", help="report format (default: text)")
+        if name == "sweep":
+            sp.add_argument("--center-bound", type=int, default=DEFAULT_CENTER_BOUND,
+                            metavar="N",
+                            help="run the centre and iso checks for N up to this "
+                                 "(default: %(default)s)")
+            sp.add_argument("--commute-bound", type=int, default=DEFAULT_COMMUTE_BOUND,
+                            metavar="N",
+                            help="run pairwise commutativity for N up to this "
+                                 "(default: %(default)s)")
     return parser
 
 
@@ -317,7 +381,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ValueError("--samples must be at least 1")
     mode = MembershipMode.GENERATORS if args.mode == "generators" \
         else MembershipMode.FULL_BASIS
-    return RunConfig(args.command, partitions, mode, seed, args.fmt, args.samples)
+    cfg = RunConfig(args.command, partitions, mode, seed, args.fmt, args.samples)
+    if args.command == "sweep":
+        cfg.center_bound, cfg.commute_bound = args.center_bound, args.commute_bound
+    return cfg
 
 
 def render(report: Report, fmt: str, elapsed: float) -> str:

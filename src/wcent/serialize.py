@@ -108,22 +108,24 @@ def _table_json(partition: Partition, prefix: str, entries, rejects,
     }
 
 
+def _table_from_json(obj: dict, cls, decode: Callable):
+    def load(section: str) -> dict:
+        out = {}
+        for key, val in obj[section].items():
+            _, k, r = parse_table_key(key)
+            out[(k, r)] = decode(val)
+        return out
+
+    return cls(Partition.parse(obj["partition"]), load("entries"), load("out_of_window"))
+
+
 def generator_table_to_json(t: GeneratorTable) -> dict:
     return _table_json(t.partition, "w", t.entries, t.out_of_window,
                        diffpoly_to_json)
 
 
 def generator_table_from_json(obj: dict) -> GeneratorTable:
-    p = Partition.parse(obj["partition"])
-
-    def load(section: str) -> dict:
-        out = {}
-        for key, val in obj[section].items():
-            _, k, r = parse_table_key(key)
-            out[(k, r)] = diffpoly_from_json(val)
-        return out
-
-    return GeneratorTable(p, load("entries"), load("out_of_window"))
+    return _table_from_json(obj, GeneratorTable, diffpoly_from_json)
 
 
 def sugawara_table_to_json(t: SugawaraTable) -> dict:
@@ -132,16 +134,7 @@ def sugawara_table_to_json(t: SugawaraTable) -> dict:
 
 
 def sugawara_table_from_json(obj: dict) -> SugawaraTable:
-    p = Partition.parse(obj["partition"])
-
-    def load(section: str) -> dict:
-        out = {}
-        for key, val in obj[section].items():
-            _, k, r = parse_table_key(key)
-            out[(k, r)] = vacuum_from_json(val)
-        return out
-
-    return SugawaraTable(p, load("entries"), load("out_of_window"))
+    return _table_from_json(obj, SugawaraTable, vacuum_from_json)
 
 
 # -- LaTeX ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -215,7 +216,10 @@ def test_jacobian_11_certificate():
     assert cert.poly_order == [(1, 0), (2, 0)]
     assert cert.point == {V(2, 2, 0): 2, V(1, 1, 0): 3}
     assert cert.symbolic_det == vp(2, 2, 0) - vp(1, 1, 0)
-    assert cert.symbolic_nonzero is True
+    assert cert.symbolic_nonzero is True and cert.ok
+    zero = cert.symbolic_det - cert.symbolic_det
+    assert not replace(cert, symbolic_det=zero).ok
+    assert not replace(cert, nonzero=False).ok
 
 
 def test_jacobian_12_certificate():

@@ -2,14 +2,14 @@ import ast
 import importlib
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 
-from wcent import BasisElt, CenterCheck, Partition, VacuumVector, w_generators
+from wcent import (BasisElt, CenterCheck, GeneratorTable, Partition, SugawaraTable,
+                   VacuumVector, w_generators)
 from wcent import cli
-from wcent.serialize import generator_table_from_json, sugawara_table_from_json
+from wcent.serialize import (generator_table_from_json, sugawara_table_from_json,
+                             vacuum_from_json)
 
 
 def run(capsys, *argv):
@@ -51,7 +51,8 @@ def test_usage_errors(capsys):
     assert run(capsys, "jacobian", "-p", "1,1", "--seed", "-4")[0] == 2
     for argv in (["pva-axioms", "-p", "1,2", "--samples", "0"],
                  ["pva-axioms", "-p", "1,2", "--samples", "-3"],
-                 ["basis", "--max-N", "3", "--max-n", "0"]):
+                 ["basis", "--max-N", "3", "--max-n", "0"],
+                 ["sweep", "--max-N", "0"]):
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -60,11 +61,11 @@ def test_usage_errors(capsys):
     assert exc.value.code == 2
 
 
-def test_check_failure_exit_code(capsys, monkeypatch):
-    def fake_check(v, spot_checks=3):
-        return CenterCheck(False, (BasisElt(1, 1, 0), 0,
-                                   VacuumVector.vacuum(v.partition)))
+def fake_check(v):
+    return CenterCheck(False, (BasisElt(1, 1, 0), 0, VacuumVector.vacuum(v.partition)))
 
+
+def test_check_failure_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli, "center_check", fake_check)
     code, out = run(capsys, "verify-center", "-p", "1,1", "--format", "json")
     assert code == 1
@@ -158,30 +159,54 @@ def test_jacobian_prime_point_past_thirty_boxes(capsys):
     assert all(all(q % d for d in range(2, q)) for q in nums)
 
 
+def test_sweep_rows(capsys):
+    code, out = run(capsys, "sweep", "--max-N", "4", "--center-bound", "3",
+                    "--commute-bound", "2", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["runs"]
+    assert len(rows) == 11  # partitions of 1 to 4
+    base = ["N", "census", "jacobian", "membership", "miura", "ok", "partition"]
+    for row in rows:
+        expected = base + ["center", "iso"] * (row["N"] <= 3) + ["commute"] * (row["N"] <= 2)
+        assert sorted(row) == sorted(expected)
+        assert all(v is True for k, v in row.items() if k not in ("partition", "N"))
+
+
+def test_sweep_failure_carries_witness(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "center_check", fake_check)
+    code, out = run(capsys, "sweep", "-p", "1,1", "--format", "json")
+    assert code == 1
+    row = json.loads(out)
+    assert row["ok"] is False and row["center"] is False and row["iso"] is True
+    assert list(row["witnesses"]) == ["center"]
+    witness = row["witnesses"]["center"]["entries"]["phi[1][0]"]["witness"]
+    assert witness["x"] == [1, 1, 0] and witness["m"] == 0
+
+
+def test_verify_commute_witness(capsys, monkeypatch):
+    p = Partition.of(1, 1)
+
+    def vec(i, j, m):
+        return VacuumVector.single(p, BasisElt(i, j, 0), m)
+
+    assert run(capsys, "verify-commute", "-p", "1,1")[0] == 0
+    monkeypatch.setattr(cli, "ss_vectors", lambda q: SugawaraTable(
+        q, {(1, 0): vec(1, 2, -1), (2, 0): vec(2, 1, -1)}, {}))
+    code, out = run(capsys, "verify-commute", "-p", "1,1", "--format", "json")
+    assert code == 1
+    witness = json.loads(out)["witness"]
+    assert witness["pair"] == ["phi[1][0]", "phi[2][0]"]
+    assert vacuum_from_json(witness["commutator"]) == vec(1, 1, -2) - vec(2, 2, -2)
+
+
+def test_short_tables_fail(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "w_generators", lambda q: GeneratorTable(q, {}, {}))
+    monkeypatch.setattr(cli, "ss_vectors", lambda q: SugawaraTable(q, {}, {}))
+    assert run(capsys, "generators", "-p", "1,1")[0] == 1
+    assert run(capsys, "ss-vectors", "-p", "1,1")[0] == 1
+
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def run_sweep_script(*argv):
-    return subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", "verify_sweep.py"), *argv],
-        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
-        capture_output=True, text=True, timeout=120)
-
-
-def test_sweep_script_json_rows_carry_no_timings(tmp_path):
-    path = tmp_path / "sweep.json"
-    proc = run_sweep_script("--max-N", "2", "--json", str(path))
-    assert proc.returncode == 0, proc.stderr
-    rows = json.loads(path.read_text())
-    assert [r["partition"] for r in rows] == ["1", "1,1", "2"]
-    assert all("seconds" not in r and "dim" not in r for r in rows)
-
-
-def test_sweep_script_rejects_empty_sweep():
-    proc = run_sweep_script("--max-N", "0")
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.splitlines()[-1].endswith("error: --max-N must be at least 1")
 
 
 def test_benchmark_traced_names_resolve():
