@@ -172,6 +172,13 @@ def test_sweep_rows(capsys):
         assert all(v is True for k, v in row.items() if k not in ("partition", "N"))
 
 
+def test_sweep_script_rejects_empty_sweep(capsys):
+    assert cli.main(["sweep", "--max-N", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith("error: --max-N must be at least 1")
+
+
 def test_sweep_failure_carries_witness(capsys, monkeypatch):
     monkeypatch.setattr(cli, "center_check", fake_check)
     code, out = run(capsys, "sweep", "-p", "1,1", "--format", "json")
