@@ -17,12 +17,12 @@ from .cdet import (DiffOp, GeneratorTable, JacobianCertificate, UPoly,
                    column_determinant, generator_window, in_window,
                    jacobian_independence, miura_generators, miura_image,
                    w_generator_matrix, w_generators)
-from .centralizer import (BasisElt, LieElement, Partition, TriangularPart,
-                          all_partitions, bracket, cartan_basis,
-                          centralizer_basis, centralizer_dim, critical_form,
-                          lie_bracket, lower_basis, parabolic_basis,
-                          parse_basis_elt, trace_form, upper_basis)
-from .diffpoly import DiffPoly, DiffVar, Domain, Grading, Monomial
+from .centralizer import (BasisElt, LieElement, Partition, all_partitions,
+                          bracket, cartan_basis, centralizer_basis,
+                          centralizer_dim, critical_form, lie_bracket,
+                          lower_basis, parabolic_basis, parse_basis_elt,
+                          trace_form, upper_basis)
+from .diffpoly import DiffPoly, DiffVar, Grading, Monomial
 from .pva import (AxiomSuiteReport, LambdaPoly, MembershipMode,
                   MembershipResult, ProjectionConfig, generator_bracket,
                   jacobi_defect, lambda_bracket, lambda_bracket_gen,
@@ -32,10 +32,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AxiomSuiteReport", "BasisElt", "CenterCheck", "CorrespondenceReport",
-    "DiffOp", "DiffPoly", "DiffVar", "Domain", "GeneratorTable", "Grading",
+    "DiffOp", "DiffPoly", "DiffVar", "GeneratorTable", "Grading",
     "JacobianCertificate", "LambdaPoly", "LieElement", "LoopMode",
     "MembershipMode", "MembershipResult", "Monomial", "Partition",
-    "ProjectionConfig", "SugawaraTable", "TriangularPart", "UPoly",
+    "ProjectionConfig", "SugawaraTable", "UPoly",
     "VacuumVector", "act_mode", "all_partitions", "bracket", "cartan_basis",
     "center_check", "centralizer_basis", "centralizer_dim",
     "column_determinant", "critical_form", "generator_bracket",

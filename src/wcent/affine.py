@@ -26,7 +26,7 @@ from .centralizer import (BasisElt, Partition, Rat, add_into, bracket,
 from .cdet import (DiffOp, GeneratorTable, basis_u_series, column_determinant,
                    diagonal_entry, extract_window_tables, miura_image,
                    w_generators)
-from .diffpoly import DiffPoly, Domain
+from .diffpoly import DiffPoly
 
 
 class LoopMode(NamedTuple):
@@ -210,9 +210,6 @@ class VacuumVector:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __eq__(self, other) -> bool:
         if isinstance(other, VacuumVector):
@@ -415,8 +412,12 @@ def hc_project(v: VacuumVector) -> VacuumVector:
 
 def loop_realization(poly: DiffPoly, p: Partition) -> VacuumVector:
     """Isomorphism from diagonal differential polynomials to diagonal modes:
-    E[i,i,r][s] goes to s! E[i,i,r](-s-1), extended multiplicatively."""
-    if poly.domain is not Domain.CARTAN:
+    E[i,i,r][s] goes to s! E[i,i,r](-s-1), extended multiplicatively.
+
+    The input is checked by its variables: any off-diagonal one (i != j)
+    raises ValueError.
+    """
+    if any(v.i != v.j for v in poly.variables()):
         raise ValueError("loop realization is defined on the diagonal sector")
     acc: dict[PBWMono, Rat] = {}
     for mono, c in poly._terms.items():

@@ -27,7 +27,7 @@ from math import comb
 from typing import Callable, Optional
 
 from .centralizer import BasisElt, Partition, Rat, add_into
-from .diffpoly import DiffPoly, DiffVar, Domain, Grading
+from .diffpoly import DiffPoly, DiffVar, Grading
 
 
 class UPoly:
@@ -47,14 +47,6 @@ class UPoly:
             if any(k < 0 for k, _ in items):
                 raise ValueError("negative spectral power")
             add_into(self.coeffs, items)
-
-    @classmethod
-    def zero(cls) -> "UPoly":
-        return cls()
-
-    @classmethod
-    def single(cls, power: int, coeff) -> "UPoly":
-        return cls({power: coeff} if coeff else {})
 
     def coeff(self, power: int):
         """Coefficient at a power, or None when absent."""
@@ -335,14 +327,18 @@ def w_generators(p: Partition) -> GeneratorTable:
 
 
 def miura_image(poly: DiffPoly) -> DiffPoly:
-    """Projection onto the diagonal sector: lower variables go to zero."""
-    if poly.domain is Domain.FULL:
+    """Projection onto the diagonal sector: lower variables go to zero.
+
+    The input is checked by its variables: any upper variable (i < j) raises
+    ValueError.
+    """
+    if any(v.i < v.j for v in poly.variables()):
         raise ValueError("Miura map is defined on the parabolic sector")
 
     def image(v: DiffVar) -> Optional[Rat]:
         return 0 if v.i > v.j else None
 
-    return poly.substitute_consts(image, Domain.CARTAN)
+    return poly.substitute_consts(image)
 
 
 def miura_generators(p: Partition) -> GeneratorTable:

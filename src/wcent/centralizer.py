@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple, Union
 
@@ -123,21 +122,6 @@ class Partition:
             raise ValueError("%s is not a basis element for partition %s" % (e.text(), self))
 
 
-class TriangularPart(Enum):
-    LOWER = "lower"
-    CARTAN = "cartan"
-    UPPER = "upper"
-
-
-def triangular_part(e: BasisElt) -> TriangularPart:
-    """Triangular sector of a basis element, by the sign of j - i."""
-    if e.i > e.j:
-        return TriangularPart.LOWER
-    if e.i == e.j:
-        return TriangularPart.CARTAN
-    return TriangularPart.UPPER
-
-
 def centralizer_basis(p: Partition) -> list[BasisElt]:
     """All valid E[i,j,r], ordered by (i, j, r)."""
     return [BasisElt(i, j, r)
@@ -175,10 +159,6 @@ class LieElement:
     def __init__(self, terms=None):
         items = terms.items() if isinstance(terms, dict) else terms
         self.terms = add_into({}, items or ())
-
-    @classmethod
-    def zero(cls) -> "LieElement":
-        return cls()
 
     @classmethod
     def of(cls, e: BasisElt, c: Rat = 1) -> "LieElement":

@@ -12,6 +12,9 @@ centre and iso for N <= --center-bound; pairwise commutativity
 (`verify-commute`) for N <= --commute-bound.  Each row holds one verdict per
 check that ran, and a failed check's report data under `witnesses`.
 
+A command that reads a generator or Segal-Sugawara table fails unless the
+table has exactly N entries, so an empty table never passes.
+
 Exit status: 0 all checks passed, 1 a verification failed, 2 usage error.
 """
 
@@ -100,7 +103,7 @@ def _run_generators(p: Partition, cfg: RunConfig) -> Report:
 def _run_check_membership(p: Partition, cfg: RunConfig) -> Report:
     t = w_generators(p)
     entries = {}
-    ok = True
+    ok = len(t) == p.N
     for (k, r), poly in t.ordered():
         res = w_membership(p, poly, cfg.mode)
         entry = {"pass": res.ok}
@@ -131,7 +134,7 @@ def _run_miura(p: Partition, cfg: RunConfig) -> Report:
         entries[key] = {"pass": match, "image": sz.diffpoly_to_json(img)}
         lines.append("  %s -> %s%s" % (key, img.text(), "" if match else "  MISMATCH"))
     unmatched = set(wt.entries) ^ set(mt.entries)
-    ok = not unmatched and all(e["pass"] for e in entries.values())
+    ok = len(wt) == p.N and not unmatched and all(e["pass"] for e in entries.values())
     data = {"partition": str(p), "entries": entries, "ok": ok}
     if unmatched:
         data["unmatched"] = [sz.table_key("w", k, r) for k, r in sorted(unmatched)]
@@ -176,7 +179,7 @@ def _run_ss_vectors(p: Partition, cfg: RunConfig) -> Report:
 def _run_verify_center(p: Partition, cfg: RunConfig) -> Report:
     t = ss_vectors(p)
     entries = {}
-    ok = True
+    ok = len(t) == p.N
     for (k, r), v in t.ordered():
         res = center_check(v)
         entry = {"pass": res.ok}
@@ -219,14 +222,15 @@ def _run_verify_commute(p: Partition, cfg: RunConfig) -> Report:
     commutators = ((ka, kb, a * b - b * a)
                    for (ka, a), (kb, b) in combinations(t.ordered(), 2))
     failed = next(((ka, kb, c) for ka, kb, c in commutators if c), None)
-    data = {"partition": str(p), "ok": failed is None}
+    ok = len(t) == p.N and failed is None
+    data = {"partition": str(p), "ok": ok}
     lines = ["partition %s: pairwise commutativity of %d vectors" % (p, len(t))]
     if failed is not None:
         ka, kb, c = failed
         pair = [sz.table_key("phi", *ka), sz.table_key("phi", *kb)]
         data["witness"] = {"pair": pair, "commutator": sz.vacuum_to_json(c)}
         lines.append("  [%s, %s] = %s" % (pair[0], pair[1], c.text()))
-    return Report("verify-commute", failed is None, data, lines)
+    return Report("verify-commute", ok, data, lines)
 
 
 def _run_pva_axioms(p: Partition, cfg: RunConfig) -> Report:

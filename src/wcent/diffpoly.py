@@ -2,11 +2,8 @@
 
 Commutative polynomials with exact rational coefficients in variables
 E[i,j,r][s], where s counts applications of the derivation d, which sends
-E[i,j,r][s] to E[i,j,r][s+1].  Each polynomial carries a domain marker
-recording which triangular sectors its variables may come from (Cartan:
-diagonal block indices only; parabolic: lower-or-diagonal; full: anything);
-arithmetic on mixed domains takes the join.  Terms are kept in a canonical
-sorted form, so equal polynomials have identical representations.
+E[i,j,r][s] to E[i,j,r][s+1].  Terms are kept in a canonical sorted form,
+so equal polynomials have identical representations.
 """
 
 from __future__ import annotations
@@ -16,15 +13,6 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from .centralizer import BasisElt, LieElement, Rat, add_into
-
-
-class Domain(Enum):
-    CARTAN = 1
-    PARABOLIC = 2
-    FULL = 3
-
-    def join(self, other: "Domain") -> "Domain":
-        return self if self.value >= other.value else other
 
 
 class DiffVar(NamedTuple):
@@ -52,14 +40,6 @@ class DiffVar(NamedTuple):
 
     def text(self) -> str:
         return "E[%d,%d,%d][%d]" % (self.i, self.j, self.r, self.s)
-
-
-def var_domain(v: DiffVar) -> Domain:
-    if v.i == v.j:
-        return Domain.CARTAN
-    if v.i > v.j:
-        return Domain.PARABOLIC
-    return Domain.FULL
 
 
 class Grading(Enum):
@@ -140,63 +120,37 @@ def _derive_terms(terms: dict):
 
 
 class DiffPoly:
-    """Differential polynomial in canonical sparse form.
+    """Differential polynomial in canonical sparse form."""
 
-    Equality compares terms only; the domain marker is a typing discipline,
-    not part of the mathematical identity.
-    """
+    __slots__ = ("_terms",)
 
-    __slots__ = ("domain", "_terms")
-
-    def __init__(self, terms=None, domain: Optional[Domain] = None):
+    def __init__(self, terms=None):
         items = terms.items() if isinstance(terms, dict) else terms
-        acc: dict[Mono, Rat] = add_into(
+        self._terms: dict[Mono, Rat] = add_into(
             {}, ((_normalize_mono(mono), c) for mono, c in items or ()))
-        inferred = Domain.CARTAN
-        for mono in acc:
-            for v, _ in mono:
-                inferred = inferred.join(var_domain(v))
-        if domain is None:
-            domain = inferred
-        elif inferred.value > domain.value:
-            raise ValueError("variables exceed declared domain %s" % domain.name)
-        self.domain = domain
-        self._terms = acc
 
     @classmethod
-    def _raw(cls, domain: Domain, terms: dict) -> "DiffPoly":
+    def _raw(cls, terms: dict) -> "DiffPoly":
         self = object.__new__(cls)
-        self.domain = domain
         self._terms = terms
         return self
 
     @classmethod
-    def zero(cls, domain: Domain = Domain.CARTAN) -> "DiffPoly":
-        return cls._raw(domain, {})
+    def zero(cls) -> "DiffPoly":
+        return cls._raw({})
 
     @classmethod
-    def const(cls, c: Rat, domain: Domain = Domain.CARTAN) -> "DiffPoly":
-        return cls._raw(domain, {(): c} if c else {})
+    def const(cls, c: Rat) -> "DiffPoly":
+        return cls._raw({(): c} if c else {})
 
     @classmethod
-    def var(cls, v: DiffVar, domain: Optional[Domain] = None) -> "DiffPoly":
-        d = var_domain(v)
-        if domain is not None:
-            if d.value > domain.value:
-                raise ValueError("%s exceeds domain %s" % (v.text(), domain.name))
-            d = domain
-        return cls._raw(d, {((v, 1),): 1})
+    def var(cls, v: DiffVar) -> "DiffPoly":
+        return cls._raw({((v, 1),): 1})
 
     @classmethod
     def from_lie(cls, elt: LieElement) -> "DiffPoly":
         """Embed a Lie algebra element at derivative order 0."""
-        dom = Domain.CARTAN
-        terms = {}
-        for e, c in elt.terms.items():
-            v = DiffVar.of(e)
-            dom = dom.join(var_domain(v))
-            terms[((v, 1),)] = c
-        return cls._raw(dom, terms)
+        return cls._raw({((DiffVar.of(e), 1),): c for e, c in elt.terms.items()})
 
     # -- arithmetic ------------------------------------------------------
 
@@ -205,8 +159,7 @@ class DiffPoly:
             other = DiffPoly.const(other)
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        dom = self.domain.join(other.domain)
-        return DiffPoly._raw(dom, add_into(dict(self._terms), other._terms.items()))
+        return DiffPoly._raw(add_into(dict(self._terms), other._terms.items()))
 
     __radd__ = __add__
 
@@ -225,18 +178,17 @@ class DiffPoly:
 
     def scale(self, q: Rat) -> "DiffPoly":
         if not q:
-            return DiffPoly._raw(self.domain, {})
-        return DiffPoly._raw(self.domain, {m: c * q for m, c in self._terms.items()})
+            return DiffPoly._raw({})
+        return DiffPoly._raw({m: c * q for m, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        dom = self.domain.join(other.domain)
         if not self._terms or not other._terms:
-            return DiffPoly._raw(dom, {})
-        return DiffPoly._raw(dom, add_into({}, (
+            return DiffPoly._raw({})
+        return DiffPoly._raw(add_into({}, (
             (_merge_mono(m1, m2), c1 * c2)
             for m1, c1 in self._terms.items()
             for m2, c2 in other._terms.items())))
@@ -255,9 +207,6 @@ class DiffPoly:
 
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __eq__(self, other) -> bool:
         if isinstance(other, DiffPoly):
@@ -291,7 +240,7 @@ class DiffPoly:
         terms = self._terms
         for _ in range(k):
             terms = add_into({}, _derive_terms(terms))
-        return DiffPoly._raw(self.domain, terms)
+        return DiffPoly._raw(terms)
 
     def partial(self, v: DiffVar) -> "DiffPoly":
         """Partial derivative with respect to one variable."""
@@ -303,7 +252,7 @@ class DiffPoly:
                         else mono[:idx] + mono[idx + 1:]
                     acc[nm] = acc.get(nm, 0) + c * e
                     break
-        return DiffPoly._raw(self.domain, acc)
+        return DiffPoly._raw(acc)
 
     def partials(self) -> dict[DiffVar, "DiffPoly"]:
         """All nonzero partial derivatives in one pass."""
@@ -314,7 +263,7 @@ class DiffPoly:
                     else mono[:idx] + mono[idx + 1:]
                 d = out.setdefault(w, {})
                 d[nm] = d.get(nm, 0) + c * e
-        return {v: DiffPoly._raw(self.domain, t) for v, t in out.items()}
+        return {v: DiffPoly._raw(t) for v, t in out.items()}
 
     def min_degree(self, grading: Grading) -> int:
         if not self._terms:
@@ -325,7 +274,6 @@ class DiffPoly:
         """Homogeneous component of minimal degree in the given grading."""
         d = self.min_degree(grading)
         return DiffPoly._raw(
-            self.domain,
             {m: c for m, c in self._terms.items() if mono_degree(m, grading) == d})
 
     def is_homogeneous(self, grading: Grading) -> bool:
@@ -343,8 +291,7 @@ class DiffPoly:
             total += val
         return total
 
-    def substitute_consts(self, image: Callable[[DiffVar], Optional[Rat]],
-                          domain: Domain) -> "DiffPoly":
+    def substitute_consts(self, image: Callable[[DiffVar], Optional[Rat]]) -> "DiffPoly":
         """Algebra map fixing variables where image(v) is None and replacing
         the rest by the returned constant (0 kills the monomial)."""
         def images():
@@ -362,7 +309,7 @@ class DiffPoly:
                 else:
                     yield tuple(kept), coeff
 
-        return DiffPoly._raw(domain, add_into({}, images()))
+        return DiffPoly._raw(add_into({}, images()))
 
     # -- display ---------------------------------------------------------
 

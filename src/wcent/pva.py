@@ -20,7 +20,7 @@ from typing import Optional
 
 from .centralizer import (BasisElt, Partition, Rat, add_into, bracket,
                           centralizer_basis, trace_form, upper_basis)
-from .diffpoly import DiffPoly, DiffVar, Domain
+from .diffpoly import DiffPoly, DiffVar
 
 LCoeffs = dict  # lambda-power -> DiffPoly
 
@@ -228,8 +228,7 @@ def parabolic_project(p: Partition, poly: DiffPoly,
             return 0
         return cfg.coeff(v.i, v.r)
 
-    dom = Domain.PARABOLIC if poly.domain is Domain.FULL else poly.domain
-    return poly.substitute_consts(image, dom)
+    return poly.substitute_consts(image)
 
 
 def project_lambda(p: Partition, lp: LambdaPoly,
@@ -265,10 +264,11 @@ def w_membership(p: Partition, poly: DiffPoly,
                  cfg: Optional[ProjectionConfig] = None) -> MembershipResult:
     """Test whether the projected bracket with the upper sector vanishes.
 
-    Scans the test set in canonical order and reports the first violation as
-    (x, projected bracket).
+    The input is checked by its variables: any upper variable E[i,j,r][s]
+    with i < j raises ValueError.  Scans the test set in canonical order and
+    reports the first violation as (x, projected bracket).
     """
-    if poly.domain is Domain.FULL:
+    if any(v.i < v.j for v in poly.variables()):
         raise ValueError("membership test expects a polynomial over the parabolic sector")
     for x in membership_test_set(p, mode):
         img = project_lambda(p, lambda_bracket_gen(p, x, poly), cfg)

@@ -3,11 +3,11 @@ from itertools import product
 
 import pytest
 
-from wcent import (BasisElt, DiffPoly, DiffVar, LieElement, Partition, TriangularPart,
+from wcent import (BasisElt, DiffPoly, DiffVar, LieElement, Partition,
                    all_partitions, bracket, cartan_basis, centralizer_basis,
                    centralizer_dim, critical_form, lie_bracket, lower_basis,
                    parabolic_basis, parse_basis_elt, trace_form, upper_basis)
-from wcent.centralizer import add_into, form_on_elements, triangular_part
+from wcent.centralizer import add_into, form_on_elements
 
 
 def E(i, j, r):
@@ -59,9 +59,6 @@ def test_window_validity():
 
 def test_triangular_split():
     p = Partition.of(1, 2)
-    assert triangular_part(E(1, 2, 1)) is TriangularPart.UPPER
-    assert triangular_part(E(2, 1, 0)) is TriangularPart.LOWER
-    assert triangular_part(E(2, 2, 1)) is TriangularPart.CARTAN
     full = set(centralizer_basis(p))
     assert set(upper_basis(p)) | set(lower_basis(p)) | set(cartan_basis(p)) == full
     assert set(parabolic_basis(p)) == set(lower_basis(p)) | set(cartan_basis(p))

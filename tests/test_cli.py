@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+import wcent
 from wcent import (BasisElt, CenterCheck, GeneratorTable, Partition, SugawaraTable,
                    VacuumVector, w_generators)
 from wcent import cli
@@ -209,8 +210,11 @@ def test_verify_commute_witness(capsys, monkeypatch):
 def test_short_tables_fail(capsys, monkeypatch):
     monkeypatch.setattr(cli, "w_generators", lambda q: GeneratorTable(q, {}, {}))
     monkeypatch.setattr(cli, "ss_vectors", lambda q: SugawaraTable(q, {}, {}))
-    assert run(capsys, "generators", "-p", "1,1")[0] == 1
-    assert run(capsys, "ss-vectors", "-p", "1,1")[0] == 1
+    # an empty Miura table too, so that `unmatched` alone cannot fail `miura`
+    monkeypatch.setattr(cli, "miura_generators", lambda q: GeneratorTable(q, {}, {}))
+    for command in ("generators", "ss-vectors", "check-membership", "miura",
+                    "verify-center", "verify-commute"):
+        assert run(capsys, command, "-p", "1,1")[0] == 1, command
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -232,3 +236,9 @@ def test_benchmark_traced_names_resolve():
             assert attr in vars(getattr(owner, clsname)), target
         else:
             assert callable(getattr(owner, target, None)), target
+
+
+def test_public_names_resolve():
+    assert len(set(wcent.__all__)) == len(wcent.__all__)
+    for name in wcent.__all__:
+        assert hasattr(wcent, name), name

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wcent import DiffPoly, DiffVar, Domain, Grading
-from wcent.diffpoly import mono_degree, var_domain
+from wcent import DiffPoly, DiffVar, Grading
+from wcent.diffpoly import mono_degree
 
 
 def V(i, j, r, s=0):
@@ -35,26 +35,6 @@ def test_var_ordering_is_by_derivative_then_position():
     assert V(1, 2, 1).shifted() == V(1, 2, 1, s=1)
     assert V(1, 2, 1, s=1).base == (1, 2, 1)
     assert V(1, 2, 1, s=2).text() == "E[1,2,1][2]"
-
-
-def test_domains():
-    assert var_domain(V(1, 1, 5)) is Domain.CARTAN
-    assert var_domain(V(3, 1, 0)) is Domain.PARABOLIC
-    assert var_domain(V(1, 3, 0)) is Domain.FULL
-    assert DiffPoly.var(V(2, 1, 0)).domain is Domain.PARABOLIC
-    assert (DiffPoly.var(V(1, 1, 0)) + DiffPoly.var(V(1, 2, 1))).domain is Domain.FULL
-    assert DiffPoly.zero().domain is Domain.CARTAN
-    with pytest.raises(ValueError):
-        DiffPoly({((V(1, 2, 1), 1),): 1}, domain=Domain.PARABOLIC)
-
-
-def test_eq_ignores_domain_tag():
-    a = DiffPoly.var(V(1, 1, 0))
-    b = DiffPoly({((V(1, 1, 0), 1),): 1}, domain=Domain.FULL)
-    assert a == b
-    assert DiffPoly.const(5) == 5
-    assert DiffPoly.zero() == 0
-    assert not DiffPoly.zero()
 
 
 @given(polys, polys, polys)
@@ -149,10 +129,9 @@ def test_eval_requires_full_point():
 
 def test_substitute_consts():
     p = DiffPoly.var(V(1, 1, 0)) * DiffPoly.var(V(1, 2, 1)) + DiffPoly.var(V(2, 1, 0))
-    killed = p.substitute_consts(lambda v: 0 if v.i != v.j else None, Domain.CARTAN)
+    killed = p.substitute_consts(lambda v: 0 if v.i != v.j else None)
     assert killed == 0
-    scaled = p.substitute_consts(lambda v: 2 if v == V(1, 2, 1) else None,
-                                 Domain.FULL)
+    scaled = p.substitute_consts(lambda v: 2 if v == V(1, 2, 1) else None)
     assert scaled == DiffPoly.var(V(1, 1, 0)).scale(2) + DiffPoly.var(V(2, 1, 0))
 
 
@@ -163,6 +142,9 @@ def test_pow_and_text():
     p = x * x - DiffPoly.var(V(2, 1, 0)).scale(Fraction(1, 2))
     assert p.text() == "E[1,1,0][0]^2 + -1/2*E[2,1,0][0]"
     assert DiffPoly.zero().text() == "0"
+    assert DiffPoly.const(5) == 5
+    assert DiffPoly.zero() == 0
+    assert not DiffPoly.zero()
 
 
 def test_monomials_are_canonically_sorted():
