@@ -17,7 +17,7 @@ Segal-Sugawara vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import factorial
 from typing import Iterable, NamedTuple, Optional
 
@@ -168,6 +168,17 @@ class VacuumVector:
         self._match(other)
         return VacuumVector._raw(self.partition,
                                  add_into(dict(self.terms), other.terms.items()))
+
+    @classmethod
+    def sum(cls, items: list["VacuumVector"]) -> "VacuumVector":
+        """n-ary sum of at least one vector: copies the first summand once
+        and adds the rest into it."""
+        first = items[0]
+        acc = dict(first.terms)
+        for v in items[1:]:
+            first._match(v)
+            add_into(acc, v.terms.items())
+        return cls._raw(first.partition, acc)
 
     def __sub__(self, other: "VacuumVector") -> "VacuumVector":
         return self + other.scale(-1)
@@ -435,19 +446,23 @@ class CorrespondenceReport:
     """Per-index comparison of the two constructions.
 
     matches: the projected Segal-Sugawara vector equals the loop realization
-    of the Miura image of the matching W-algebra generator.  translation_ok:
+    of the Miura image of the matching W-algebra generator; differences holds
+    realization minus projection for each index that fails.  translation_ok:
     the realization intertwines the derivation with the translation operator
-    on that image.
+    on that image.  unmatched: indices present in only one of the two tables.
+    The report passes only when both tables have the same N indices.
     """
 
     partition: Partition
     matches: dict[tuple[int, int], bool]
     translation_ok: dict[tuple[int, int], bool]
+    differences: dict[tuple[int, int], VacuumVector] = field(default_factory=dict)
+    unmatched: list[tuple[int, int]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return (all(self.matches.values()) and all(self.translation_ok.values())
-                and bool(self.matches))
+        return (len(self.matches) == self.partition.N and not self.unmatched
+                and all(self.matches.values()) and all(self.translation_ok.values()))
 
 
 def w_correspondence(p: Partition,
@@ -457,11 +472,13 @@ def w_correspondence(p: Partition,
         wt = w_generators(p)
     if st is None:
         st = ss_vectors(p)
-    matches: dict[tuple[int, int], bool] = {}
-    translation_ok: dict[tuple[int, int], bool] = {}
-    for key in sorted(wt.entries):
+    rep = CorrespondenceReport(p, {}, {}, unmatched=sorted(set(wt.entries) ^ set(st.entries)))
+    for key in sorted(set(wt.entries) & set(st.entries)):
         img = miura_image(wt.entries[key])
         theta = loop_realization(img, p)
-        matches[key] = theta == hc_project(st.entries[key])
-        translation_ok[key] = loop_realization(img.derive(), p) == theta.derive()
-    return CorrespondenceReport(p, matches, translation_ok)
+        projected = hc_project(st.entries[key])
+        rep.matches[key] = theta == projected
+        if not rep.matches[key]:
+            rep.differences[key] = theta - projected
+        rep.translation_ok[key] = loop_realization(img.derive(), p) == theta.derive()
+    return rep

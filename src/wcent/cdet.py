@@ -26,16 +26,17 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Optional
 
-from .centralizer import BasisElt, Partition, Rat, add_into
+from .centralizer import BasisElt, Partition, Rat, add_into, sum_by_key
 from .diffpoly import DiffPoly, DiffVar, Grading
 
 
 class UPoly:
     """Polynomial in the spectral variable with ring-element coefficients.
 
-    Coefficients may be any objects supporting +, *, scale(q), derive(k) and
-    truth testing; multiplication preserves the left/right order of the
-    coefficients, so noncommutative coefficient rings are fine.
+    Coefficients may be any objects supporting +, *, scale(q), derive(k),
+    the n-ary classmethod sum(items) and truth testing; multiplication
+    preserves the left/right order of the coefficients, so noncommutative
+    coefficient rings are fine.
     """
 
     __slots__ = ("coeffs",)
@@ -48,6 +49,13 @@ class UPoly:
                 raise ValueError("negative spectral power")
             add_into(self.coeffs, items)
 
+    @classmethod
+    def _raw(cls, coeffs: dict) -> "UPoly":
+        """Wrap a coefficient map that already holds no zero coefficient."""
+        self = object.__new__(cls)
+        self.coeffs = coeffs
+        return self
+
     def coeff(self, power: int):
         """Coefficient at a power, or None when absent."""
         return self.coeffs.get(power)
@@ -56,33 +64,21 @@ class UPoly:
         return sorted(self.coeffs.items())
 
     def __add__(self, other: "UPoly") -> "UPoly":
-        out = UPoly()
-        out.coeffs = add_into(dict(self.coeffs), other.coeffs.items())
-        return out
+        return UPoly._raw(add_into(dict(self.coeffs), other.coeffs.items()))
 
     def __mul__(self, other: "UPoly") -> "UPoly":
-        out = UPoly()
-        out.coeffs = add_into({}, ((k1 + k2, c1 * c2)
-                                   for k1, c1 in self.coeffs.items()
-                                   for k2, c2 in other.coeffs.items()))
-        return out
+        return UPoly._raw(sum_by_key((k1 + k2, c1 * c2)
+                                     for k1, c1 in self.coeffs.items()
+                                     for k2, c2 in other.coeffs.items()))
 
     def scale(self, q: Rat) -> "UPoly":
-        out = UPoly()
-        if q:
-            out.coeffs = {k: c.scale(q) for k, c in self.coeffs.items()}
-        return out
+        if not q:
+            return UPoly._raw({})
+        return UPoly._raw({k: c.scale(q) for k, c in self.coeffs.items()})
 
     def derive(self, k: int = 1) -> "UPoly":
         """Coefficient-wise derivation; the spectral variable is constant."""
-        out = UPoly()
-        acc = {}
-        for pw, c in self.coeffs.items():
-            d = c.derive(k)
-            if d:
-                acc[pw] = d
-        out.coeffs = acc
-        return out
+        return UPoly._raw(add_into({}, ((pw, c.derive(k)) for pw, c in self.coeffs.items())))
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -114,39 +110,51 @@ class DiffOp:
             add_into(self.terms, items)
 
     @classmethod
+    def _raw(cls, terms: dict) -> "DiffOp":
+        """Wrap a term map that already holds no zero coefficient."""
+        self = object.__new__(cls)
+        self.terms = terms
+        return self
+
+    @classmethod
     def zero(cls) -> "DiffOp":
-        return cls()
+        return cls._raw({})
 
     def __add__(self, other: "DiffOp") -> "DiffOp":
-        out = DiffOp()
-        out.terms = add_into(dict(self.terms), other.terms.items())
-        return out
+        return DiffOp._raw(add_into(dict(self.terms), other.terms.items()))
 
     def __mul__(self, other: "DiffOp") -> "DiffOp":
+        """Normal-ordered product; each coefficient of the result, keyed by
+        (x-power, D-power, spectral power), is summed once over its products."""
+        top = max((b1 for _, b1 in self.terms), default=0)
+
         def products():
-            for (a1, b1), f1 in self.terms.items():
-                for (a2, b2), f2 in other.terms.items():
+            for (a2, b2), f2 in other.terms.items():
+                derivs = [f2]  # the nonzero d^m F2 for m <= top, each computed once
+                while len(derivs) <= top:
+                    d = derivs[-1].derive()
+                    if not d:
+                        break
+                    derivs.append(d)
+                for (a1, b1), f1 in self.terms.items():
                     # F1 x^a1 D^b1 F2 x^a2 D^b2
                     #   = sum_m C(b1, m) F1 (d^m F2) x^(a1+a2) D^(b1-m+b2)
-                    for m in range(b1 + 1):
-                        f2m = f2.derive(m) if m else f2
-                        if not f2m:
-                            continue
-                        prod = f1 * f2m
-                        cm = comb(b1, m)
-                        if cm != 1:
-                            prod = prod.scale(cm)
-                        yield (a1 + a2, b1 - m + b2), prod
+                    for m, f2m in enumerate(derivs[:b1 + 1]):
+                        a, b, cm = a1 + a2, b1 - m + b2, comb(b1, m)
+                        for k1, c1 in f1.coeffs.items():
+                            for k2, c2 in f2m.coeffs.items():
+                                prod = c1 * c2
+                                yield (a, b, k1 + k2), prod if cm == 1 else prod.scale(cm)
 
-        out = DiffOp()
-        out.terms = add_into({}, products())
-        return out
+        terms: dict = {}
+        for (a, b, k), c in sum_by_key(products()).items():
+            terms.setdefault((a, b), {})[k] = c
+        return DiffOp._raw({key: UPoly._raw(coeffs) for key, coeffs in terms.items()})
 
     def scale(self, q: Rat) -> "DiffOp":
-        out = DiffOp()
-        if q:
-            out.terms = {key: up.scale(q) for key, up in self.terms.items()}
-        return out
+        if not q:
+            return DiffOp._raw({})
+        return DiffOp._raw({key: up.scale(q) for key, up in self.terms.items()})
 
     def constant_part(self) -> dict[int, UPoly]:
         """Coefficients of pure x-powers (the operator applied to 1)."""

@@ -43,6 +43,34 @@ def add_into(acc: dict, items) -> dict:
     return acc
 
 
+def sum_by_key(items) -> dict:
+    """Sum (key, ring element) pairs into a new sparse map, each key once.
+
+    Adding ring elements one by one into a map copies the growing sum on
+    every addition; this groups each key's nonzero elements first and adds
+    them with the ring's n-ary type(c).sum(elements) in one pass.  As with
+    add_into, no zero value is stored.
+    """
+    out: dict = {}
+    groups: dict = {}  # key -> its elements, for keys met more than once
+    for key, c in items:
+        if not c:
+            continue
+        if key not in out:
+            out[key] = c
+        elif key in groups:
+            groups[key].append(c)
+        else:
+            groups[key] = [out[key], c]
+    for key, cs in groups.items():
+        total = type(cs[0]).sum(cs)
+        if total:
+            out[key] = total
+        else:
+            del out[key]
+    return out
+
+
 class BasisElt(NamedTuple):
     """Basis element E[i,j,r] (1-based block indices)."""
 

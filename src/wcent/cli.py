@@ -13,7 +13,10 @@ centre and iso for N <= --center-bound; pairwise commutativity
 check that ran, and a failed check's report data under `witnesses`.
 
 A command that reads a generator or Segal-Sugawara table fails unless the
-table has exactly N entries, so an empty table never passes.
+table has exactly N entries, so an empty table never passes; `miura` and
+`verify-iso`, which read two tables, also fail unless their keys agree.  A
+failed entry carries what it was compared with: `miura` the expected Miura
+table entry, `verify-iso` the difference of the two sides.
 
 Exit status: 0 all checks passed, 1 a verification failed, 2 usage error.
 """
@@ -129,10 +132,16 @@ def _run_miura(p: Partition, cfg: RunConfig) -> Report:
     lines = ["partition %s: Miura images" % p]
     for (k, r), poly in wt.ordered():
         img = miura_image(poly)
-        match = img == mt.entries.get((k, r))
+        expected = mt.entries.get((k, r))
         key = sz.table_key("w", k, r)
-        entries[key] = {"pass": match, "image": sz.diffpoly_to_json(img)}
-        lines.append("  %s -> %s%s" % (key, img.text(), "" if match else "  MISMATCH"))
+        entry = {"pass": img == expected, "image": sz.diffpoly_to_json(img)}
+        note = ""
+        if not entry["pass"]:
+            entry["expected"] = None if expected is None else sz.diffpoly_to_json(expected)
+            note = "  MISMATCH (expected %s)" % ("nothing" if expected is None
+                                                else expected.text())
+        entries[key] = entry
+        lines.append("  %s -> %s%s" % (key, img.text(), note))
     unmatched = set(wt.entries) ^ set(mt.entries)
     ok = len(wt) == p.N and not unmatched and all(e["pass"] for e in entries.values())
     data = {"partition": str(p), "entries": entries, "ok": ok}
@@ -203,12 +212,13 @@ def _run_verify_iso(p: Partition, cfg: RunConfig) -> Report:
     rep = w_correspondence(p)
     entries = {}
     for key in sorted(rep.matches):
-        k, r = key
-        entries[sz.table_key("phi", k, r)] = {
-            "match": rep.matches[key],
-            "translation": rep.translation_ok[key],
-        }
+        entry = {"match": rep.matches[key], "translation": rep.translation_ok[key]}
+        if key in rep.differences:
+            entry["difference"] = sz.vacuum_to_json(rep.differences[key])
+        entries[sz.table_key("phi", *key)] = entry
     data = {"partition": str(p), "entries": entries, "ok": rep.ok}
+    if rep.unmatched:
+        data["unmatched"] = [sz.table_key("phi", k, r) for k, r in rep.unmatched]
     lines = ["partition %s: Miura/Sugawara correspondence" % p]
     lines += ["  %s: %s" % (key,
                             "pass" if entries[key]["match"] and entries[key]["translation"]

@@ -155,22 +155,32 @@ class DiffPoly:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = DiffPoly.const(other)
         if not isinstance(other, DiffPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = DiffPoly.const(other)
         return DiffPoly._raw(add_into(dict(self._terms), other._terms.items()))
 
     __radd__ = __add__
+
+    @classmethod
+    def sum(cls, items: list["DiffPoly"]) -> "DiffPoly":
+        """n-ary sum: copies the first summand once and adds the rest into it."""
+        if not items:
+            return cls._raw({})
+        acc = dict(items[0]._terms)
+        for poly in items[1:]:
+            add_into(acc, poly._terms.items())
+        return cls._raw(acc)
 
     def __neg__(self):
         return self.scale(-1)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = DiffPoly.const(other)
         if not isinstance(other, DiffPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = DiffPoly.const(other)
         return self + other.scale(-1)
 
     def __rsub__(self, other):
@@ -182,10 +192,10 @@ class DiffPoly:
         return DiffPoly._raw({m: c * q for m, c in self._terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, DiffPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return self.scale(other)
         if not self._terms or not other._terms:
             return DiffPoly._raw({})
         return DiffPoly._raw(add_into({}, (

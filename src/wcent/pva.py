@@ -19,7 +19,8 @@ from math import comb
 from typing import Optional
 
 from .centralizer import (BasisElt, Partition, Rat, add_into, bracket,
-                          centralizer_basis, trace_form, upper_basis)
+                          centralizer_basis, sum_by_key, trace_form,
+                          upper_basis)
 from .diffpoly import DiffPoly, DiffVar
 
 LCoeffs = dict  # lambda-power -> DiffPoly
@@ -120,24 +121,68 @@ def neg_lambda_substitute(lp: LambdaPoly) -> LambdaPoly:
     return LambdaPoly._raw(acc)
 
 
-def lambda_bracket_gen(p: Partition, x: BasisElt, poly: DiffPoly) -> LambdaPoly:
+Partials = dict  # v.base -> [(v.s, dP/dv), ...] by increasing s, over the variables v of P
+
+
+def _partials(p: Partition, poly: DiffPoly, cfg: Optional[ProjectionConfig]) -> Partials:
+    """The nonzero partials of poly grouped by base element, each projected
+    when cfg is given."""
+    out: Partials = {}
+    for v, pv in sorted(poly.partials().items()):
+        if cfg is not None:
+            pv = parabolic_project(p, pv, cfg)
+        if pv:
+            out.setdefault(v.base, []).append((v.s, pv))
+    return out
+
+
+def _bracket_gen(p: Partition, x: BasisElt, partials: Partials,
+                 cfg: Optional[ProjectionConfig]) -> LambdaPoly:
+    """The kernel of lambda_bracket_gen on precomputed (projected) partials:
+    {x_lam y} once per base element y, shifted on to each derivative order."""
+    products = []
+    for base, orders in partials.items():
+        gen: LCoeffs = {}
+        br = bracket(p, x, base)
+        if br:
+            lie = DiffPoly.from_lie(br)
+            if cfg is not None:
+                lie = parabolic_project(p, lie, cfg)
+            if lie:
+                gen[0] = lie
+        f = trace_form(p, x, base)
+        if f:
+            gen[1] = DiffPoly.const(f)
+        if not gen:
+            continue
+        done = 0
+        for s, pv in orders:
+            gen, done = _shift(gen, s - done), s
+            products.extend((k, pv * q) for k, q in gen.items())
+    return LambdaPoly._raw(sum_by_key(products))
+
+
+def lambda_bracket_gen(p: Partition, x: BasisElt, poly: DiffPoly,
+                       cfg: Optional[ProjectionConfig] = None) -> LambdaPoly:
     """{x_lam poly} for a single generator x: the one bracket kernel.
 
     On generators {x_lam y} = [x, y] + (x|y) lam.  Expansion by the right
     Leibniz rule and sesquilinearity:
     {x_lam P} = sum over variables v[s] of (dP/dv[s]) (lam+d)^s {x_lam v}.
+    Each lambda-coefficient is summed once over all its products.
+
+    With a projection config the result is pi({x_lam P}), coefficient-wise
+    the parabolic projection of the bracket, computed as
+    pi({x_lam P}) = sum pi(dP/dv[s]) (lam+d)^s pi({x_lam v}),
+    so no product of unprojected factors is formed.  This holds for any P,
+    upper variables included: pi is an algebra homomorphism (it substitutes
+    constants for variables), and it commutes with d, because it fixes
+    every lower and diagonal variable with all its derivatives and sends
+    each upper E[i,j,r][s] to a constant for s = 0 and to 0 for s > 0, the
+    derivative of that constant.  Hence pi(F (lam+d)^s G) = pi(F)
+    (lam+d)^s pi(G) term by term.
     """
-    acc: LCoeffs = {}
-    for v, pv in poly.partials().items():
-        gen: LCoeffs = {}
-        br = bracket(p, x, v.base)
-        if br:
-            gen[0] = DiffPoly.from_lie(br)
-        f = trace_form(p, x, v.base)
-        if f:
-            gen[1] = DiffPoly.const(f)
-        add_into(acc, ((k, pv * q) for k, q in _shift(gen, v.s).items()))
-    return LambdaPoly._raw(acc)
+    return _bracket_gen(p, x, _partials(p, poly, cfg), cfg)
 
 
 def generator_bracket(p: Partition, x: BasisElt, y: BasisElt) -> LambdaPoly:
@@ -145,7 +190,8 @@ def generator_bracket(p: Partition, x: BasisElt, y: BasisElt) -> LambdaPoly:
     return lambda_bracket_gen(p, x, DiffPoly.var(DiffVar.of(y)))
 
 
-def lambda_bracket(p: Partition, a: DiffPoly, b: DiffPoly) -> LambdaPoly:
+def lambda_bracket(p: Partition, a: DiffPoly, b: DiffPoly,
+                   cfg: Optional[ProjectionConfig] = None) -> LambdaPoly:
     """Bilinear lambda-bracket via the master formula, built on the kernel.
 
     The master formula reads
@@ -161,16 +207,20 @@ def lambda_bracket(p: Partition, a: DiffPoly, b: DiffPoly) -> LambdaPoly:
     coefficient C and the right factor, so (lam+d)^n = (mu + d_C)^n.  Summing
     (db/dv[n]) (mu + d_C)^n {u_mu v} over the variables v[n] of b is the
     kernel's own expansion, so it gives {u_mu b}.
+
+    With a projection config the result is pi({a_lam b}): the kernel runs
+    projected and each da/du[m] is projected before the shift, which is
+    sound for the reason given in lambda_bracket_gen.
     """
-    kernel: dict[BasisElt, LCoeffs] = {}  # u.base -> {u_lam b}
-    acc: LCoeffs = {}
-    for u, fa in a.partials().items():
-        if u.base not in kernel:
-            kernel[u.base] = lambda_bracket_gen(p, u.base, b).coeffs
-        right = _shift({0: fa.scale(-1) if u.s % 2 else fa}, u.s)
-        for k, c in kernel[u.base].items():
-            add_into(acc, ((j, c * q) for j, q in _shift(right, k).items()))
-    return LambdaPoly._raw(acc)
+    partials_b = _partials(p, b, cfg)
+    products = []
+    for base, orders in _partials(p, a, cfg).items():
+        kernel = _bracket_gen(p, base, partials_b, cfg).coeffs  # {u_lam b}
+        for s, fa in orders:
+            right = _shift({0: fa.scale(-1) if s % 2 else fa}, s)
+            for k, c in kernel.items():
+                products.extend((j, c * q) for j, q in _shift(right, k).items())
+    return LambdaPoly._raw(sum_by_key(products))
 
 
 # -- parabolic projection --------------------------------------------------
@@ -209,6 +259,15 @@ class ProjectionConfig:
     def coeff(self, i: int, r: int) -> Rat:
         return self.coeffs.get((i, r), 0)
 
+    def image(self, v: DiffVar) -> Optional[Rat]:
+        """The projection of one variable: None where it is fixed (i >= j),
+        else the constant that replaces it."""
+        if v.i >= v.j:
+            return None
+        if v.s or v.j != v.i + 1:
+            return 0
+        return self.coeff(v.i, v.r)
+
 
 def parabolic_project(p: Partition, poly: DiffPoly,
                       cfg: Optional[ProjectionConfig] = None) -> DiffPoly:
@@ -220,15 +279,7 @@ def parabolic_project(p: Partition, poly: DiffPoly,
     """
     if cfg is None:
         cfg = ProjectionConfig.default(p)
-
-    def image(v: DiffVar) -> Optional[Rat]:
-        if v.i >= v.j:
-            return None
-        if v.s or v.j != v.i + 1:
-            return 0
-        return cfg.coeff(v.i, v.r)
-
-    return poly.substitute_consts(image)
+    return poly.substitute_consts(cfg.image)
 
 
 def project_lambda(p: Partition, lp: LambdaPoly,
@@ -266,12 +317,16 @@ def w_membership(p: Partition, poly: DiffPoly,
 
     The input is checked by its variables: any upper variable E[i,j,r][s]
     with i < j raises ValueError.  Scans the test set in canonical order and
-    reports the first violation as (x, projected bracket).
+    reports the first violation as (x, projected bracket).  The projected
+    kernel gives pi({x_lam poly}) directly, on partials taken once.
     """
     if any(v.i < v.j for v in poly.variables()):
         raise ValueError("membership test expects a polynomial over the parabolic sector")
+    if cfg is None:
+        cfg = ProjectionConfig.default(p)
+    partials = _partials(p, poly, cfg)
     for x in membership_test_set(p, mode):
-        img = project_lambda(p, lambda_bracket_gen(p, x, poly), cfg)
+        img = _bracket_gen(p, x, partials, cfg)
         if img:
             return MembershipResult(False, x, img)
     return MembershipResult(True)
@@ -283,15 +338,18 @@ def w_bracket(p: Partition, a: DiffPoly, b: DiffPoly,
     """Induced bracket on members: the projected lambda-bracket.
 
     With check (the default), both arguments must pass w_membership, else
-    ValueError names the first failing one.
+    ValueError names the first failing one.  The master formula runs on the
+    projected kernel, so the unprojected bracket is never formed.
     """
+    if cfg is None:
+        cfg = ProjectionConfig.default(p)
     if check:
         for name, poly in (("first", a), ("second", b)):
             res = w_membership(p, poly, cfg=cfg)
             if not res.ok:
                 raise ValueError("%s argument fails membership (witness %s)"
                                  % (name, res.witness_x.text()))
-    return project_lambda(p, lambda_bracket(p, a, b), cfg)
+    return lambda_bracket(p, a, b, cfg)
 
 
 # -- two-symbol Jacobi harness ----------------------------------------------

@@ -2,15 +2,20 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
+from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wcent import (DiffOp, DiffPoly, DiffVar, Grading, Partition, UPoly,
                    all_partitions, column_determinant, generator_window, in_window,
                    jacobian_independence, miura_generators, miura_image,
-                   w_generator_matrix, w_generators)
+                   ss_matrix, ss_vectors, w_generator_matrix, w_generators)
 from wcent.cdet import (basis_u_series, extract_window_tables, fraction_det,
                         jacobian_point, poly_det, tail_sum)
+from wcent.centralizer import add_into
+from wcent.pva import random_diffpoly
 
 
 def V(i, j, r, s=0):
@@ -72,6 +77,88 @@ def test_upoly_preserves_factor_order():
     assert prod.coeff(1) == vp(1, 1, 0) * vp(1, 1, 0, s=1)
     assert (a + b).coeff(0) == vp(1, 1, 0)
     assert a.derive().coeff(0) == vp(1, 1, 0, s=1)
+
+
+# -- reference products ----------------------------------------------------
+# Oracle for the operator products: UPoly.__mul__ and DiffOp.__mul__ as they
+# were before each coefficient was summed once, adding every product into the
+# running sum and taking d^m F2 anew for every pair of terms.
+
+
+def _upoly_mul_oracle(self, other):
+    out = UPoly()
+    out.coeffs = add_into({}, ((k1 + k2, c1 * c2)
+                               for k1, c1 in self.coeffs.items()
+                               for k2, c2 in other.coeffs.items()))
+    return out
+
+
+def _diffop_mul_oracle(self, other):
+    def products():
+        for (a1, b1), f1 in self.terms.items():
+            for (a2, b2), f2 in other.terms.items():
+                # F1 x^a1 D^b1 F2 x^a2 D^b2
+                #   = sum_m C(b1, m) F1 (d^m F2) x^(a1+a2) D^(b1-m+b2)
+                for m in range(b1 + 1):
+                    f2m = f2.derive(m) if m else f2
+                    if not f2m:
+                        continue
+                    prod = _upoly_mul_oracle(f1, f2m)
+                    cm = comb(b1, m)
+                    if cm != 1:
+                        prod = prod.scale(cm)
+                    yield (a1 + a2, b1 - m + b2), prod
+
+    out = DiffOp()
+    out.terms = add_into({}, products())
+    return out
+
+
+def random_op(p, rng):
+    """A few terms F x^a D^b, F a spectral polynomial of random polynomials."""
+    def coeff():
+        return UPoly({rng.randint(0, 2): random_diffpoly(p, rng, max_s=2)
+                      for _ in range(rng.randint(1, 3))})
+    return DiffOp({(rng.randint(0, 2), rng.randint(0, 3)): coeff()
+                   for _ in range(rng.randint(1, 4))})
+
+
+@given(st.sampled_from(all_partitions(4)), st.integers(0, 2**32 - 1))
+def test_products_match_oracle_on_random_operators(p, seed):
+    rng = random.Random(seed)
+    a, b = random_op(p, rng), random_op(p, rng)
+    assert a * b == _diffop_mul_oracle(a, b)
+    for fa in a.terms.values():
+        for fb in b.terms.values():
+            assert fa * fb == _upoly_mul_oracle(fa, fb)
+
+
+@pytest.mark.parametrize("parts", [(1, 1), (1, 2), (3,), (1, 1, 1), (1, 3)])
+def test_products_match_oracle_on_ss_matrix(parts):
+    # VacuumVector coefficients: a noncommutative ring with the translation
+    # operator as derivation.
+    p = Partition.of(*parts)
+    rows = ss_matrix(p)
+    entries = [e for row in rows for e in row if e]
+    for e1 in entries:
+        for e2 in entries:
+            assert e1 * e2 == _diffop_mul_oracle(e1, e2)
+    prod = expected = rows[0][0]
+    for i in range(1, p.n):
+        prod, expected = prod * rows[i][i], _diffop_mul_oracle(expected, rows[i][i])
+        assert prod == expected
+
+
+def test_tables_match_oracle_products(monkeypatch):
+    parts = all_partitions(5)
+    tables = {(make, p): make(p) for make in (w_generators, miura_generators, ss_vectors)
+              for p in parts}
+    monkeypatch.setattr(DiffOp, "__mul__", _diffop_mul_oracle)
+    monkeypatch.setattr(UPoly, "__mul__", _upoly_mul_oracle)
+    for (make, p), table in tables.items():
+        expected = make(p)
+        assert table.entries == expected.entries, (make.__name__, p)
+        assert table.out_of_window == expected.out_of_window, (make.__name__, p)
 
 
 def brute_force_cdet(rows):

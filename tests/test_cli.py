@@ -2,15 +2,17 @@ import ast
 import importlib
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
 import wcent
 from wcent import (BasisElt, CenterCheck, GeneratorTable, Partition, SugawaraTable,
-                   VacuumVector, w_generators)
-from wcent import cli
-from wcent.serialize import (generator_table_from_json, sugawara_table_from_json,
-                             vacuum_from_json)
+                   VacuumVector, hc_project, loop_realization, miura_generators,
+                   miura_image, ss_vectors, w_generators)
+from wcent import affine, cli
+from wcent.serialize import (diffpoly_from_json, generator_table_from_json,
+                             sugawara_table_from_json, vacuum_from_json)
 
 
 def run(capsys, *argv):
@@ -215,6 +217,45 @@ def test_short_tables_fail(capsys, monkeypatch):
     for command in ("generators", "ss-vectors", "check-membership", "miura",
                     "verify-center", "verify-commute"):
         assert run(capsys, command, "-p", "1,1")[0] == 1, command
+    # verify-iso reads its two tables inside w_correspondence: a generator
+    # table cut to its first entry, then a Sugawara table cut the same way
+    for name, make in (("w_generators", w_generators), ("ss_vectors", ss_vectors)):
+        with monkeypatch.context() as patch:
+            patch.setattr(affine, name, lambda q, make=make: replace(
+                make(q), entries=dict(make(q).ordered()[:1])))
+            code, out = run(capsys, "verify-iso", "-p", "1,2", "--format", "json")
+        assert code == 1, name
+        assert len(json.loads(out)["unmatched"]) == 2, name
+
+
+def test_miura_mismatch_carries_expected_entry(capsys, monkeypatch):
+    p = Partition.of(1, 2)
+    table = miura_generators(p)
+    wrong = table.poly(1, 0).scale(2)
+    monkeypatch.setattr(cli, "miura_generators", lambda q: replace(
+        table, entries={**table.entries, (1, 0): wrong}))
+    code, out = run(capsys, "miura", "-p", "1,2", "--format", "json")
+    assert code == 1
+    entries = json.loads(out)["entries"]
+    assert diffpoly_from_json(entries["w[1][0]"]["expected"]) == wrong
+    assert diffpoly_from_json(entries["w[1][0]"]["image"]) == table.poly(1, 0)
+    assert "expected" not in entries["w[1][1]"]
+
+
+def test_verify_iso_failure_carries_difference(capsys, monkeypatch):
+    p = Partition.of(1, 2)
+    table = ss_vectors(p)
+    doubled = table.vector(2, 1).scale(2)
+    monkeypatch.setattr(affine, "ss_vectors", lambda q: replace(
+        table, entries={**table.entries, (2, 1): doubled}))
+    code, out = run(capsys, "verify-iso", "-p", "1,2", "--format", "json")
+    assert code == 1
+    entries = json.loads(out)["entries"]
+    theta = loop_realization(miura_image(w_generators(p).poly(2, 1)), p)
+    assert entries["phi[2][1]"]["match"] is False
+    assert vacuum_from_json(entries["phi[2][1]"]["difference"]) == \
+        theta - hc_project(doubled)
+    assert entries["phi[1][0]"] == {"match": True, "translation": True}
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

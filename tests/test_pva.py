@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -97,6 +98,53 @@ def test_membership_witness_matches_master_formula_oracle(p):
     assert not res.ok
     assert res.witness_bracket == \
         project_lambda(p, _master_formula_oracle(p, var(res.witness_x), poly))
+
+
+def random_config(p: Partition, rng: random.Random) -> ProjectionConfig:
+    """A projection with random constants on every superdiagonal shift."""
+    coeffs = {}
+    for i in range(1, p.n):
+        window = p.r_window(i, i + 1)
+        for r in window:
+            choices = [-2, 1, Fraction(3, 2)] if r == window[-1] else [-1, 0, 2]
+            coeffs[(i, r)] = rng.choice(choices)
+    return ProjectionConfig(p, coeffs)
+
+
+def _membership_oracle(p, poly, mode, cfg):
+    """First x of the test set whose projected oracle bracket is nonzero."""
+    for x in membership_test_set(p, mode):
+        img = project_lambda(p, _master_formula_oracle(p, var(x), poly), cfg)
+        if img:
+            return x, img
+    return None
+
+
+@given(st.sampled_from(SMALL_PARTITIONS), st.integers(0, 2**32 - 1))
+def test_projected_kernel_matches_projected_oracle(p, seed):
+    # Inputs may hold upper variables (kernel and master formula) and fail
+    # membership; the default and a random projection are both checked.
+    rng = random.Random(seed)
+    cfg = rng.choice([ProjectionConfig.default(p), random_config(p, rng)])
+    a = random_diffpoly(p, rng, max_terms=3, max_s=3)
+    b = random_diffpoly(p, rng, max_terms=3, max_s=3)
+    x = rng.choice(centralizer_basis(p))
+    projected = lambda_bracket_gen(p, x, b, cfg)
+    assert projected == project_lambda(p, lambda_bracket_gen(p, x, b), cfg)
+    assert projected == project_lambda(p, _master_formula_oracle(p, var(x), b), cfg)
+    assert w_bracket(p, a, b, cfg, check=False) == \
+        project_lambda(p, lambda_bracket(p, a, b), cfg)
+    # membership needs a parabolic input: project the upper variables away,
+    # or take a generator, so that members are scanned too
+    poly = parabolic_project(p, a, cfg)
+    if rng.random() < 0.3:
+        poly = rng.choice([q for _, q in w_generators(p).ordered()])
+    mode = rng.choice(list(MembershipMode))
+    res = w_membership(p, poly, mode, cfg)
+    witness = _membership_oracle(p, poly, mode, cfg)
+    assert res.ok == (witness is None)
+    if witness is not None:
+        assert (res.witness_x, res.witness_bracket) == witness
 
 
 def test_generator_bracket_oracles():
