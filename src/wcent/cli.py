@@ -12,11 +12,15 @@ centre and iso for N <= --center-bound; pairwise commutativity
 (`verify-commute`) for N <= --commute-bound.  Each row holds one verdict per
 check that ran, and a failed check's report data under `witnesses`.
 
-A command that reads a generator or Segal-Sugawara table fails unless the
-table has exactly N entries, so an empty table never passes; `miura` and
-`verify-iso`, which read two tables, also fail unless their keys agree.  A
-failed entry carries what it was compared with: `miura` the expected Miura
-table entry, `verify-iso` the difference of the two sides.
+Each partition gets one `Context`.  Runners read the generator, Miura and
+Segal-Sugawara tables only through `Context.table`, which builds each at most
+once per partition, so every check in a sweep row judges the same tables.
+Every command and every sweep check goes through `run`, which holds the one
+N-entry rule: a runner fails if any table it read has other than N entries,
+so an empty table never passes.  `miura` and `verify-iso`, which read two
+tables, also fail unless their keys agree.  A failed entry carries what it was
+compared with: `miura` the expected Miura table entry, `verify-iso` the
+difference of the two sides.
 
 Exit status: 0 all checks passed, 1 a verification failed, 2 usage error.
 """
@@ -78,58 +82,81 @@ class Report:
     latex: Optional[str] = None
 
 
+@dataclass
+class Context:
+    """One partition's run: the tables its runners read, each built once.
+
+    `read` lists every table handed out, in order, so that `run` can judge
+    the tables of one runner by their slice of it (a sweep's slice spans
+    its checks').
+    """
+
+    p: Partition
+    cfg: RunConfig
+    read: list = field(default_factory=list)
+    _tables: dict = field(default_factory=dict)
+
+    def table(self, build: Callable):
+        """The table `build(p)`, built on first use; pass the builder by its
+        name in this module (`w_generators`, `miura_generators`,
+        `ss_vectors`)."""
+        if build not in self._tables:
+            self._tables[build] = build(self.p)
+        self.read.append(self._tables[build])
+        return self._tables[build]
+
+
 # -- per-partition runners ------------------------------------------------------
 
 
-def _run_basis(p: Partition, cfg: RunConfig) -> Report:
-    basis = centralizer_basis(p)
+def _run_basis(ctx: Context) -> Report:
+    basis = centralizer_basis(ctx.p)
     data = {
-        "partition": str(p),
+        "partition": str(ctx.p),
         "dim": len(basis),
         "basis": [[e.i, e.j, e.r] for e in basis],
     }
-    lines = ["partition %s: dim %d" % (p, len(basis))]
+    lines = ["partition %s: dim %d" % (ctx.p, len(basis))]
     lines += ["  " + e.text() for e in basis]
     latex = "\\begin{itemize}\n%s\n\\end{itemize}" % "\n".join(
         r"\item $%s$" % sz.latex_var(DiffVar.of(e)) for e in basis)
     return Report("basis", True, data, lines, latex)
 
 
-def _run_generators(p: Partition, cfg: RunConfig) -> Report:
-    t = w_generators(p)
+def _run_generators(ctx: Context) -> Report:
+    t = ctx.table(w_generators)
     data = sz.generator_table_to_json(t)
-    lines = ["partition %s: %d generators" % (p, len(t))]
+    lines = ["partition %s: %d generators" % (ctx.p, len(t))]
     lines += ["  w[%d][%d] = %s" % (k, r, poly.text()) for (k, r), poly in t.ordered()]
-    return Report("generators", len(t) == p.N, data, lines, sz.latex_table(t))
+    return Report("generators", True, data, lines, sz.latex_table(t))
 
 
-def _run_check_membership(p: Partition, cfg: RunConfig) -> Report:
-    t = w_generators(p)
+def _run_check_membership(ctx: Context) -> Report:
+    t = ctx.table(w_generators)
     entries = {}
-    ok = len(t) == p.N
     for (k, r), poly in t.ordered():
-        res = w_membership(p, poly, cfg.mode)
+        res = w_membership(ctx.p, poly, ctx.cfg.mode)
         entry = {"pass": res.ok}
         if not res.ok:
-            ok = False
             entry["witness"] = {
                 "x": [res.witness_x.i, res.witness_x.j, res.witness_x.r],
                 "bracket": sz.lambdapoly_to_json(res.witness_bracket),
             }
         entries[sz.table_key("w", k, r)] = entry
-    mode_name = "generators" if cfg.mode is MembershipMode.GENERATORS else "full"
-    data = {"partition": str(p), "mode": mode_name, "entries": entries, "ok": ok}
-    lines = ["partition %s: membership (%s mode)" % (p, mode_name)]
+    ok = all(e["pass"] for e in entries.values())
+    mode_name = "generators" if ctx.cfg.mode is MembershipMode.GENERATORS else "full"
+    data = {"partition": str(ctx.p), "mode": mode_name, "entries": entries, "ok": ok}
+    lines = ["partition %s: membership (%s mode)" % (ctx.p, mode_name)]
     lines += ["  %s: %s" % (key, "pass" if entries[key]["pass"] else "FAIL")
               for key in sorted(entries)]
     return Report("check-membership", ok, data, lines)
 
 
-def _run_miura(p: Partition, cfg: RunConfig) -> Report:
-    wt = w_generators(p)
-    mt = miura_generators(p)
+def _run_miura(ctx: Context) -> Report:
+    wt = ctx.table(w_generators)
+    mt = ctx.table(miura_generators)
     entries = {}
-    lines = ["partition %s: Miura images" % p]
+    lines = ["partition %s: Miura images" % ctx.p]
     for (k, r), poly in wt.ordered():
         img = miura_image(poly)
         expected = mt.entries.get((k, r))
@@ -143,17 +170,17 @@ def _run_miura(p: Partition, cfg: RunConfig) -> Report:
         entries[key] = entry
         lines.append("  %s -> %s%s" % (key, img.text(), note))
     unmatched = set(wt.entries) ^ set(mt.entries)
-    ok = len(wt) == p.N and not unmatched and all(e["pass"] for e in entries.values())
-    data = {"partition": str(p), "entries": entries, "ok": ok}
+    ok = not unmatched and all(e["pass"] for e in entries.values())
+    data = {"partition": str(ctx.p), "entries": entries, "ok": ok}
     if unmatched:
         data["unmatched"] = [sz.table_key("w", k, r) for k, r in sorted(unmatched)]
     return Report("miura", ok, data, lines, sz.latex_table(mt))
 
 
-def _run_jacobian(p: Partition, cfg: RunConfig) -> Report:
-    cert = jacobian_independence(p, seed=cfg.seed)
+def _run_jacobian(ctx: Context) -> Report:
+    cert = jacobian_independence(ctx.p, seed=ctx.cfg.seed)
     data = {
-        "partition": str(p),
+        "partition": str(ctx.p),
         "nonzero": cert.nonzero,
         "det": sz.rat_to_json(cert.det),
         "seed": cert.seed,
@@ -168,7 +195,7 @@ def _run_jacobian(p: Partition, cfg: RunConfig) -> Report:
         "ok": cert.ok,
     }
     lines = ["partition %s: Jacobian determinant %s at seed %d (%d attempt%s)%s" % (
-        p, cert.det, cert.seed, cert.attempts, "s" if cert.attempts != 1 else "",
+        ctx.p, cert.det, cert.seed, cert.attempts, "s" if cert.attempts != 1 else "",
         "" if cert.symbolic_det is None else
         "; symbolic check %s" % ("nonzero" if cert.symbolic_nonzero else "ZERO"))]
     latex = r"\det J = %s" % sz.latex_rat(cert.det)
@@ -177,23 +204,21 @@ def _run_jacobian(p: Partition, cfg: RunConfig) -> Report:
     return Report("jacobian", cert.ok, data, lines, latex)
 
 
-def _run_ss_vectors(p: Partition, cfg: RunConfig) -> Report:
-    t = ss_vectors(p)
+def _run_ss_vectors(ctx: Context) -> Report:
+    t = ctx.table(ss_vectors)
     data = sz.sugawara_table_to_json(t)
-    lines = ["partition %s: %d vectors" % (p, len(t))]
+    lines = ["partition %s: %d vectors" % (ctx.p, len(t))]
     lines += ["  phi[%d][%d] = %s" % (k, r, v.text()) for (k, r), v in t.ordered()]
-    return Report("ss-vectors", len(t) == p.N, data, lines, sz.latex_table(t))
+    return Report("ss-vectors", True, data, lines, sz.latex_table(t))
 
 
-def _run_verify_center(p: Partition, cfg: RunConfig) -> Report:
-    t = ss_vectors(p)
+def _run_verify_center(ctx: Context) -> Report:
+    t = ctx.table(ss_vectors)
     entries = {}
-    ok = len(t) == p.N
     for (k, r), v in t.ordered():
         res = center_check(v)
         entry = {"pass": res.ok}
         if not res.ok:
-            ok = False
             x, m, img = res.witness
             entry["witness"] = {
                 "x": [x.i, x.j, x.r],
@@ -201,25 +226,26 @@ def _run_verify_center(p: Partition, cfg: RunConfig) -> Report:
                 "image": sz.vacuum_to_json(img),
             }
         entries[sz.table_key("phi", k, r)] = entry
-    data = {"partition": str(p), "entries": entries, "ok": ok}
-    lines = ["partition %s: centre check" % p]
+    ok = all(e["pass"] for e in entries.values())
+    data = {"partition": str(ctx.p), "entries": entries, "ok": ok}
+    lines = ["partition %s: centre check" % ctx.p]
     lines += ["  %s: %s" % (key, "pass" if entries[key]["pass"] else "FAIL")
               for key in sorted(entries)]
     return Report("verify-center", ok, data, lines)
 
 
-def _run_verify_iso(p: Partition, cfg: RunConfig) -> Report:
-    rep = w_correspondence(p)
+def _run_verify_iso(ctx: Context) -> Report:
+    rep = w_correspondence(ctx.p, ctx.table(w_generators), ctx.table(ss_vectors))
     entries = {}
     for key in sorted(rep.matches):
         entry = {"match": rep.matches[key], "translation": rep.translation_ok[key]}
         if key in rep.differences:
             entry["difference"] = sz.vacuum_to_json(rep.differences[key])
         entries[sz.table_key("phi", *key)] = entry
-    data = {"partition": str(p), "entries": entries, "ok": rep.ok}
+    data = {"partition": str(ctx.p), "entries": entries, "ok": rep.ok}
     if rep.unmatched:
         data["unmatched"] = [sz.table_key("phi", k, r) for k, r in rep.unmatched]
-    lines = ["partition %s: Miura/Sugawara correspondence" % p]
+    lines = ["partition %s: Miura/Sugawara correspondence" % ctx.p]
     lines += ["  %s: %s" % (key,
                             "pass" if entries[key]["match"] and entries[key]["translation"]
                             else "FAIL")
@@ -227,14 +253,14 @@ def _run_verify_iso(p: Partition, cfg: RunConfig) -> Report:
     return Report("verify-iso", rep.ok, data, lines)
 
 
-def _run_verify_commute(p: Partition, cfg: RunConfig) -> Report:
-    t = ss_vectors(p)
+def _run_verify_commute(ctx: Context) -> Report:
+    t = ctx.table(ss_vectors)
     commutators = ((ka, kb, a * b - b * a)
                    for (ka, a), (kb, b) in combinations(t.ordered(), 2))
     failed = next(((ka, kb, c) for ka, kb, c in commutators if c), None)
-    ok = len(t) == p.N and failed is None
-    data = {"partition": str(p), "ok": ok}
-    lines = ["partition %s: pairwise commutativity of %d vectors" % (p, len(t))]
+    ok = failed is None
+    data = {"partition": str(ctx.p), "ok": ok}
+    lines = ["partition %s: pairwise commutativity of %d vectors" % (ctx.p, len(t))]
     if failed is not None:
         ka, kb, c = failed
         pair = [sz.table_key("phi", *ka), sz.table_key("phi", *kb)]
@@ -243,10 +269,10 @@ def _run_verify_commute(p: Partition, cfg: RunConfig) -> Report:
     return Report("verify-commute", ok, data, lines)
 
 
-def _run_pva_axioms(p: Partition, cfg: RunConfig) -> Report:
-    rep = pva_axiom_suite(p, seed=cfg.seed, samples=cfg.samples)
+def _run_pva_axioms(ctx: Context) -> Report:
+    rep = pva_axiom_suite(ctx.p, seed=ctx.cfg.seed, samples=ctx.cfg.samples)
     data = {
-        "partition": str(p),
+        "partition": str(ctx.p),
         "seed": rep.seed,
         "samples": rep.samples,
         "checked": dict(sorted(rep.checked.items())),
@@ -254,7 +280,7 @@ def _run_pva_axioms(p: Partition, cfg: RunConfig) -> Report:
         "ok": rep.ok,
     }
     lines = ["partition %s: bracket axioms on %d samples (seed %d)" % (
-        p, rep.samples, rep.seed)]
+        ctx.p, rep.samples, rep.seed)]
     lines += ["  %s: %d checked, %d failed" % (name, n, rep.failures.get(name, 0))
               for name, n in sorted(rep.checked.items())]
     return Report("pva-axioms", rep.ok, data, lines)
@@ -266,16 +292,16 @@ SWEEP_CHECKS = {"census": "generators", "membership": "check-membership",
                 "iso": "verify-iso", "commute": "verify-commute"}
 
 
-def _run_sweep(p: Partition, cfg: RunConfig) -> Report:
-    bound = {"center": cfg.center_bound, "iso": cfg.center_bound,
-             "commute": cfg.commute_bound}
-    row = {"partition": str(p), "N": p.N}
+def _run_sweep(ctx: Context) -> Report:
+    bound = {"center": ctx.cfg.center_bound, "iso": ctx.cfg.center_bound,
+             "commute": ctx.cfg.commute_bound}
+    row = {"partition": str(ctx.p), "N": ctx.p.N}
     witnesses = {}
     start = time.perf_counter()
     for check, command in SWEEP_CHECKS.items():
-        if p.N > bound.get(check, p.N):
+        if ctx.p.N > bound.get(check, ctx.p.N):
             continue
-        rep = RUNNERS[command](p, cfg)
+        rep = run(command, ctx)
         row[check] = rep.ok
         if not rep.ok:
             witnesses[check] = rep.data
@@ -284,11 +310,11 @@ def _run_sweep(p: Partition, cfg: RunConfig) -> Report:
         row["witnesses"] = witnesses
     marks = " ".join("%s=%s" % (check, {True: "ok", False: "FAIL"}.get(row.get(check), "-"))
                      for check in SWEEP_CHECKS)
-    line = "%-12s %s  (%.2fs)" % (p, marks, time.perf_counter() - start)
+    line = "%-12s %s  (%.2fs)" % (ctx.p, marks, time.perf_counter() - start)
     return Report("sweep", row["ok"], row, [line])
 
 
-RUNNERS: dict[str, Callable[[Partition, RunConfig], Report]] = {
+RUNNERS: dict[str, Callable[[Context], Report]] = {
     "basis": _run_basis,
     "generators": _run_generators,
     "check-membership": _run_check_membership,
@@ -303,10 +329,24 @@ RUNNERS: dict[str, Callable[[Partition, RunConfig], Report]] = {
 }
 
 
+def run(command: str, ctx: Context) -> Report:
+    """Run one command on the context's partition under the N-entry rule.
+
+    The report fails if any table the runner read has other than N entries;
+    where its `data` has an "ok" key, that key agrees with the verdict.
+    """
+    start = len(ctx.read)
+    rep = RUNNERS[command](ctx)
+    rep.ok = rep.ok and all(len(t) == ctx.p.N for t in ctx.read[start:])
+    if "ok" in rep.data:
+        rep.data["ok"] = rep.ok
+    return rep
+
+
 def dispatch(cfg: RunConfig) -> Report:
-    """Run the command over every configured partition and merge the reports."""
-    runner = RUNNERS[cfg.command]
-    parts = [runner(p, cfg) for p in cfg.partitions]
+    """Run the command over every configured partition, one context each, and
+    merge the reports."""
+    parts = [run(cfg.command, Context(p, cfg)) for p in cfg.partitions]
     if len(parts) == 1:
         return parts[0]
     ok = all(r.ok for r in parts)
@@ -375,6 +415,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.partition is not None and args.max_N is not None:
         raise ValueError("give either --partition or --max-N, not both")
     if args.partition is not None:
+        if args.max_n is not None:
+            raise ValueError("--max-n caps a sweep; give it with --max-N, not --partition")
         partitions = [Partition.parse(args.partition)]
     elif args.max_N is not None:
         if args.max_N < 1:
@@ -397,6 +439,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         else MembershipMode.FULL_BASIS
     cfg = RunConfig(args.command, partitions, mode, seed, args.fmt, args.samples)
     if args.command == "sweep":
+        if min(args.center_bound, args.commute_bound) < 0:
+            raise ValueError("--center-bound and --commute-bound must be non-negative")
         cfg.center_bound, cfg.commute_bound = args.center_bound, args.commute_bound
     return cfg
 

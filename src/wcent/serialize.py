@@ -191,17 +191,7 @@ def latex_diffpoly(poly: DiffPoly) -> str:
 
 
 def latex_lambdapoly(lp: LambdaPoly) -> str:
-    parts = []
-    for k, c in lp.items():
-        body = latex_diffpoly(c)
-        if "+" in body or "-" in body[1:]:
-            body = r"\left(%s\right)" % body
-        if k == 0:
-            parts.append(body)
-        else:
-            lam = r"\lambda" if k == 1 else r"\lambda^{%d}" % k
-            parts.append(lam if body == "1" else body + r" \, " + lam)
-    return _latex_sum(parts)
+    return latex_upoly(lp, r"\lambda")
 
 
 def latex_vacuum(v: VacuumVector) -> str:
@@ -221,7 +211,7 @@ def _latex_coeff_ring(val) -> str:
     return latex_rat(val)
 
 
-def latex_upoly(up: UPoly, symbol: str = "u") -> str:
+def latex_upoly(up: Union[UPoly, LambdaPoly], symbol: str = "u") -> str:
     parts = []
     for power, coeff in up.items():
         body = _latex_coeff_ring(coeff)

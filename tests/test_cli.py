@@ -10,7 +10,7 @@ import wcent
 from wcent import (BasisElt, CenterCheck, GeneratorTable, Partition, SugawaraTable,
                    VacuumVector, hc_project, loop_realization, miura_generators,
                    miura_image, ss_vectors, w_generators)
-from wcent import affine, cli
+from wcent import cli
 from wcent.serialize import (diffpoly_from_json, generator_table_from_json,
                              sugawara_table_from_json, vacuum_from_json)
 
@@ -55,6 +55,9 @@ def test_usage_errors(capsys):
     for argv in (["pva-axioms", "-p", "1,2", "--samples", "0"],
                  ["pva-axioms", "-p", "1,2", "--samples", "-3"],
                  ["basis", "--max-N", "3", "--max-n", "0"],
+                 ["basis", "-p", "1,2", "--max-n", "1"],
+                 ["sweep", "--max-N", "2", "--center-bound", "-1"],
+                 ["sweep", "--max-N", "2", "--commute-bound", "-1"],
                  ["sweep", "--max-N", "0"]):
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
@@ -210,22 +213,47 @@ def test_verify_commute_witness(capsys, monkeypatch):
 
 
 def test_short_tables_fail(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "w_generators", lambda q: GeneratorTable(q, {}, {}))
-    monkeypatch.setattr(cli, "ss_vectors", lambda q: SugawaraTable(q, {}, {}))
-    # an empty Miura table too, so that `unmatched` alone cannot fail `miura`
-    monkeypatch.setattr(cli, "miura_generators", lambda q: GeneratorTable(q, {}, {}))
-    for command in ("generators", "ss-vectors", "check-membership", "miura",
-                    "verify-center", "verify-commute"):
-        assert run(capsys, command, "-p", "1,1")[0] == 1, command
-    # verify-iso reads its two tables inside w_correspondence: a generator
-    # table cut to its first entry, then a Sugawara table cut the same way
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "w_generators", lambda q: GeneratorTable(q, {}, {}))
+        patch.setattr(cli, "ss_vectors", lambda q: SugawaraTable(q, {}, {}))
+        # an empty Miura table too, so that `unmatched` alone cannot fail `miura`
+        patch.setattr(cli, "miura_generators", lambda q: GeneratorTable(q, {}, {}))
+        for command in ("generators", "ss-vectors", "check-membership", "miura",
+                        "verify-center", "verify-commute"):
+            assert run(capsys, command, "-p", "1,1")[0] == 1, command
+    # verify-iso with one table short and the other whole: a generator table
+    # cut to its first entry, then a Sugawara table cut the same way
     for name, make in (("w_generators", w_generators), ("ss_vectors", ss_vectors)):
         with monkeypatch.context() as patch:
-            patch.setattr(affine, name, lambda q, make=make: replace(
+            patch.setattr(cli, name, lambda q, make=make: replace(
                 make(q), entries=dict(make(q).ordered()[:1])))
             code, out = run(capsys, "verify-iso", "-p", "1,2", "--format", "json")
         assert code == 1, name
         assert len(json.loads(out)["unmatched"]) == 2, name
+
+
+def test_sweep_row_judges_one_sugawara_table(capsys, monkeypatch):
+    # every check of a row reads the same Sugawara table, so an empty one
+    # fails centre, iso and commute alike and no check that never read it
+    monkeypatch.setattr(cli, "ss_vectors", lambda q: SugawaraTable(q, {}, {}))
+    code, out = run(capsys, "sweep", "-p", "1,1", "--format", "json")
+    assert code == 1
+    row = json.loads(out)
+    assert {c: row[c] for c in cli.SWEEP_CHECKS} == {
+        "census": True, "membership": True, "miura": True, "jacobian": True,
+        "center": False, "iso": False, "commute": False}
+    assert row["ok"] is False and sorted(row["witnesses"]) == ["center", "commute", "iso"]
+
+
+def test_sweep_builds_each_table_once(capsys, monkeypatch):
+    calls = {}
+    for name in ("w_generators", "miura_generators", "ss_vectors"):
+        def counted(q, name=name, build=getattr(cli, name)):
+            calls[name] = calls.get(name, 0) + 1
+            return build(q)
+        monkeypatch.setattr(cli, name, counted)
+    assert run(capsys, "sweep", "-p", "1,2", "--format", "json")[0] == 0
+    assert calls == {"w_generators": 1, "miura_generators": 1, "ss_vectors": 1}
 
 
 def test_miura_mismatch_carries_expected_entry(capsys, monkeypatch):
@@ -246,7 +274,7 @@ def test_verify_iso_failure_carries_difference(capsys, monkeypatch):
     p = Partition.of(1, 2)
     table = ss_vectors(p)
     doubled = table.vector(2, 1).scale(2)
-    monkeypatch.setattr(affine, "ss_vectors", lambda q: replace(
+    monkeypatch.setattr(cli, "ss_vectors", lambda q: replace(
         table, entries={**table.entries, (2, 1): doubled}))
     code, out = run(capsys, "verify-iso", "-p", "1,2", "--format", "json")
     assert code == 1
