@@ -9,10 +9,9 @@ projections of the Segal-Sugawara vectors realize the Miura images of the
 W-algebra generators.
 """
 
-from .affine import (CenterCheck, CorrespondenceReport, LoopMode, SugawaraTable,
-                     VacuumVector, act_mode, center_check, hc_project,
-                     loop_realization, normal_order, ss_matrix, ss_vectors,
-                     w_correspondence)
+from .affine import (CenterCheck, CorrespondenceReport, LoopMode, VacuumVector,
+                     act_mode, center_check, hc_project, loop_realization,
+                     normal_order, ss_matrix, ss_vectors, w_correspondence)
 from .cdet import (DiffOp, GeneratorTable, JacobianCertificate, UPoly,
                    column_determinant, generator_window, in_window,
                    jacobian_independence, miura_generators, miura_image,
@@ -22,21 +21,19 @@ from .centralizer import (BasisElt, LieElement, Partition, all_partitions,
                           centralizer_dim, critical_form, lie_bracket,
                           lower_basis, parabolic_basis, parse_basis_elt,
                           trace_form, upper_basis)
-from .diffpoly import DiffPoly, DiffVar, Grading, Monomial
-from .pva import (AxiomSuiteReport, LambdaPoly, MembershipMode,
-                  MembershipResult, ProjectionConfig, generator_bracket,
-                  jacobi_defect, lambda_bracket, lambda_bracket_gen,
-                  parabolic_project, pva_axiom_suite, w_bracket, w_membership)
+from .diffpoly import DiffPoly, DiffVar, Monomial
+from .pva import (AxiomSuiteReport, MembershipMode, MembershipResult,
+                  ProjectionConfig, generator_bracket, jacobi_defect,
+                  lambda_bracket, lambda_bracket_gen, parabolic_project,
+                  pva_axiom_suite, w_bracket, w_membership)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AxiomSuiteReport", "BasisElt", "CenterCheck", "CorrespondenceReport",
-    "DiffOp", "DiffPoly", "DiffVar", "GeneratorTable", "Grading",
-    "JacobianCertificate", "LambdaPoly", "LieElement", "LoopMode",
-    "MembershipMode", "MembershipResult", "Monomial", "Partition",
-    "ProjectionConfig", "SugawaraTable", "UPoly",
-    "VacuumVector", "act_mode", "all_partitions", "bracket", "cartan_basis",
+    "DiffOp", "DiffPoly", "DiffVar", "GeneratorTable", "JacobianCertificate",
+    "LieElement", "LoopMode", "MembershipMode", "MembershipResult",
+    "Monomial", "Partition", "ProjectionConfig", "UPoly", "VacuumVector", "act_mode", "all_partitions", "bracket", "cartan_basis",
     "center_check", "centralizer_basis", "centralizer_dim",
     "column_determinant", "critical_form", "generator_bracket",
     "generator_window", "hc_project", "in_window", "jacobi_defect",

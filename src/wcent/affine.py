@@ -24,8 +24,7 @@ from typing import Iterable, NamedTuple, Optional
 from .centralizer import (BasisElt, Partition, Rat, add_into, bracket,
                           centralizer_basis, critical_form)
 from .cdet import (DiffOp, GeneratorTable, basis_u_series, column_determinant,
-                   diagonal_entry, extract_window_tables, miura_image,
-                   w_generators)
+                   diagonal_entry, miura_image, w_generators, window_table)
 from .diffpoly import DiffPoly
 
 
@@ -300,6 +299,12 @@ def act_mode(x: BasisElt, m: int, v: VacuumVector) -> VacuumVector:
 
 def _act(p: Partition, x: BasisElt, m: int, seq: tuple[LoopMode, ...],
          coeff: Rat, acc: dict) -> None:
+    """Add coeff * x(m) seq|0> into acc, commuting x(m) past the first factor.
+
+    The action on the rest of seq is summed before the first factor is
+    prepended and straightened, so terms that cancel there are never
+    straightened again.
+    """
     if not seq:
         return  # nonnegative modes kill the vacuum
     y = seq[0]
@@ -344,32 +349,11 @@ def ss_matrix(p: Partition) -> list[list[DiffOp]]:
     return rows
 
 
-@dataclass
-class SugawaraTable:
-    """Segal-Sugawara vectors indexed over the same window as the generator
-    table."""
-
-    partition: Partition
-    entries: dict[tuple[int, int], VacuumVector]
-    out_of_window: dict[tuple[int, int], VacuumVector]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def vector(self, k: int, r: int) -> VacuumVector:
-        return self.entries[(k, r)]
-
-    def ordered(self) -> list[tuple[tuple[int, int], VacuumVector]]:
-        return sorted(self.entries.items())
-
-
-def ss_vectors(p: Partition) -> SugawaraTable:
+def ss_vectors(p: Partition) -> GeneratorTable:
     """Extract the vectors from the column determinant of the full matrix,
     with the translation operator in the derivation slot, applied to the
     vacuum."""
-    op = column_determinant(ss_matrix(p))
-    entries, rejects = extract_window_tables(p, op, VacuumVector.vacuum(p))
-    return SugawaraTable(p, entries, rejects)
+    return window_table(p, column_determinant(ss_matrix(p)), VacuumVector.vacuum(p))
 
 
 # -- centre check and projections ----------------------------------------------
@@ -467,7 +451,7 @@ class CorrespondenceReport:
 
 def w_correspondence(p: Partition,
                      wt: Optional[GeneratorTable] = None,
-                     st: Optional[SugawaraTable] = None) -> CorrespondenceReport:
+                     st: Optional[GeneratorTable] = None) -> CorrespondenceReport:
     if wt is None:
         wt = w_generators(p)
     if st is None:

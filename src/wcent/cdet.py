@@ -23,15 +23,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import comb
+from operator import mul
 from typing import Callable, Optional
 
 from .centralizer import BasisElt, Partition, Rat, add_into, sum_by_key
-from .diffpoly import DiffPoly, DiffVar, Grading
+from .diffpoly import DiffPoly, DiffVar
+
+
+def _shift(coeffs: dict, times: int) -> dict:
+    """(s + d)^times applied to sum_k C_k s^k, with d the coefficient-wise
+    derivation; works on a raw power -> coefficient map."""
+    for _ in range(times):
+        coeffs = add_into({}, (term for k, c in coeffs.items()
+                               for term in ((k + 1, c), (k, c.derive()))))
+    return coeffs
 
 
 class UPoly:
-    """Polynomial in the spectral variable with ring-element coefficients.
+    """Polynomial in one formal symbol with ring-element coefficients: the
+    spectral variable u of the operator matrices, or lam in lambda-brackets.
 
     Coefficients may be any objects supporting +, *, scale(q), derive(k),
     the n-ary classmethod sum(items) and truth testing; multiplication
@@ -46,7 +58,7 @@ class UPoly:
         if coeffs:
             items = list(coeffs.items() if isinstance(coeffs, dict) else coeffs)
             if any(k < 0 for k, _ in items):
-                raise ValueError("negative spectral power")
+                raise ValueError("negative power of the formal symbol")
             add_into(self.coeffs, items)
 
     @classmethod
@@ -66,10 +78,20 @@ class UPoly:
     def __add__(self, other: "UPoly") -> "UPoly":
         return UPoly._raw(add_into(dict(self.coeffs), other.coeffs.items()))
 
+    def __sub__(self, other: "UPoly") -> "UPoly":
+        return self + other.scale(-1)
+
+    def __neg__(self) -> "UPoly":
+        return self.scale(-1)
+
     def __mul__(self, other: "UPoly") -> "UPoly":
         return UPoly._raw(sum_by_key((k1 + k2, c1 * c2)
                                      for k1, c1 in self.coeffs.items()
                                      for k2, c2 in other.coeffs.items()))
+
+    def mul_poly(self, c) -> "UPoly":
+        """Multiply every coefficient on the right by the ring element c."""
+        return self.map_coeffs(lambda a: a * c)
 
     def scale(self, q: Rat) -> "UPoly":
         if not q:
@@ -77,8 +99,15 @@ class UPoly:
         return UPoly._raw({k: c.scale(q) for k, c in self.coeffs.items()})
 
     def derive(self, k: int = 1) -> "UPoly":
-        """Coefficient-wise derivation; the spectral variable is constant."""
-        return UPoly._raw(add_into({}, ((pw, c.derive(k)) for pw, c in self.coeffs.items())))
+        """Coefficient-wise derivation; the formal symbol is constant."""
+        return self.map_coeffs(lambda c: c.derive(k))
+
+    def shift(self, times: int = 1) -> "UPoly":
+        """Apply (symbol + d) the given number of times."""
+        return UPoly._raw(dict(_shift(self.coeffs, times)))
+
+    def map_coeffs(self, fn) -> "UPoly":
+        return UPoly._raw(add_into({}, ((k, fn(c)) for k, c in self.coeffs.items())))
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -86,7 +115,21 @@ class UPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, UPoly):
             return self.coeffs == other.coeffs
+        if other == 0:
+            return not self.coeffs
         return NotImplemented
+
+    def text(self, symbol: str = "L") -> str:
+        if not self.coeffs:
+            return "0"
+        bits = []
+        for k, c in self.items():
+            if k == 0:
+                bits.append(c.text())
+            else:
+                head = symbol if k == 1 else "%s^%d" % (symbol, k)
+                bits.append("(%s)*%s" % (c.text(), head))
+        return " + ".join(bits)
 
     def __repr__(self) -> str:
         return "UPoly(%r)" % (self.coeffs,)
@@ -278,46 +321,41 @@ def in_window(p: Partition, k: int, r: int) -> bool:
 
 @dataclass
 class GeneratorTable:
-    """W-algebra generators indexed by (k, r) over the admissible window.
+    """Generators of either side indexed by (k, r) over the admissible window:
+    DiffPoly entries for the W-algebra generators and their Miura images,
+    VacuumVector entries for the Segal-Sugawara vectors.
 
     Coefficients outside the window are computed too but kept apart; they are
-    not members of the W-algebra in general.
+    not generators in general.
     """
 
     partition: Partition
-    entries: dict[tuple[int, int], DiffPoly]
-    out_of_window: dict[tuple[int, int], DiffPoly]
+    entries: dict[tuple[int, int], object]
+    out_of_window: dict[tuple[int, int], object]
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def poly(self, k: int, r: int) -> DiffPoly:
-        return self.entries[(k, r)]
-
-    def ordered(self) -> list[tuple[tuple[int, int], DiffPoly]]:
+    def ordered(self) -> list[tuple[tuple[int, int], object]]:
         return sorted(self.entries.items())
 
 
-def extract_window_tables(p: Partition, op: DiffOp, one_coeff):
-    """Split constant_part(op) into x-degree layers and window-filter them.
+def window_table(p: Partition, op: DiffOp, one) -> GeneratorTable:
+    """The table of op applied to 1: entry (k, r) is the u^r coefficient of
+    the x^(n-k) coefficient, kept apart when (k, r) is outside the window.
 
-    Returns (entries, out_of_window); requires the x^n coefficient to be
-    exactly 1.
+    Requires the x^n coefficient to be exactly the unit one.
     """
     cp = op.constant_part()
     n = p.n
     top = cp.get(n)
-    if top is None or top != UPoly({0: one_coeff}):
+    if top is None or top != UPoly({0: one}):
         raise ArithmeticError("leading x-coefficient is not 1")
-    entries: dict[tuple[int, int], object] = {}
-    rejects: dict[tuple[int, int], object] = {}
+    t = GeneratorTable(p, {}, {})
     for k in range(1, n + 1):
-        up = cp.get(n - k)
-        if up is None:
-            continue
-        for r, val in up.items():
-            (entries if in_window(p, k, r) else rejects)[(k, r)] = val
-    return entries, rejects
+        for r, val in cp.get(n - k, UPoly()).items():
+            (t.entries if in_window(p, k, r) else t.out_of_window)[(k, r)] = val
+    return t
 
 
 def w_generators(p: Partition) -> GeneratorTable:
@@ -326,9 +364,7 @@ def w_generators(p: Partition) -> GeneratorTable:
     The x^(n-k) coefficient of cdet applied to 1 is a u-polynomial; its
     admissible u-coefficients form the table (exactly N of them).
     """
-    op = column_determinant(w_generator_matrix(p))
-    entries, rejects = extract_window_tables(p, op, DiffPoly.const(1))
-    return GeneratorTable(p, entries, rejects)
+    return window_table(p, column_determinant(w_generator_matrix(p)), DiffPoly.const(1))
 
 
 # -- Miura map ----------------------------------------------------------------
@@ -353,12 +389,8 @@ def miura_generators(p: Partition) -> GeneratorTable:
     """Images of the generators under the Miura map, computed directly from
     the product of the diagonal operator factors."""
     one = DiffPoly.const(1)
-    prod: Optional[DiffOp] = None
-    for i in range(1, p.n + 1):
-        factor = diagonal_entry(p, i, one)
-        prod = factor if prod is None else prod * factor
-    entries, rejects = extract_window_tables(p, prod, one)
-    return GeneratorTable(p, entries, rejects)
+    return window_table(p, reduce(mul, (diagonal_entry(p, i, one)
+                                        for i in range(1, p.n + 1))), one)
 
 
 # -- Jacobian certificate ------------------------------------------------------
@@ -486,13 +518,13 @@ def jacobian_independence(p: Partition, seed: int = 0) -> JacobianCertificate:
     as a cross-check.
     """
     mt = miura_generators(p)
-    leading = {key: poly.min_component(Grading.DERIVATION)
-               for key, poly in mt.entries.items()}
+    leading = {key: poly.min_component() for key, poly in mt.entries.items()}
     poly_order = jacobian_poly_order(p)
     var_order = jacobian_variable_order(p)
     if len(poly_order) != p.N or len(var_order) != p.N:
         raise AssertionError("Jacobian index bookkeeping is off")
-    jac = [[leading[key].partial(v) for v in var_order] for key in poly_order]
+    partials = [leading[key].partials() for key in poly_order]
+    jac = [[row.get(v, DiffPoly.zero()) for v in var_order] for row in partials]
 
     symbolic = poly_det(jac) if p.N <= JACOBIAN_SYMBOLIC_LIMIT else None
 

@@ -22,6 +22,10 @@ tables, also fail unless their keys agree.  A failed entry carries what it was
 compared with: `miura` the expected Miura table entry, `verify-iso` the
 difference of the two sides.
 
+A subcommand accepts only the options it reads: --mode on `check-membership`
+and `sweep`, --seed on `jacobian`, `pva-axioms` and `sweep`, --samples on
+`pva-axioms`; any other use is a usage error.
+
 Exit status: 0 all checks passed, 1 a verification failed, 2 usage error.
 """
 
@@ -53,6 +57,8 @@ DEFAULT_CENTER_BOUND = 5
 DEFAULT_COMMUTE_BOUND = 4
 
 LATEX_COMMANDS = {"basis", "generators", "miura", "ss-vectors", "jacobian"}
+MODE_COMMANDS = {"check-membership", "sweep"}
+SEED_COMMANDS = {"jacobian", "pva-axioms", "sweep"}
 
 
 @dataclass
@@ -128,7 +134,7 @@ def _run_generators(ctx: Context) -> Report:
     data = sz.generator_table_to_json(t)
     lines = ["partition %s: %d generators" % (ctx.p, len(t))]
     lines += ["  w[%d][%d] = %s" % (k, r, poly.text()) for (k, r), poly in t.ordered()]
-    return Report("generators", True, data, lines, sz.latex_table(t))
+    return Report("generators", True, data, lines, sz.latex_table(t, "w"))
 
 
 def _run_check_membership(ctx: Context) -> Report:
@@ -144,7 +150,7 @@ def _run_check_membership(ctx: Context) -> Report:
             }
         entries[sz.table_key("w", k, r)] = entry
     ok = all(e["pass"] for e in entries.values())
-    mode_name = "generators" if ctx.cfg.mode is MembershipMode.GENERATORS else "full"
+    mode_name = ctx.cfg.mode.value
     data = {"partition": str(ctx.p), "mode": mode_name, "entries": entries, "ok": ok}
     lines = ["partition %s: membership (%s mode)" % (ctx.p, mode_name)]
     lines += ["  %s: %s" % (key, "pass" if entries[key]["pass"] else "FAIL")
@@ -174,7 +180,7 @@ def _run_miura(ctx: Context) -> Report:
     data = {"partition": str(ctx.p), "entries": entries, "ok": ok}
     if unmatched:
         data["unmatched"] = [sz.table_key("w", k, r) for k, r in sorted(unmatched)]
-    return Report("miura", ok, data, lines, sz.latex_table(mt))
+    return Report("miura", ok, data, lines, sz.latex_table(mt, "w"))
 
 
 def _run_jacobian(ctx: Context) -> Report:
@@ -209,7 +215,7 @@ def _run_ss_vectors(ctx: Context) -> Report:
     data = sz.sugawara_table_to_json(t)
     lines = ["partition %s: %d vectors" % (ctx.p, len(t))]
     lines += ["  phi[%d][%d] = %s" % (k, r, v.text()) for (k, r), v in t.ordered()]
-    return Report("ss-vectors", True, data, lines, sz.latex_table(t))
+    return Report("ss-vectors", True, data, lines, sz.latex_table(t, r"\phi"))
 
 
 def _run_verify_center(ctx: Context) -> Report:
@@ -391,12 +397,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sweep all partitions with at most N boxes")
         sp.add_argument("--max-n", type=int, metavar="LEN",
                         help="cap the number of parts during a sweep")
-        sp.add_argument("--mode", choices=["generators", "full"], default="full",
-                        help="membership test set (default: full)")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="seed for sampled checks (default: WCENT_SEED or 0)")
-        sp.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                        help="sample count for pva-axioms (default: %(default)s)")
+        if name in MODE_COMMANDS:
+            sp.add_argument("--mode", choices=["generators", "full"], default="full",
+                            help="membership test set (default: full)")
+        if name in SEED_COMMANDS:
+            sp.add_argument("--seed", type=int, default=None,
+                            help="seed for sampled checks (default: WCENT_SEED or 0)")
+        if name == "pva-axioms":
+            sp.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
+                            help="sample count (default: %(default)s)")
         sp.add_argument("--format", dest="fmt", choices=["text", "json", "latex"],
                         default="text", help="report format (default: text)")
         if name == "sweep":
@@ -428,16 +437,18 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ValueError("a partition (-p) or a sweep bound (--max-N) is required")
     if args.fmt == "latex" and args.command not in LATEX_COMMANDS:
         raise ValueError("latex format is not available for %s" % args.command)
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("WCENT_SEED", "0"))
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    if args.samples < 1:
-        raise ValueError("--samples must be at least 1")
-    mode = MembershipMode.GENERATORS if args.mode == "generators" \
-        else MembershipMode.FULL_BASIS
-    cfg = RunConfig(args.command, partitions, mode, seed, args.fmt, args.samples)
+    cfg = RunConfig(args.command, partitions, fmt=args.fmt)
+    if args.command in SEED_COMMANDS:
+        cfg.seed = args.seed if args.seed is not None \
+            else int(os.environ.get("WCENT_SEED", "0"))
+        if cfg.seed < 0:
+            raise ValueError("seed must be non-negative")
+    if args.command == "pva-axioms":
+        if args.samples < 1:
+            raise ValueError("--samples must be at least 1")
+        cfg.samples = args.samples
+    if args.command in MODE_COMMANDS:
+        cfg.mode = MembershipMode(args.mode)
     if args.command == "sweep":
         if min(args.center_bound, args.commute_bound) < 0:
             raise ValueError("--center-bound and --commute-bound must be non-negative")

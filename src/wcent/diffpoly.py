@@ -8,7 +8,6 @@ so equal polynomials have identical representations.
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
@@ -42,20 +41,12 @@ class DiffVar(NamedTuple):
         return "E[%d,%d,%d][%d]" % (self.i, self.j, self.r, self.s)
 
 
-class Grading(Enum):
-    """Monomial gradings: deg E[i,j,r][s] is s+1 (shifted) or s (derivation)."""
-
-    SHIFTED = "shifted"
-    DERIVATION = "derivation"
-
-
 # A monomial key is a tuple of (DiffVar, exponent) pairs sorted by variable.
 Mono = tuple
 
 
-def mono_degree(mono: Mono, grading: Grading) -> int:
-    if grading is Grading.SHIFTED:
-        return sum((v.s + 1) * e for v, e in mono)
+def mono_degree(mono: Mono) -> int:
+    """Derivation degree: E[i,j,r][s] has degree s."""
     return sum(v.s * e for v, e in mono)
 
 
@@ -252,18 +243,6 @@ class DiffPoly:
             terms = add_into({}, _derive_terms(terms))
         return DiffPoly._raw(terms)
 
-    def partial(self, v: DiffVar) -> "DiffPoly":
-        """Partial derivative with respect to one variable."""
-        acc: dict[Mono, Rat] = {}
-        for mono, c in self._terms.items():
-            for idx, (w, e) in enumerate(mono):
-                if w == v:
-                    nm = mono[:idx] + ((w, e - 1),) + mono[idx + 1:] if e > 1 \
-                        else mono[:idx] + mono[idx + 1:]
-                    acc[nm] = acc.get(nm, 0) + c * e
-                    break
-        return DiffPoly._raw(acc)
-
     def partials(self) -> dict[DiffVar, "DiffPoly"]:
         """All nonzero partial derivatives in one pass."""
         out: dict[DiffVar, dict] = {}
@@ -275,20 +254,18 @@ class DiffPoly:
                 d[nm] = d.get(nm, 0) + c * e
         return {v: DiffPoly._raw(t) for v, t in out.items()}
 
-    def min_degree(self, grading: Grading) -> int:
+    def min_degree(self) -> int:
         if not self._terms:
             raise ValueError("zero polynomial has no minimal degree")
-        return min(mono_degree(m, grading) for m in self._terms)
+        return min(mono_degree(m) for m in self._terms)
 
-    def min_component(self, grading: Grading) -> "DiffPoly":
-        """Homogeneous component of minimal degree in the given grading."""
-        d = self.min_degree(grading)
-        return DiffPoly._raw(
-            {m: c for m, c in self._terms.items() if mono_degree(m, grading) == d})
+    def min_component(self) -> "DiffPoly":
+        """Homogeneous component of minimal derivation degree."""
+        d = self.min_degree()
+        return DiffPoly._raw({m: c for m, c in self._terms.items() if mono_degree(m) == d})
 
-    def is_homogeneous(self, grading: Grading) -> bool:
-        degs = {mono_degree(m, grading) for m in self._terms}
-        return len(degs) <= 1
+    def is_homogeneous(self) -> bool:
+        return len({mono_degree(m) for m in self._terms}) <= 1
 
     def eval_at(self, point: dict[DiffVar, Rat]) -> Rat:
         total: Rat = 0

@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional
 
+from .cdet import UPoly, _shift
 from .centralizer import (BasisElt, Partition, Rat, add_into, bracket,
                           centralizer_basis, sum_by_key, trace_form,
                           upper_basis)
@@ -26,99 +27,12 @@ from .diffpoly import DiffPoly, DiffVar
 LCoeffs = dict  # lambda-power -> DiffPoly
 
 
-def _shift(coeffs: LCoeffs, times: int) -> LCoeffs:
-    """(lam + d)^times applied to sum_k C_k lam^k, with d acting on coefficients."""
-    for _ in range(times):
-        coeffs = add_into({}, (term for k, poly in coeffs.items()
-                               for term in ((k + 1, poly), (k, poly.derive()))))
-    return coeffs
-
-
-class LambdaPoly:
-    """Polynomial in the formal symbol lam with DiffPoly coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        self.coeffs = {}
-        if coeffs:
-            items = list(coeffs.items() if isinstance(coeffs, dict) else coeffs)
-            if any(k < 0 for k, _ in items):
-                raise ValueError("negative lambda power")
-            add_into(self.coeffs, items)
-
-    @classmethod
-    def _raw(cls, coeffs: LCoeffs) -> "LambdaPoly":
-        """Wrap a coefficient map that already holds no zero coefficient."""
-        self = object.__new__(cls)
-        self.coeffs = coeffs
-        return self
-
-    def coefficient(self, k: int) -> DiffPoly:
-        return self.coeffs.get(k, DiffPoly.zero())
-
-    def items(self) -> list[tuple[int, DiffPoly]]:
-        return sorted(self.coeffs.items())
-
-    def __add__(self, other: "LambdaPoly") -> "LambdaPoly":
-        return LambdaPoly._raw(add_into(dict(self.coeffs), other.coeffs.items()))
-
-    def __sub__(self, other: "LambdaPoly") -> "LambdaPoly":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "LambdaPoly":
-        return self.scale(-1)
-
-    def scale(self, q: Rat) -> "LambdaPoly":
-        if not q:
-            return LambdaPoly()
-        return LambdaPoly._raw({k: poly.scale(q) for k, poly in self.coeffs.items()})
-
-    def mul_poly(self, poly: DiffPoly) -> "LambdaPoly":
-        return LambdaPoly._raw(add_into({}, ((k, c * poly)
-                                             for k, c in self.coeffs.items())))
-
-    def shift(self, times: int = 1) -> "LambdaPoly":
-        """Apply (lam + d) the given number of times."""
-        return LambdaPoly._raw(dict(_shift(self.coeffs, times)))
-
-    def map_coeffs(self, fn) -> "LambdaPoly":
-        return LambdaPoly._raw(add_into({}, ((k, fn(poly))
-                                             for k, poly in self.coeffs.items())))
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, LambdaPoly):
-            return self.coeffs == other.coeffs
-        if other == 0:
-            return not self.coeffs
-        return NotImplemented
-
-    def text(self, symbol: str = "L") -> str:
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for k, poly in self.items():
-            body = poly.text()
-            if k == 0:
-                bits.append(body)
-            else:
-                head = symbol if k == 1 else "%s^%d" % (symbol, k)
-                bits.append("(%s)*%s" % (body, head))
-        return " + ".join(bits)
-
-    def __repr__(self) -> str:
-        return "LambdaPoly(%s)" % self.text()
-
-
-def neg_lambda_substitute(lp: LambdaPoly) -> LambdaPoly:
+def neg_lambda_substitute(lp: UPoly) -> UPoly:
     """sum_k (-lam-d)^k C_k for lp = sum_k C_k lam^k (skewsymmetry substitution)."""
     acc: LCoeffs = {}
     for pwr, poly in lp.coeffs.items():
         add_into(acc, _shift({0: poly.scale(-1) if pwr % 2 else poly}, pwr).items())
-    return LambdaPoly._raw(acc)
+    return UPoly._raw(acc)
 
 
 Partials = dict  # v.base -> [(v.s, dP/dv), ...] by increasing s, over the variables v of P
@@ -137,7 +51,7 @@ def _partials(p: Partition, poly: DiffPoly, cfg: Optional[ProjectionConfig]) -> 
 
 
 def _bracket_gen(p: Partition, x: BasisElt, partials: Partials,
-                 cfg: Optional[ProjectionConfig]) -> LambdaPoly:
+                 cfg: Optional[ProjectionConfig]) -> UPoly:
     """The kernel of lambda_bracket_gen on precomputed (projected) partials:
     {x_lam y} once per base element y, shifted on to each derivative order."""
     products = []
@@ -159,11 +73,11 @@ def _bracket_gen(p: Partition, x: BasisElt, partials: Partials,
         for s, pv in orders:
             gen, done = _shift(gen, s - done), s
             products.extend((k, pv * q) for k, q in gen.items())
-    return LambdaPoly._raw(sum_by_key(products))
+    return UPoly._raw(sum_by_key(products))
 
 
 def lambda_bracket_gen(p: Partition, x: BasisElt, poly: DiffPoly,
-                       cfg: Optional[ProjectionConfig] = None) -> LambdaPoly:
+                       cfg: Optional[ProjectionConfig] = None) -> UPoly:
     """{x_lam poly} for a single generator x: the one bracket kernel.
 
     On generators {x_lam y} = [x, y] + (x|y) lam.  Expansion by the right
@@ -185,13 +99,13 @@ def lambda_bracket_gen(p: Partition, x: BasisElt, poly: DiffPoly,
     return _bracket_gen(p, x, _partials(p, poly, cfg), cfg)
 
 
-def generator_bracket(p: Partition, x: BasisElt, y: BasisElt) -> LambdaPoly:
+def generator_bracket(p: Partition, x: BasisElt, y: BasisElt) -> UPoly:
     """{x_lam y} = [x, y] + (x|y) lam on generators."""
     return lambda_bracket_gen(p, x, DiffPoly.var(DiffVar.of(y)))
 
 
 def lambda_bracket(p: Partition, a: DiffPoly, b: DiffPoly,
-                   cfg: Optional[ProjectionConfig] = None) -> LambdaPoly:
+                   cfg: Optional[ProjectionConfig] = None) -> UPoly:
     """Bilinear lambda-bracket via the master formula, built on the kernel.
 
     The master formula reads
@@ -220,7 +134,7 @@ def lambda_bracket(p: Partition, a: DiffPoly, b: DiffPoly,
             right = _shift({0: fa.scale(-1) if s % 2 else fa}, s)
             for k, c in kernel.items():
                 products.extend((j, c * q) for j, q in _shift(right, k).items())
-    return LambdaPoly._raw(sum_by_key(products))
+    return UPoly._raw(sum_by_key(products))
 
 
 # -- parabolic projection --------------------------------------------------
@@ -282,8 +196,8 @@ def parabolic_project(p: Partition, poly: DiffPoly,
     return poly.substitute_consts(cfg.image)
 
 
-def project_lambda(p: Partition, lp: LambdaPoly,
-                   cfg: Optional[ProjectionConfig] = None) -> LambdaPoly:
+def project_lambda(p: Partition, lp: UPoly,
+                   cfg: Optional[ProjectionConfig] = None) -> UPoly:
     return lp.map_coeffs(lambda q: parabolic_project(p, q, cfg))
 
 
@@ -299,7 +213,7 @@ class MembershipMode(Enum):
 class MembershipResult:
     ok: bool
     witness_x: Optional[BasisElt] = None
-    witness_bracket: Optional[LambdaPoly] = None
+    witness_bracket: Optional[UPoly] = None
 
 
 def membership_test_set(p: Partition, mode: MembershipMode) -> list[BasisElt]:
@@ -334,7 +248,7 @@ def w_membership(p: Partition, poly: DiffPoly,
 
 def w_bracket(p: Partition, a: DiffPoly, b: DiffPoly,
               cfg: Optional[ProjectionConfig] = None,
-              check: bool = True) -> LambdaPoly:
+              check: bool = True) -> UPoly:
     """Induced bracket on members: the projected lambda-bracket.
 
     With check (the default), both arguments must pass w_membership, else
@@ -429,7 +343,7 @@ def pva_axiom_suite(p: Partition, seed: int = 0, samples: int = 100) -> AxiomSui
 
         # {da_lam b} = -lam {a_lam b}
         lhs = lambda_bracket(p, a.derive(), b)
-        rhs = LambdaPoly({k + 1: poly.scale(-1) for k, poly in ab.coeffs.items()})
+        rhs = UPoly({k + 1: poly.scale(-1) for k, poly in ab.coeffs.items()})
         record("sesquilinearity-left", lhs == rhs)
 
         # {a_lam db} = (lam + d) {a_lam b}

@@ -10,13 +10,12 @@ inverse with parse(serialize(x)) == x.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable
 
-from .affine import LoopMode, SugawaraTable, VacuumVector, _group
+from .affine import LoopMode, VacuumVector, _group
 from .cdet import DiffOp, GeneratorTable, UPoly
 from .centralizer import Partition, Rat
 from .diffpoly import DiffPoly, DiffVar
-from .pva import LambdaPoly
 
 # -- rationals -----------------------------------------------------------------
 
@@ -53,12 +52,12 @@ def diffpoly_from_json(obj: list) -> DiffPoly:
     return DiffPoly(terms)
 
 
-def lambdapoly_to_json(lp: LambdaPoly) -> dict:
+def lambdapoly_to_json(lp: UPoly) -> dict:
     return {"lambda_powers": {str(k): diffpoly_to_json(c) for k, c in lp.items()}}
 
 
-def lambdapoly_from_json(obj: dict) -> LambdaPoly:
-    return LambdaPoly({int(k): diffpoly_from_json(v)
+def lambdapoly_from_json(obj: dict) -> UPoly:
+    return UPoly({int(k): diffpoly_from_json(v)
                        for k, v in obj["lambda_powers"].items()})
 
 
@@ -97,18 +96,17 @@ def parse_table_key(key: str) -> tuple[str, int, int]:
     return prefix, int(k), int(r)
 
 
-def _table_json(partition: Partition, prefix: str, entries, rejects,
-                encode: Callable) -> dict:
+def _table_json(t: GeneratorTable, prefix: str, encode: Callable) -> dict:
     return {
-        "partition": str(partition),
+        "partition": str(t.partition),
         "entries": {table_key(prefix, k, r): encode(val)
-                    for (k, r), val in sorted(entries.items())},
+                    for (k, r), val in sorted(t.entries.items())},
         "out_of_window": {table_key(prefix, k, r): encode(val)
-                          for (k, r), val in sorted(rejects.items())},
+                          for (k, r), val in sorted(t.out_of_window.items())},
     }
 
 
-def _table_from_json(obj: dict, cls, decode: Callable):
+def _table_from_json(obj: dict, decode: Callable) -> GeneratorTable:
     def load(section: str) -> dict:
         out = {}
         for key, val in obj[section].items():
@@ -116,25 +114,24 @@ def _table_from_json(obj: dict, cls, decode: Callable):
             out[(k, r)] = decode(val)
         return out
 
-    return cls(Partition.parse(obj["partition"]), load("entries"), load("out_of_window"))
+    return GeneratorTable(Partition.parse(obj["partition"]), load("entries"),
+                          load("out_of_window"))
 
 
 def generator_table_to_json(t: GeneratorTable) -> dict:
-    return _table_json(t.partition, "w", t.entries, t.out_of_window,
-                       diffpoly_to_json)
+    return _table_json(t, "w", diffpoly_to_json)
 
 
 def generator_table_from_json(obj: dict) -> GeneratorTable:
-    return _table_from_json(obj, GeneratorTable, diffpoly_from_json)
+    return _table_from_json(obj, diffpoly_from_json)
 
 
-def sugawara_table_to_json(t: SugawaraTable) -> dict:
-    return _table_json(t.partition, "phi", t.entries, t.out_of_window,
-                       vacuum_to_json)
+def sugawara_table_to_json(t: GeneratorTable) -> dict:
+    return _table_json(t, "phi", vacuum_to_json)
 
 
-def sugawara_table_from_json(obj: dict) -> SugawaraTable:
-    return _table_from_json(obj, SugawaraTable, vacuum_from_json)
+def sugawara_table_from_json(obj: dict) -> GeneratorTable:
+    return _table_from_json(obj, vacuum_from_json)
 
 
 # -- LaTeX ----------------------------------------------------------------------
@@ -190,7 +187,7 @@ def latex_diffpoly(poly: DiffPoly) -> str:
     return _latex_sum(parts)
 
 
-def latex_lambdapoly(lp: LambdaPoly) -> str:
+def latex_lambdapoly(lp: UPoly) -> str:
     return latex_upoly(lp, r"\lambda")
 
 
@@ -211,7 +208,7 @@ def _latex_coeff_ring(val) -> str:
     return latex_rat(val)
 
 
-def latex_upoly(up: Union[UPoly, LambdaPoly], symbol: str = "u") -> str:
+def latex_upoly(up: UPoly, symbol: str = "u") -> str:
     parts = []
     for power, coeff in up.items():
         body = _latex_coeff_ring(coeff)
@@ -247,11 +244,9 @@ def latex_matrix(rows: list[list[DiffOp]], dsymbol: str = r"\partial") -> str:
     return "\\begin{pmatrix}\n%s\n\\end{pmatrix}" % " \\\\\n".join(lines)
 
 
-def latex_table(t: Union[GeneratorTable, SugawaraTable]) -> str:
-    if isinstance(t, GeneratorTable):
-        prefix, render = "w", latex_diffpoly
-    else:
-        prefix, render = r"\phi", latex_vacuum
-    lines = [r"%s_{%d}^{(%d)} &= %s \\" % (prefix, k, r, render(val))
+def latex_table(t: GeneratorTable, prefix: str) -> str:
+    """Align the entries as prefix_k^(r) = entry; the prefix names the side
+    (w for W-algebra generators, phi for Segal-Sugawara vectors)."""
+    lines = [r"%s_{%d}^{(%d)} &= %s \\" % (prefix, k, r, _latex_coeff_ring(val))
              for (k, r), val in t.ordered()]
     return "\\begin{align*}\n%s\n\\end{align*}" % "\n".join(lines)

@@ -10,8 +10,8 @@ import json
 import time
 from itertools import combinations, product
 
-from wcent import (BasisElt, DiffPoly, DiffVar, LambdaPoly,
-                   LieElement, MembershipMode, Partition, all_partitions,
+from wcent import (BasisElt, DiffPoly, DiffVar, LieElement, MembershipMode,
+                   Partition, UPoly, all_partitions,
                    bracket, centralizer_basis, critical_form,
                    jacobian_independence, lambda_bracket, lie_bracket,
                    miura_generators, miura_image, pva_axiom_suite, ss_vectors,
@@ -104,7 +104,7 @@ def test_c04_negative_control_with_exact_witness():
     assert not res.ok
     assert res.witness_x == BasisElt(1, 2, 1)
     assert res.witness_bracket == \
-        LambdaPoly({0: vp(1, 1, 0) - vp(2, 2, 0), 1: DiffPoly.const(1)})
+        UPoly({0: vp(1, 1, 0) - vp(2, 2, 0), 1: DiffPoly.const(1)})
     print("PASS criterion 4: out-of-window coefficient fails membership with "
           "the expected witness")
 

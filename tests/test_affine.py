@@ -180,15 +180,15 @@ def test_ss_vectors_oracles():
                          (1, 1): single(Partition.of(2), 1, 1, 1, -1)}
 
     t = ss_vectors(P11)
-    assert t.vector(1, 0) == single(P11, 1, 1, 0, -1) + single(P11, 2, 2, 0, -1)
-    assert t.vector(2, 0) == \
+    assert t.entries[(1, 0)] == single(P11, 1, 1, 0, -1) + single(P11, 2, 2, 0, -1)
+    assert t.entries[(2, 0)] == \
         single(P11, 1, 1, 0, -1) * single(P11, 2, 2, 0, -1) - \
         single(P11, 2, 1, 0, -1) * single(P11, 1, 2, 0, -1) + \
         single(P11, 2, 2, 0, -2)
 
     t = ss_vectors(P12)
     assert set(t.entries) == {(1, 0), (1, 1), (2, 1)}
-    assert t.vector(2, 1) == \
+    assert t.entries[(2, 1)] == \
         single(P12, 1, 1, 0, -1) * single(P12, 2, 2, 1, -1) - \
         single(P12, 2, 1, 0, -1) * single(P12, 1, 2, 1, -1) + \
         single(P12, 2, 2, 1, -2)
@@ -205,7 +205,7 @@ def test_center_check_passes_on_vectors():
 
 
 def test_center_check_raises_on_violated_depth_bound(monkeypatch):
-    v = ss_vectors(P11).vector(1, 0)
+    v = ss_vectors(P11).entries[(1, 0)]
 
     def beyond_depth_only(x, m, w):
         return VacuumVector.vacuum(w.partition, 1 if m == w.depth + 1 else 0)
@@ -225,7 +225,7 @@ def test_center_check_witness_is_first_in_scan_order():
 
 def test_hc_project():
     t = ss_vectors(P11)
-    assert hc_project(t.vector(2, 0)) == \
+    assert hc_project(t.entries[(2, 0)]) == \
         single(P11, 1, 1, 0, -1) * single(P11, 2, 2, 0, -1) + \
         single(P11, 2, 2, 0, -2)
     diag = single(P11, 1, 1, 0, -1)
@@ -285,8 +285,8 @@ def test_correspondence_reports():
     # explicit instance of the matching equation
     wt = ss_vectors(P12)
     from wcent import miura_image
-    img = miura_image(w_generators(P12).poly(2, 1))
-    assert loop_realization(img, P12) == hc_project(wt.vector(2, 1))
+    img = miura_image(w_generators(P12).entries[(2, 1)])
+    assert loop_realization(img, P12) == hc_project(wt.entries[(2, 1)])
 
 
 def test_ss_vectors_commute_pairwise():

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 import wcent
-from wcent import (BasisElt, CenterCheck, GeneratorTable, Partition, SugawaraTable,
+from wcent import (BasisElt, CenterCheck, GeneratorTable, Partition,
                    VacuumVector, hc_project, loop_realization, miura_generators,
                    miura_image, ss_vectors, w_generators)
 from wcent import cli
@@ -62,9 +62,18 @@ def test_usage_errors(capsys):
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["not-a-command"])
-    assert exc.value.code == 2
+    # argparse rejects an unknown command, and any option the command does not read
+    for argv in (["not-a-command"],
+                 ["basis", "-p", "1,2", "--samples", "5", "--mode", "generators",
+                  "--seed", "3"],
+                 ["verify-center", "-p", "1,1", "--mode", "generators", "--samples", "7"],
+                 ["basis", "-p", "1,2", "--samples", "5"],
+                 ["verify-center", "-p", "1,1", "--mode", "generators"],
+                 ["generators", "-p", "1,2", "--seed", "3"],
+                 ["sweep", "--max-N", "2", "--samples", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
 
 
 def fake_check(v):
@@ -203,7 +212,7 @@ def test_verify_commute_witness(capsys, monkeypatch):
         return VacuumVector.single(p, BasisElt(i, j, 0), m)
 
     assert run(capsys, "verify-commute", "-p", "1,1")[0] == 0
-    monkeypatch.setattr(cli, "ss_vectors", lambda q: SugawaraTable(
+    monkeypatch.setattr(cli, "ss_vectors", lambda q: GeneratorTable(
         q, {(1, 0): vec(1, 2, -1), (2, 0): vec(2, 1, -1)}, {}))
     code, out = run(capsys, "verify-commute", "-p", "1,1", "--format", "json")
     assert code == 1
@@ -215,7 +224,7 @@ def test_verify_commute_witness(capsys, monkeypatch):
 def test_short_tables_fail(capsys, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(cli, "w_generators", lambda q: GeneratorTable(q, {}, {}))
-        patch.setattr(cli, "ss_vectors", lambda q: SugawaraTable(q, {}, {}))
+        patch.setattr(cli, "ss_vectors", lambda q: GeneratorTable(q, {}, {}))
         # an empty Miura table too, so that `unmatched` alone cannot fail `miura`
         patch.setattr(cli, "miura_generators", lambda q: GeneratorTable(q, {}, {}))
         for command in ("generators", "ss-vectors", "check-membership", "miura",
@@ -235,7 +244,7 @@ def test_short_tables_fail(capsys, monkeypatch):
 def test_sweep_row_judges_one_sugawara_table(capsys, monkeypatch):
     # every check of a row reads the same Sugawara table, so an empty one
     # fails centre, iso and commute alike and no check that never read it
-    monkeypatch.setattr(cli, "ss_vectors", lambda q: SugawaraTable(q, {}, {}))
+    monkeypatch.setattr(cli, "ss_vectors", lambda q: GeneratorTable(q, {}, {}))
     code, out = run(capsys, "sweep", "-p", "1,1", "--format", "json")
     assert code == 1
     row = json.loads(out)
@@ -259,27 +268,27 @@ def test_sweep_builds_each_table_once(capsys, monkeypatch):
 def test_miura_mismatch_carries_expected_entry(capsys, monkeypatch):
     p = Partition.of(1, 2)
     table = miura_generators(p)
-    wrong = table.poly(1, 0).scale(2)
+    wrong = table.entries[(1, 0)].scale(2)
     monkeypatch.setattr(cli, "miura_generators", lambda q: replace(
         table, entries={**table.entries, (1, 0): wrong}))
     code, out = run(capsys, "miura", "-p", "1,2", "--format", "json")
     assert code == 1
     entries = json.loads(out)["entries"]
     assert diffpoly_from_json(entries["w[1][0]"]["expected"]) == wrong
-    assert diffpoly_from_json(entries["w[1][0]"]["image"]) == table.poly(1, 0)
+    assert diffpoly_from_json(entries["w[1][0]"]["image"]) == table.entries[(1, 0)]
     assert "expected" not in entries["w[1][1]"]
 
 
 def test_verify_iso_failure_carries_difference(capsys, monkeypatch):
     p = Partition.of(1, 2)
     table = ss_vectors(p)
-    doubled = table.vector(2, 1).scale(2)
+    doubled = table.entries[(2, 1)].scale(2)
     monkeypatch.setattr(cli, "ss_vectors", lambda q: replace(
         table, entries={**table.entries, (2, 1): doubled}))
     code, out = run(capsys, "verify-iso", "-p", "1,2", "--format", "json")
     assert code == 1
     entries = json.loads(out)["entries"]
-    theta = loop_realization(miura_image(w_generators(p).poly(2, 1)), p)
+    theta = loop_realization(miura_image(w_generators(p).entries[(2, 1)]), p)
     assert entries["phi[2][1]"]["match"] is False
     assert vacuum_from_json(entries["phi[2][1]"]["difference"]) == \
         theta - hc_project(doubled)

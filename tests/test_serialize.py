@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wcent import (BasisElt, DiffPoly, DiffVar, LambdaPoly, LoopMode,
-                   Partition, VacuumVector, generator_bracket, ss_vectors,
-                   w_generators)
+from wcent import (BasisElt, DiffPoly, DiffVar, LoopMode, Partition, UPoly,
+                   VacuumVector, generator_bracket, ss_vectors, w_generators)
 from wcent.serialize import (diffpoly_from_json, diffpoly_to_json,
                              generator_table_from_json, generator_table_to_json,
                              lambdapoly_from_json, lambdapoly_to_json,
@@ -55,7 +54,7 @@ def test_diffpoly_round_trip(poly):
 
 @given(polys, polys)
 def test_lambdapoly_round_trip(a, b):
-    lp = LambdaPoly({0: a, 2: b})
+    lp = UPoly({0: a, 2: b})
     blob = json.dumps(lambdapoly_to_json(lp))
     assert lambdapoly_from_json(json.loads(blob)) == lp
 
@@ -113,7 +112,7 @@ def test_latex_rationals_and_vars():
 
 def test_latex_diffpoly():
     p = Partition.of(1, 2)
-    w21 = w_generators(p).poly(2, 1)
+    w21 = w_generators(p).entries[(2, 1)]
     assert latex_diffpoly(w21) == \
         r"E_{1\,1}^{(0)} \, E_{2\,2}^{(1)} - E_{2\,1}^{(0)} + \partial E_{2\,2}^{(1)}"
     assert latex_diffpoly(DiffPoly.zero()) == "0"
@@ -122,7 +121,7 @@ def test_latex_diffpoly():
 
 
 def test_latex_lambdapoly():
-    lp = LambdaPoly({0: vp(1, 1, 0), 1: DiffPoly.const(1), 2: DiffPoly.const(3)})
+    lp = UPoly({0: vp(1, 1, 0), 1: DiffPoly.const(1), 2: DiffPoly.const(3)})
     out = latex_lambdapoly(lp)
     assert r"\lambda" in out and r"\lambda^{2}" in out
     assert out.startswith(r"E_{1\,1}^{(0)}")
@@ -131,13 +130,13 @@ def test_latex_lambdapoly():
 def test_latex_vacuum_and_tables():
     p = Partition.of(1, 1)
     t = ss_vectors(p)
-    out = latex_vacuum(t.vector(2, 0))
+    out = latex_vacuum(t.entries[(2, 0)])
     assert r"E_{1\,1}^{(0)}[-1] \, E_{2\,2}^{(0)}[-1]" in out
     assert r"E_{2\,2}^{(0)}[-2]" in out
-    table = latex_table(t)
+    table = latex_table(t, r"\phi")
     assert table.startswith(r"\begin{align*}")
     assert r"\phi_{2}^{(0)} &=" in table
-    wtable = latex_table(w_generators(Partition.of(1, 2)))
+    wtable = latex_table(w_generators(Partition.of(1, 2)), "w")
     assert r"w_{2}^{(1)} &=" in wtable
 
 
