@@ -100,7 +100,7 @@ def _normal_insert(p: Partition, seq: tuple[LoopMode, ...], coeff: Rat):
                 head, tail = s[:idx], s[idx + 2:]
                 stack.append((head + (b, a) + tail, c))
                 mm = a.m + b.m
-                for e, cz in bracket(p, a.base, b.base).terms.items():
+                for e, cz in bracket(p, a, b).items():
                     stack.append((head + (LoopMode(e.i, e.j, e.r, mm),) + tail, c * cz))
                 break
         else:
@@ -314,13 +314,13 @@ def _act(p: Partition, x: BasisElt, m: int, seq: tuple[LoopMode, ...],
     for mono2, c2 in sub.items():
         add_into(acc, _normal_insert(p, (y,) + _flatten(mono2), c2))
     t = m + y.m
-    for z, cz in bracket(p, x, y.base).terms.items():
+    for z, cz in bracket(p, x, y).items():
         if t >= 0:
             _act(p, z, t, rest, coeff * cz, acc)
         else:
             add_into(acc, _normal_insert(p, (LoopMode(z.i, z.j, z.r, t),) + rest, coeff * cz))
     if m and y.m == -m:
-        q = critical_form(p, x, y.base)
+        q = critical_form(p, x, y)
         if q:
             add_into(acc, _normal_insert(p, rest, coeff * m * q))
 

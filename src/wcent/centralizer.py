@@ -179,78 +179,40 @@ def parabolic_basis(p: Partition) -> list[BasisElt]:
     return [e for e in centralizer_basis(p) if e.i >= e.j]
 
 
-class LieElement:
-    """Finite rational linear combination of basis elements, in canonical form."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        items = terms.items() if isinstance(terms, dict) else terms
-        self.terms = add_into({}, items or ())
-
-    @classmethod
-    def of(cls, e: BasisElt, c: Rat = 1) -> "LieElement":
-        return cls({e: c} if c else {})
-
-    def items(self) -> list[tuple[BasisElt, Rat]]:
-        return sorted(self.terms.items())
-
-    def scale(self, q: Rat) -> "LieElement":
-        if not q:
-            return LieElement()
-        out = LieElement()
-        out.terms = {e: c * q for e, c in self.terms.items()}
-        return out
-
-    def __add__(self, other: "LieElement") -> "LieElement":
-        return LieElement(list(self.terms.items()) + list(other.terms.items()))
-
-    def __sub__(self, other: "LieElement") -> "LieElement":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "LieElement":
-        return self.scale(-1)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, LieElement):
-            return self.terms == other.terms
-        if other == 0:
-            return not self.terms
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join("%s*%s" % (c, e.text()) for e, c in self.items())
+LieMap = dict  # BasisElt -> nonzero Rat: a Lie algebra element, sparse
 
 
-def bracket(p: Partition, a: BasisElt, b: BasisElt) -> LieElement:
-    """Commutator [E[i,j,r], E[k,l,s]] with truncation at the column size."""
+def bracket(p: Partition, a, b) -> LieMap:
+    """Commutator [E[i,j,r], E[k,l,s]] with truncation at the column size.
+
+    Reads only the fields i, j, r of a and b, so a BasisElt, a LoopMode or a
+    DiffVar may be passed.  Returns a new map, which the caller may keep.
+    """
+    if a.i == a.j == b.i == b.j:
+        return {}  # diagonal in one block: the two terms coincide and cancel
     t = a.r + b.r
-    terms = []
+    out: LieMap = {}
     if b.i == a.j and t < p.part(b.j):
-        terms.append((BasisElt(a.i, b.j, t), 1))
+        out[BasisElt(a.i, b.j, t)] = 1
     if a.i == b.j and t < p.part(a.j):
-        terms.append((BasisElt(b.i, a.j, t), -1))
-    return LieElement(terms)
+        out[BasisElt(b.i, a.j, t)] = -1
+    return out
 
 
-def lie_bracket(p: Partition, x: LieElement, y: LieElement) -> LieElement:
+def lie_bracket(p: Partition, x: LieMap, y: LieMap) -> LieMap:
     """Bilinear extension of the commutator."""
-    return LieElement((e, ca * cb * c)
-                      for a, ca in x.terms.items()
-                      for b, cb in y.terms.items()
-                      for e, c in bracket(p, a, b).terms.items())
+    return add_into({}, ((e, ca * cb * c)
+                         for a, ca in x.items()
+                         for b, cb in y.items()
+                         for e, c in bracket(p, a, b).items()))
 
 
-def trace_form(p: Partition, a: BasisElt, b: BasisElt) -> Rat:
+def trace_form(p: Partition, a, b) -> Rat:
     """Trace form: (E[i,j,0] | E[j,i,0]) = lam_i, zero elsewhere.
 
     The off-diagonal case only pairs blocks of equal size; that is guarded
-    explicitly rather than inferred from element validity.
+    explicitly rather than inferred from element validity.  Like bracket, it
+    reads only the fields i, j, r of a and b.
     """
     if a.r or b.r:
         return 0
@@ -266,12 +228,13 @@ def _row_weight(p: Partition, i: int) -> int:
     return sum(p.parts[:i - 1]) + (p.n - i + 1) * p.part(i)
 
 
-def critical_form(p: Partition, a: BasisElt, b: BasisElt) -> Rat:
+def critical_form(p: Partition, a, b) -> Rat:
     """Critical-level invariant form; nonzero only on shift-0 pairs.
 
     <E[i,i,0], E[j,j,0]> = min(lam_i, lam_j) - delta_ij * w_i and
     <E[i,j,0], E[j,i,0]> = -w_i for i != j with lam_i = lam_j, where
-    w_i = lam_1 + ... + lam_{i-1} + (n - i + 1) lam_i.
+    w_i = lam_1 + ... + lam_{i-1} + (n - i + 1) lam_i.  Like bracket, it
+    reads only the fields i, j, r of a and b.
     """
     if a.r or b.r:
         return 0
@@ -285,15 +248,9 @@ def critical_form(p: Partition, a: BasisElt, b: BasisElt) -> Rat:
     return 0
 
 
-def form_on_elements(p: Partition, form, x: LieElement, y: LieElement) -> Rat:
+def form_on_elements(p: Partition, form, x: LieMap, y: LieMap) -> Rat:
     """Bilinear extension of a form given on basis pairs."""
-    total: Rat = 0
-    for a, ca in x.terms.items():
-        for b, cb in y.terms.items():
-            f = form(p, a, b)
-            if f:
-                total += ca * cb * f
-    return total
+    return sum(ca * cb * form(p, a, b) for a, ca in x.items() for b, cb in y.items())
 
 
 def all_partitions(max_sum: int, max_parts: int | None = None) -> list[Partition]:

@@ -439,8 +439,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ValueError("latex format is not available for %s" % args.command)
     cfg = RunConfig(args.command, partitions, fmt=args.fmt)
     if args.command in SEED_COMMANDS:
-        cfg.seed = args.seed if args.seed is not None \
-            else int(os.environ.get("WCENT_SEED", "0"))
+        seed = os.environ.get("WCENT_SEED", "0") if args.seed is None else args.seed
+        try:
+            cfg.seed = int(seed)
+        except ValueError:  # only the variable's text can fail: --seed is an int
+            raise ValueError("WCENT_SEED must be an integer, got %r" % (seed,)) from None
         if cfg.seed < 0:
             raise ValueError("seed must be non-negative")
     if args.command == "pva-axioms":

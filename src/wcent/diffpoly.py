@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from .centralizer import BasisElt, LieElement, Rat, add_into
+from .centralizer import BasisElt, LieMap, Rat, add_into
 
 
 class DiffVar(NamedTuple):
@@ -139,9 +139,9 @@ class DiffPoly:
         return cls._raw({((v, 1),): 1})
 
     @classmethod
-    def from_lie(cls, elt: LieElement) -> "DiffPoly":
+    def from_lie(cls, elt: LieMap) -> "DiffPoly":
         """Embed a Lie algebra element at derivative order 0."""
-        return cls._raw({((DiffVar.of(e), 1),): c for e, c in elt.terms.items()})
+        return cls._raw({((DiffVar.of(e), 1),): c for e, c in elt.items()})
 
     # -- arithmetic ------------------------------------------------------
 

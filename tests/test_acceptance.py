@@ -10,7 +10,7 @@ import json
 import time
 from itertools import combinations, product
 
-from wcent import (BasisElt, DiffPoly, DiffVar, LieElement, MembershipMode,
+from wcent import (BasisElt, DiffPoly, DiffVar, MembershipMode,
                    Partition, UPoly, all_partitions,
                    bracket, centralizer_basis, critical_form,
                    jacobian_independence, lambda_bracket, lie_bracket,
@@ -18,7 +18,7 @@ from wcent import (BasisElt, DiffPoly, DiffVar, LieElement, MembershipMode,
                    trace_form, w_correspondence, w_generators, w_membership)
 from wcent.affine import center_check
 from wcent.cdet import tail_sum
-from wcent.centralizer import form_on_elements
+from wcent.centralizer import add_into, form_on_elements
 from wcent.cli import RunConfig, dispatch, render
 from wcent.pva import random_diffpoly
 from wcent.serialize import (diffpoly_from_json, diffpoly_to_json,
@@ -133,20 +133,18 @@ def test_c06_lie_structure_exhaustive_to_five_boxes():
     for p in all_partitions(5):
         basis = centralizer_basis(p)
         for x, y in product(basis, repeat=2):
-            assert bracket(p, x, y) == bracket(p, y, x).scale(-1)
+            assert bracket(p, x, y) == {e: -c for e, c in bracket(p, y, x).items()}
             for form in (trace_form, critical_form):
                 assert form(p, x, y) == form(p, y, x)
             pairs += 1
         for x, y, z in product(basis, repeat=3):
-            lhs = lie_bracket(p, LieElement.of(x, 1), bracket(p, y, z))
-            rhs = lie_bracket(p, bracket(p, x, y), LieElement.of(z, 1)) + \
-                lie_bracket(p, LieElement.of(y, 1), bracket(p, x, z))
+            lhs = lie_bracket(p, {x: 1}, bracket(p, y, z))
+            rhs = add_into(lie_bracket(p, bracket(p, x, y), {z: 1}),
+                           lie_bracket(p, {y: 1}, bracket(p, x, z)).items())
             assert lhs == rhs
             for form in (trace_form, critical_form):
-                inv = form_on_elements(p, form, bracket(p, x, y),
-                                       LieElement.of(z, 1)) + \
-                    form_on_elements(p, form, LieElement.of(y, 1),
-                                     bracket(p, x, z))
+                inv = form_on_elements(p, form, bracket(p, x, y), {z: 1}) + \
+                    form_on_elements(p, form, {y: 1}, bracket(p, x, z))
                 assert inv == 0
             triples += 1
     print("PASS criterion 6: antisymmetry, Jacobi, and the symmetry and "

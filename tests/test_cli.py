@@ -108,6 +108,10 @@ def test_seed_sources(capsys, monkeypatch):
     monkeypatch.delenv("WCENT_SEED")
     _, out = run(capsys, "jacobian", "-p", "1,2", "--format", "json")
     assert json.loads(out)["seed"] == 0
+    monkeypatch.setenv("WCENT_SEED", "abc")
+    assert cli.main(["jacobian", "-p", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "WCENT_SEED" in err and "'abc'" in err
 
 
 def test_sweep_reports(capsys):
