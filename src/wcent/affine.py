@@ -22,7 +22,7 @@ from math import factorial
 from typing import Iterable, NamedTuple, Optional
 
 from .centralizer import (BasisElt, Partition, Rat, add_into, bracket,
-                          centralizer_basis, critical_form)
+                          centralizer_basis, critical_form, derived_complement)
 from .cdet import (DiffOp, GeneratorTable, basis_u_series, column_determinant,
                    diagonal_entry, miura_image, w_generators, window_table)
 from .diffpoly import DiffPoly
@@ -371,23 +371,62 @@ CENTER_SPOT_CHECKS = 3
 def center_check(v: VacuumVector) -> CenterCheck:
     """Whether every nonnegative mode annihilates v.
 
-    Modes beyond the depth of v annihilate it for degree reasons; the scan
-    covers 0 <= m <= depth (m-major, then basis order, first witness wins)
-    and checks the degree bound at depth + 1 on the first CENTER_SPOT_CHECKS
-    basis elements, raising ArithmeticError if one of them does not
-    annihilate v.
+    Scans the generating set of _generating_scan (m-major); if an element
+    of it fails, returns _full_scan(v), so the witness is still the first
+    nonzero x(m) v in (m, basis) order.  Then checks the degree bound at
+    depth + 1 on the first CENTER_SPOT_CHECKS basis elements, raising
+    ArithmeticError if one of them does not annihilate v.
+
+    Soundness.  The annihilator of v is a subspace of a[t], closed under
+    brackets, and [x(a), y(b)] = [x, y](a + b) has no central term when
+    a, b >= 0.  Let C be derived_complement(p), spanning a complement of
+    [a, a].
+    (0) Chains of adjacent E[i,i+-1,r] give every off-diagonal element, as
+        [E[i,j,r], E[j,l,s]] = E[i,l,r+s] and the shift windows compose.
+        Brackets of off-diagonal elements span [a, a], and C completes a(0).
+    (1) Once a(0) annihilates v, {x : x(1) v = 0} is ad-a-stable.  It holds
+        every E[i,i,0], hence [E[i,i,0], E[i,j,r]] = E[i,j,r], hence [a, a],
+        and with C all of a.
+    (m >= 2) [a(1), a(m-1)] = [a, a](m), and C(m) completes a(m).
+    Modes above the depth of v kill it for degree reasons.
     """
     p = v.partition
-    basis = centralizer_basis(p)
     d = v.depth
-    for m in range(d + 1):
+    for x, m in _generating_scan(p, d):
+        if act_mode(x, m, v):
+            return _full_scan(v)
+    for x in centralizer_basis(p)[:CENTER_SPOT_CHECKS]:
+        if act_mode(x, d + 1, v):
+            raise ArithmeticError("depth bound violated at %s(%d)" % (x.text(), d + 1))
+    return CenterCheck(True)
+
+
+def _generating_scan(p: Partition, depth: int) -> list[tuple[BasisElt, int]]:
+    """The modes x(m) that center_check scans for 0 <= m <= depth, m-major.
+
+    m = 0: the adjacent off-diagonal E[i,i+-1,r], then C; m = 1: the
+    idempotents E[i,i,0], then the rest of C; m >= 2: C alone, where C is
+    derived_complement(p).
+    """
+    basis = centralizer_basis(p)
+    comp = derived_complement(p)
+    adjacent = [x for x in basis if abs(x.i - x.j) == 1]
+    idempotents = [x for x in basis if x.i == x.j and x.r == 0]
+    scan = [(x, 0) for x in adjacent + comp]
+    if depth >= 1:
+        scan += [(x, 1) for x in idempotents + [x for x in comp if x.r]]  # C is diagonal
+    return scan + [(x, m) for m in range(2, depth + 1) for x in comp]
+
+
+def _full_scan(v: VacuumVector) -> CenterCheck:
+    """Apply every basis element x(m), 0 <= m <= depth, to v (m-major, then
+    basis order); the first nonzero image is the witness."""
+    basis = centralizer_basis(v.partition)
+    for m in range(v.depth + 1):
         for x in basis:
             img = act_mode(x, m, v)
             if img:
                 return CenterCheck(False, (x, m, img))
-    for x in basis[:CENTER_SPOT_CHECKS]:
-        if act_mode(x, d + 1, v):
-            raise ArithmeticError("depth bound violated at %s(%d)" % (x.text(), d + 1))
     return CenterCheck(True)
 
 

@@ -8,9 +8,9 @@ lam_1 <= ... <= lam_n has a centralizer spanned by elements E[i,j,r]
 
 This module enumerates the basis in a fixed canonical order, implements the
 commutator together with its truncation rule (E[i,j,r] = 0 once r >= lam_j),
-the two invariant symmetric bilinear forms used downstream (the trace form
-and the critical-level form), and the triangular decomposition by the sign
-of j - i.
+a complement of the derived algebra, the two invariant symmetric bilinear
+forms used downstream (the trace form and the critical-level form), and the
+triangular decomposition by the sign of j - i.
 """
 
 from __future__ import annotations
@@ -205,6 +205,40 @@ def lie_bracket(p: Partition, x: LieMap, y: LieMap) -> LieMap:
                          for a, ca in x.items()
                          for b, cb in y.items()
                          for e, c in bracket(p, a, b).items()))
+
+
+def derived_complement(p: Partition) -> list[BasisElt]:
+    """Diagonal basis elements, in basis order, spanning a complement of [a, a].
+
+    Every off-diagonal E[i,j,r] equals [E[i,i,0], E[i,j,r]], so it lies in
+    [a, a], and the only basis brackets with a diagonal part are
+    [E[i,j,r], E[j,i,s]].  So [a, a] is the off-diagonal sector plus the span
+    of those diagonal parts.  The parts are reduced exactly over Q; each
+    diagonal element outside the span so far is kept and joins the span.
+    """
+    rows: dict[BasisElt, LieMap] = {}  # pivot -> row, 1 at its pivot
+
+    def insert(vec: LieMap) -> bool:
+        # Each row is zero at the pivots of earlier rows, so one pass in
+        # insertion order reduces vec against the span.
+        vec = dict(vec)
+        for pivot, row in rows.items():
+            c = vec.get(pivot)
+            if c:
+                add_into(vec, ((e, -c * q) for e, q in row.items()))
+        if not vec:
+            return False
+        pivot = min(vec)
+        c = Fraction(vec[pivot])
+        rows[pivot] = {e: q / c for e, q in vec.items()}
+        return True
+
+    basis = centralizer_basis(p)
+    for a in basis:
+        if a.i < a.j:
+            for s in p.r_window(a.j, a.i):
+                insert(bracket(p, a, BasisElt(a.j, a.i, s)))
+    return [e for e in basis if e.i == e.j and insert({e: 1})]
 
 
 def trace_form(p: Partition, a, b) -> Rat:

@@ -445,7 +445,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         except ValueError:  # only the variable's text can fail: --seed is an int
             raise ValueError("WCENT_SEED must be an integer, got %r" % (seed,)) from None
         if cfg.seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise ValueError("seed must be non-negative" if args.seed is not None else
+                             "WCENT_SEED must be non-negative, got %d" % cfg.seed)
     if args.command == "pva-axioms":
         if args.samples < 1:
             raise ValueError("--samples must be at least 1")

@@ -27,7 +27,7 @@ from wcent.serialize import (diffpoly_from_json, diffpoly_to_json,
                              sugawara_table_from_json, sugawara_table_to_json,
                              vacuum_from_json, vacuum_to_json)
 
-CENTER_PARTITIONS = list(all_partitions(4)) + [Partition.of(2, 3)]
+CENTER_PARTITIONS = all_partitions(5)
 
 
 def V(i, j, r, s=0):

@@ -4,8 +4,9 @@ from itertools import combinations
 import pytest
 
 from wcent import (BasisElt, DiffPoly, DiffVar, LoopMode, Partition,
-                   VacuumVector, act_mode, center_check, hc_project,
-                   loop_realization, normal_order, ss_matrix, ss_vectors,
+                   VacuumVector, act_mode, all_partitions, center_check,
+                   centralizer_basis, hc_project, loop_realization,
+                   normal_order, ss_matrix, ss_vectors, upper_basis,
                    w_correspondence, w_generators)
 from wcent import affine
 from wcent.affine import pbw_key, pbw_sector
@@ -221,6 +222,55 @@ def test_center_check_witness_is_first_in_scan_order():
     x, m, img = res.witness
     assert (x, m) == (E(1, 2, 0), 0)
     assert img == single(P11, 1, 2, 0, -1, -1)
+
+
+def _differential_inputs(p, rng):
+    """Seeded vacuum vectors: the Sugawara vectors, each also plus a random
+    short word, and the perfbench-style controls."""
+    basis = centralizer_basis(p)
+    for _, v in ss_vectors(p).ordered():
+        yield v
+        word = [LoopMode.of(rng.choice(basis), rng.choice((-1, -2)))
+                for _ in range(rng.randint(1, 2))]
+        yield v + normal_order(p, word, rng.choice((-2, -1, 1, 2)))
+    if p.n > 1:
+        yield VacuumVector.single(p, upper_basis(p)[0], -1)
+    if p.n > 1 and set(p.parts) == {1}:
+        yield VacuumVector.sum([normal_order(p, [M(i, j, 0, -2), M(j, i, 0, -2)])
+                                for i in range(1, p.n + 1) for j in range(1, p.n + 1)])
+
+
+def test_center_check_matches_full_scan():
+    # The generating-set scan against the full scan it replaces, kept as
+    # the oracle: same verdict, same witness mode and image.
+    rng = random.Random(10)
+    seen = set()
+    for p in all_partitions(4):
+        for v in _differential_inputs(p, rng):
+            got, want = center_check(v), affine._full_scan(v)
+            assert got.ok == want.ok, (str(p), v)
+            if want.ok:
+                seen.add("pass")
+                continue
+            (x, m, img), (wx, wm, wimg) = got.witness, want.witness
+            assert (x, m) == (wx, wm) and img == wimg, (str(p), v)
+            seen.add("mode %d" % m)
+    assert {"pass", "mode 0", "mode 1"} <= seen, seen
+
+
+def test_center_check_falls_back_to_the_first_witness():
+    # The generating scan meets E[2,1,0](0) first, but the reported witness
+    # is the first in (m, basis) order.
+    p = Partition.of(1, 1, 1)
+    v = single(p, 1, 3, 0, -1)
+    first = next((x, m) for x, m in affine._generating_scan(p, v.depth)
+                 if act_mode(x, m, v))
+    assert first == (E(2, 1, 0), 0)
+    res = center_check(v)
+    assert not res.ok
+    x, m, img = res.witness
+    assert (x, m) == (E(1, 1, 0), 0)
+    assert img == v
 
 
 def test_hc_project():

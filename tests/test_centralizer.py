@@ -7,7 +7,8 @@ from wcent import (BasisElt, DiffPoly, DiffVar, LoopMode, Partition,
                    all_partitions, bracket, cartan_basis, centralizer_basis,
                    centralizer_dim, critical_form, lie_bracket, lower_basis,
                    parabolic_basis, parse_basis_elt, trace_form, upper_basis)
-from wcent.centralizer import add_into, form_on_elements
+from wcent.affine import _generating_scan
+from wcent.centralizer import add_into, derived_complement, form_on_elements
 
 
 def E(i, j, r):
@@ -150,6 +151,65 @@ def test_bracket_and_trace_form_match_matrix_realization(p):
             assert bracket(p, a, b) == got
             for form in (trace_form, critical_form):
                 assert form(p, a, b) == form(p, x, y)
+
+
+class _Span:
+    """A subspace of the centralizer over Q, as rows in reduced echelon form:
+    each row is 1 at its pivot and 0 at every other row's pivot."""
+
+    def __init__(self):
+        self.rows = {}
+
+    def add(self, vec) -> bool:
+        """Add vec to the span; False when it was already there."""
+        vec = {e: Fraction(c) for e, c in vec.items() if c}
+        for pivot, row in self.rows.items():
+            c = vec.get(pivot)
+            if c:
+                add_into(vec, ((e, -c * q) for e, q in row.items()))
+        if not vec:
+            return False
+        pivot = min(vec)
+        vec = {e: q / vec[pivot] for e, q in vec.items()}
+        for row in self.rows.values():
+            c = row.get(pivot)
+            if c:
+                add_into(row, ((e, -c * q) for e, q in vec.items()))
+        self.rows[pivot] = vec
+        return True
+
+
+def _closure(p, gens, by) -> _Span:
+    """Smallest subspace holding gens and stable under ad y for every y in by."""
+    span = _Span()
+    queue = [{g: 1} for g in gens]
+    while queue:
+        vec = queue.pop()
+        if span.add(vec):
+            queue.extend(lie_bracket(p, {y: 1}, vec) for y in by)
+    return span
+
+
+@pytest.mark.parametrize("p", all_partitions(6), ids=str)
+def test_center_scan_sets_generate(p):
+    # The per-mode sets of the centre check's generating scan, checked
+    # exactly: the mode-0 set generates the Lie algebra, the mode-1 set
+    # generates it as an ideal, and C completes [a, a] to a.
+    basis = centralizer_basis(p)
+    scan = _generating_scan(p, 2)
+    sets = [[x for x, m in scan if m == k] for k in range(3)]
+    comp = derived_complement(p)
+    assert sets[2] == comp
+    assert all(len(set(s)) == len(s) for s in sets)
+    assert len(_closure(p, sets[0], sets[0]).rows) == len(basis)
+    assert len(_closure(p, sets[1], basis).rows) == len(basis)
+    derived = _Span()
+    for x, y in product(basis, repeat=2):
+        derived.add(bracket(p, x, y))
+    assert len(comp) == p.part(p.n)
+    assert all(x.i == x.j for x in comp) and comp == sorted(comp)
+    assert all(derived.add({x: 1}) for x in comp)  # independent modulo [a, a]
+    assert len(derived.rows) == len(basis)
 
 
 def test_trace_form_oracles():

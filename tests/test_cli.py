@@ -112,6 +112,12 @@ def test_seed_sources(capsys, monkeypatch):
     assert cli.main(["jacobian", "-p", "1"]) == 2
     err = capsys.readouterr().err
     assert "WCENT_SEED" in err and "'abc'" in err
+    monkeypatch.setenv("WCENT_SEED", "-3")
+    assert cli.main(["jacobian", "-p", "1"]) == 2
+    assert "WCENT_SEED must be non-negative, got -3" in capsys.readouterr().err
+    monkeypatch.delenv("WCENT_SEED")
+    assert cli.main(["jacobian", "-p", "1", "--seed", "-3"]) == 2
+    assert "error: seed must be non-negative" in capsys.readouterr().err
 
 
 def test_sweep_reports(capsys):
