@@ -21,7 +21,7 @@ from .centralizer import (BasisElt, Partition, all_partitions, bracket,
                           critical_form, lie_bracket, lower_basis,
                           parabolic_basis, parse_basis_elt, trace_form,
                           upper_basis)
-from .diffpoly import DiffPoly, DiffVar, Monomial
+from .diffpoly import DiffPoly, DiffVar
 from .pva import (AxiomSuiteReport, MembershipMode, MembershipResult,
                   ProjectionConfig, generator_bracket, jacobi_defect,
                   lambda_bracket, lambda_bracket_gen, parabolic_project,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AxiomSuiteReport", "BasisElt", "CenterCheck", "CorrespondenceReport",
     "DiffOp", "DiffPoly", "DiffVar", "GeneratorTable", "JacobianCertificate",
-    "LoopMode", "MembershipMode", "MembershipResult", "Monomial", "Partition",
+    "LoopMode", "MembershipMode", "MembershipResult", "Partition",
     "ProjectionConfig", "UPoly", "VacuumVector", "act_mode", "all_partitions",
     "bracket", "cartan_basis", "center_check", "centralizer_basis",
     "centralizer_dim", "column_determinant", "critical_form",

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from math import factorial
 from typing import Iterable, NamedTuple, Optional
 
-from .centralizer import (BasisElt, Partition, Rat, add_into, bracket,
+from .centralizer import (BasisElt, Partition, Rat, Sparse, add_into, bracket,
                           centralizer_basis, critical_form, derived_complement)
 from .cdet import (DiffOp, GeneratorTable, basis_u_series, column_determinant,
                    diagonal_entry, miura_image, w_generators, window_table)
@@ -122,11 +122,13 @@ def _pbw_mono(p: Partition, mono) -> PBWMono:
     return mono
 
 
-class VacuumVector:
+class VacuumVector(Sparse):
     """PBW-normal-ordered element of the vacuum module (equivalently, of the
-    enveloping algebra of the negative loop modes)."""
+    enveloping algebra of the negative loop modes) of one partition: terms
+    maps each PBW monomial to its coefficient.  +, -, * and sum raise
+    ValueError on vectors of different partitions."""
 
-    __slots__ = ("partition", "terms")
+    __slots__ = ("partition",)
 
     def __init__(self, partition: Partition, terms=None):
         items = terms.items() if isinstance(terms, dict) else terms
@@ -140,6 +142,9 @@ class VacuumVector:
         self.partition = partition
         self.terms = terms
         return self
+
+    def _like(self, terms: dict) -> "VacuumVector":
+        return VacuumVector._raw(self.partition, terms)
 
     @classmethod
     def vacuum(cls, p: Partition, coeff: Rat = 1) -> "VacuumVector":
@@ -165,31 +170,13 @@ class VacuumVector:
 
     def __add__(self, other: "VacuumVector") -> "VacuumVector":
         self._match(other)
-        return VacuumVector._raw(self.partition,
-                                 add_into(dict(self.terms), other.terms.items()))
+        return Sparse.__add__(self, other)
 
     @classmethod
     def sum(cls, items: list["VacuumVector"]) -> "VacuumVector":
-        """n-ary sum of at least one vector: copies the first summand once
-        and adds the rest into it."""
-        first = items[0]
-        acc = dict(first.terms)
         for v in items[1:]:
-            first._match(v)
-            add_into(acc, v.terms.items())
-        return cls._raw(first.partition, acc)
-
-    def __sub__(self, other: "VacuumVector") -> "VacuumVector":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "VacuumVector":
-        return self.scale(-1)
-
-    def scale(self, q: Rat) -> "VacuumVector":
-        if not q:
-            return VacuumVector._raw(self.partition, {})
-        return VacuumVector._raw(self.partition,
-                                 {mono: c * q for mono, c in self.terms.items()})
+            items[0]._match(v)
+        return super().sum(items)
 
     def __mul__(self, other: "VacuumVector") -> "VacuumVector":
         """Normal-ordered product (concatenate words, then straighten)."""
@@ -218,21 +205,10 @@ class VacuumVector:
 
     # -- structure --------------------------------------------------------
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, VacuumVector):
-            return self.partition == other.partition and self.terms == other.terms
-        if other == 0:
-            return not self.terms
-        return NotImplemented
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def monomials(self) -> list[tuple[PBWMono, Rat]]:
-        return sorted(self.terms.items())
+        if isinstance(other, VacuumVector) and self.partition != other.partition:
+            return False
+        return Sparse.__eq__(self, other)
 
     @property
     def depth(self) -> int:
@@ -251,22 +227,6 @@ class VacuumVector:
     def is_weight_zero(self) -> bool:
         """Zero weight under the adjoint action of the diagonal E[i,i,0](0)."""
         return all(not self.weights(mono) for mono in self.terms)
-
-    def text(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for mono, c in sorted(self.terms.items()):
-            factors = []
-            if c != 1 or not mono:
-                factors.append(str(c))
-            for mode, e in mono:
-                factors.append(mode.text() if e == 1 else "%s^%d" % (mode.text(), e))
-            bits.append("*".join(factors))
-        return " + ".join(bits)
-
-    def __repr__(self) -> str:
-        return "VacuumVector(%s)" % self.text()
 
 
 def normal_order(p: Partition, modes: Iterable[LoopMode], coeff: Rat = 1) -> VacuumVector:
@@ -454,7 +414,7 @@ def loop_realization(poly: DiffPoly, p: Partition) -> VacuumVector:
     if any(v.i != v.j for v in poly.variables()):
         raise ValueError("loop realization is defined on the diagonal sector")
     acc: dict[PBWMono, Rat] = {}
-    for mono, c in poly._terms.items():
+    for mono, c in poly.terms.items():
         coeff = c
         modes = []
         for v, e in mono:

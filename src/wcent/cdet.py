@@ -28,7 +28,8 @@ from math import comb
 from operator import mul
 from typing import Callable, Optional
 
-from .centralizer import BasisElt, Partition, Rat, add_into, sum_by_key
+from .centralizer import (BasisElt, Partition, Rat, Sparse, add_into, echelon_insert,
+                          sum_by_key)
 from .diffpoly import DiffPoly, DiffVar
 
 
@@ -41,9 +42,10 @@ def _shift(coeffs: dict, times: int) -> dict:
     return coeffs
 
 
-class UPoly:
+class UPoly(Sparse):
     """Polynomial in one formal symbol with ring-element coefficients: the
     spectral variable u of the operator matrices, or lam in lambda-brackets.
+    terms maps each power to its coefficient.
 
     Coefficients may be any objects supporting +, *, scale(q), derive(k),
     the n-ary classmethod sum(items) and truth testing; multiplication
@@ -51,52 +53,40 @@ class UPoly:
     coefficient rings are fine.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs=None):
-        self.coeffs = {}
+        self.terms = {}
         if coeffs:
             items = list(coeffs.items() if isinstance(coeffs, dict) else coeffs)
             if any(k < 0 for k, _ in items):
                 raise ValueError("negative power of the formal symbol")
-            add_into(self.coeffs, items)
+            add_into(self.terms, items)
 
-    @classmethod
-    def _raw(cls, coeffs: dict) -> "UPoly":
-        """Wrap a coefficient map that already holds no zero coefficient."""
-        self = object.__new__(cls)
-        self.coeffs = coeffs
-        return self
+    # Read-only old name of terms: perfbench/workloads.py reads lp.coeffs,
+    # and the benchmark stays unchanged so that its runs remain comparable.
+    @property
+    def coeffs(self) -> dict:
+        return self.terms
 
     def coeff(self, power: int):
         """Coefficient at a power, or None when absent."""
-        return self.coeffs.get(power)
-
-    def items(self) -> list:
-        return sorted(self.coeffs.items())
-
-    def __add__(self, other: "UPoly") -> "UPoly":
-        return UPoly._raw(add_into(dict(self.coeffs), other.coeffs.items()))
-
-    def __sub__(self, other: "UPoly") -> "UPoly":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "UPoly":
-        return self.scale(-1)
+        return self.terms.get(power)
 
     def __mul__(self, other: "UPoly") -> "UPoly":
         return UPoly._raw(sum_by_key((k1 + k2, c1 * c2)
-                                     for k1, c1 in self.coeffs.items()
-                                     for k2, c2 in other.coeffs.items()))
+                                     for k1, c1 in self.terms.items()
+                                     for k2, c2 in other.terms.items()))
 
     def mul_poly(self, c) -> "UPoly":
         """Multiply every coefficient on the right by the ring element c."""
         return self.map_coeffs(lambda a: a * c)
 
-    def scale(self, q: Rat) -> "UPoly":
+    def scale(self, q: Rat):
+        """Coefficient-wise: each ring-element coefficient by its own scale."""
         if not q:
-            return UPoly._raw({})
-        return UPoly._raw({k: c.scale(q) for k, c in self.coeffs.items()})
+            return self._like({})
+        return self._like({k: c.scale(q) for k, c in self.terms.items()})
 
     def derive(self, k: int = 1) -> "UPoly":
         """Coefficient-wise derivation; the formal symbol is constant."""
@@ -104,23 +94,13 @@ class UPoly:
 
     def shift(self, times: int = 1) -> "UPoly":
         """Apply (symbol + d) the given number of times."""
-        return UPoly._raw(dict(_shift(self.coeffs, times)))
+        return UPoly._raw(dict(_shift(self.terms, times)))
 
     def map_coeffs(self, fn) -> "UPoly":
-        return UPoly._raw(add_into({}, ((k, fn(c)) for k, c in self.coeffs.items())))
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, UPoly):
-            return self.coeffs == other.coeffs
-        if other == 0:
-            return not self.coeffs
-        return NotImplemented
+        return UPoly._raw(add_into({}, ((k, fn(c)) for k, c in self.terms.items())))
 
     def text(self, symbol: str = "L") -> str:
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         bits = []
         for k, c in self.items():
@@ -131,18 +111,16 @@ class UPoly:
                 bits.append("(%s)*%s" % (c.text(), head))
         return " + ".join(bits)
 
-    def __repr__(self) -> str:
-        return "UPoly(%r)" % (self.coeffs,)
 
-
-class DiffOp:
-    """Normal-ordered operator sum_{a,b} F_{a,b} x^a D^b with UPoly coefficients.
+class DiffOp(Sparse):
+    """Normal-ordered operator sum_{a,b} F_{a,b} x^a D^b with UPoly coefficients:
+    terms maps each (a, b) to F_{a,b}.
 
     x is central; D obeys D f = f D + (df), i.e. moving D right past a
     coefficient costs its derivative.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
         self.terms = {}
@@ -151,20 +129,6 @@ class DiffOp:
             if any(a < 0 or b < 0 for (a, b), _ in items):
                 raise ValueError("negative operator exponent")
             add_into(self.terms, items)
-
-    @classmethod
-    def _raw(cls, terms: dict) -> "DiffOp":
-        """Wrap a term map that already holds no zero coefficient."""
-        self = object.__new__(cls)
-        self.terms = terms
-        return self
-
-    @classmethod
-    def zero(cls) -> "DiffOp":
-        return cls._raw({})
-
-    def __add__(self, other: "DiffOp") -> "DiffOp":
-        return DiffOp._raw(add_into(dict(self.terms), other.terms.items()))
 
     def __mul__(self, other: "DiffOp") -> "DiffOp":
         """Normal-ordered product; each coefficient of the result, keyed by
@@ -184,8 +148,8 @@ class DiffOp:
                     #   = sum_m C(b1, m) F1 (d^m F2) x^(a1+a2) D^(b1-m+b2)
                     for m, f2m in enumerate(derivs[:b1 + 1]):
                         a, b, cm = a1 + a2, b1 - m + b2, comb(b1, m)
-                        for k1, c1 in f1.coeffs.items():
-                            for k2, c2 in f2m.coeffs.items():
+                        for k1, c1 in f1.terms.items():
+                            for k2, c2 in f2m.terms.items():
                                 prod = c1 * c2
                                 yield (a, b, k1 + k2), prod if cm == 1 else prod.scale(cm)
 
@@ -194,22 +158,11 @@ class DiffOp:
             terms.setdefault((a, b), {})[k] = c
         return DiffOp._raw({key: UPoly._raw(coeffs) for key, coeffs in terms.items()})
 
-    def scale(self, q: Rat) -> "DiffOp":
-        if not q:
-            return DiffOp._raw({})
-        return DiffOp._raw({key: up.scale(q) for key, up in self.terms.items()})
+    scale = UPoly.scale
 
     def constant_part(self) -> dict[int, UPoly]:
         """Coefficients of pure x-powers (the operator applied to 1)."""
         return {a: up for (a, b), up in self.terms.items() if b == 0}
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, DiffOp):
-            return self.terms == other.terms
-        return NotImplemented
 
     def __repr__(self) -> str:
         return "DiffOp(%r)" % (self.terms,)
@@ -239,11 +192,7 @@ def column_determinant(rows: list[list[DiffOp]]) -> DiffOp:
                 inv = sum(1 for u in used if u > row)
                 if inv % 2:
                     term = term.scale(-1)
-                key = used | {row}
-                if key in new:
-                    new[key] = new[key] + term
-                else:
-                    new[key] = term
+                add_into(new, [(used | {row}, term)])
         states = new
         if not states:
             return DiffOp.zero()
@@ -443,25 +392,28 @@ def jacobian_point(p: Partition, seed: int = 0) -> dict[DiffVar, Rat]:
 
 
 def fraction_det(rows: list[list[Rat]]) -> Rat:
-    """Exact determinant by fraction Gaussian elimination."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
+    """Exact determinant over Q by sparse row echelon (echelon_insert).
+
+    Row i is inserted as the sparse vector {column: entry} and reduced by
+    multiples of the rows before it, so the remainders R satisfy R = L M
+    with L unit lower triangular, and det R = det M.  Each remainder is zero
+    at the pivots of the earlier rows, so the matrix with entries
+    R[i][p_j], p_j the pivot of row j, is upper triangular with diagonal the
+    pivot values.  Hence det M = sign(i -> p_i) times the product of the
+    pivot values.  A row with no remainder is a combination of the rows
+    before it, and then det M = 0.
+    """
+    echelon: dict = {}
+    pivots = []
     det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
+    for row in rows:
+        found = echelon_insert(echelon, {j: x for j, x in enumerate(row) if x})
+        if found is None:
             return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] * inv
-                for cc in range(col, n):
-                    m[r][cc] -= factor * m[col][cc]
-    return det
+        pivots.append(found[0])
+        det *= found[1]
+    inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:])
+    return -det if inversions % 2 else det
 
 
 def poly_det(rows: list[list[DiffPoly]]) -> DiffPoly:
@@ -506,7 +458,8 @@ JACOBIAN_MAX_ATTEMPTS = 5
 JACOBIAN_SYMBOLIC_LIMIT = 4
 
 
-def jacobian_independence(p: Partition, seed: int = 0) -> JacobianCertificate:
+def jacobian_independence(p: Partition, seed: int = 0,
+                          mt: Optional[GeneratorTable] = None) -> JacobianCertificate:
     """Certificate that the minimal components of the Miura images are
     algebraically independent.
 
@@ -515,15 +468,17 @@ def jacobian_independence(p: Partition, seed: int = 0) -> JacobianCertificate:
     as a degenerate point and retried with the next seed, up to
     JACOBIAN_MAX_ATTEMPTS points in all, not as a failure of independence.
     For N up to JACOBIAN_SYMBOLIC_LIMIT the symbolic determinant is computed
-    as a cross-check.
+    as a cross-check.  mt is the Miura table of p, built here when not given.
     """
-    mt = miura_generators(p)
+    if mt is None:
+        mt = miura_generators(p)
     leading = {key: poly.min_component() for key, poly in mt.entries.items()}
     poly_order = jacobian_poly_order(p)
     var_order = jacobian_variable_order(p)
     if len(poly_order) != p.N or len(var_order) != p.N:
         raise AssertionError("Jacobian index bookkeeping is off")
-    partials = [leading[key].partials() for key in poly_order]
+    # a key missing from a short table gives a zero row, hence det = 0
+    partials = [leading[key].partials() if key in leading else {} for key in poly_order]
     jac = [[row.get(v, DiffPoly.zero()) for v in var_order] for row in partials]
 
     symbolic = poly_det(jac) if p.N <= JACOBIAN_SYMBOLIC_LIMIT else None

@@ -10,7 +10,9 @@ This module enumerates the basis in a fixed canonical order, implements the
 commutator together with its truncation rule (E[i,j,r] = 0 once r >= lam_j),
 a complement of the derived algebra, the two invariant symmetric bilinear
 forms used downstream (the trace form and the critical-level form), and the
-triangular decomposition by the sign of j - i.
+triangular decomposition by the sign of j - i.  It also holds the package's
+sparse core over Q: add_into, sum_by_key, the base class Sparse of every
+sparse element type, and the exact elimination echelon_insert.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import NamedTuple, Optional, Union
 
 Rat = Union[int, Fraction]
 
@@ -69,6 +71,87 @@ def sum_by_key(items) -> dict:
         else:
             del out[key]
     return out
+
+
+class Sparse:
+    """A sparse sum over Q: terms maps each key to its nonzero coefficient.
+
+    The base of DiffPoly, VacuumVector, UPoly and DiffOp.  terms is kept
+    through add_into, so equal elements have equal maps.  Results are built
+    by _like, which a subclass with fields besides terms (the partition of
+    a VacuumVector) overrides; a subclass whose coefficients are ring
+    elements overrides scale.
+    """
+
+    __slots__ = ("terms",)
+
+    @classmethod
+    def _raw(cls, terms: dict):
+        """Wrap a map that already holds no zero coefficient."""
+        self = object.__new__(cls)
+        self.terms = terms
+        return self
+
+    _like = _raw  # from an instance: an element of the same space
+
+    @classmethod
+    def zero(cls, *space):
+        """The zero element; space is what _raw takes besides the terms."""
+        return cls._raw(*space, {})
+
+    def __add__(self, other):
+        return self._like(add_into(dict(self.terms), other.terms.items()))
+
+    @classmethod
+    def sum(cls, items: list):
+        """n-ary sum: copies the first summand once and adds the rest into it."""
+        if not items:
+            return cls._raw({})
+        acc = dict(items[0].terms)
+        for x in items[1:]:
+            add_into(acc, x.terms.items())
+        return items[0]._like(acc)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, q: Rat):
+        if not q:
+            return self._like({})
+        return self._like({k: c * q for k, c in self.terms.items()})
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def items(self) -> list:
+        """The (key, coefficient) pairs in key order."""
+        return sorted(self.terms.items())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Sparse):
+            return other.__class__ is self.__class__ and self.terms == other.terms
+        if other == 0:
+            return not self.terms
+        return NotImplemented
+
+    def text(self) -> str:
+        """The terms in key order as c*x*y^e, for keys that are tuples of
+        (factor, exponent) pairs whose factors have a text()."""
+        bits = []
+        for mono, c in self.items():
+            factors = [str(c)] if c != 1 or not mono else []
+            factors += [x.text() if e == 1 else "%s^%d" % (x.text(), e) for x, e in mono]
+            bits.append("*".join(factors))
+        return " + ".join(bits) or "0"
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (self.__class__.__name__, self.text())
 
 
 class BasisElt(NamedTuple):
@@ -207,38 +290,45 @@ def lie_bracket(p: Partition, x: LieMap, y: LieMap) -> LieMap:
                          for e, c in bracket(p, a, b).items()))
 
 
+def echelon_insert(rows: dict, vec: dict) -> Optional[tuple]:
+    """Reduce the sparse vector vec exactly over Q against the echelon rows.
+
+    rows maps each pivot to its row, which is 1 at its pivot and zero at the
+    pivots of the rows inserted before it, so one pass in insertion order
+    leaves vec zero at every pivot.  If a remainder is left, its least key
+    becomes the pivot of a new row, the remainder divided by its value
+    there, and (pivot, value) is returned; otherwise vec lies in the span of
+    rows and None is returned.  vec is not modified.
+    """
+    vec = dict(vec)
+    for pivot, row in rows.items():
+        c = vec.get(pivot)
+        if c:
+            add_into(vec, ((e, -c * q) for e, q in row.items()))
+    if not vec:
+        return None
+    pivot = min(vec)
+    c = Fraction(vec[pivot])
+    rows[pivot] = {e: q / c for e, q in vec.items()}
+    return pivot, c
+
+
 def derived_complement(p: Partition) -> list[BasisElt]:
     """Diagonal basis elements, in basis order, spanning a complement of [a, a].
 
     Every off-diagonal E[i,j,r] equals [E[i,i,0], E[i,j,r]], so it lies in
     [a, a], and the only basis brackets with a diagonal part are
     [E[i,j,r], E[j,i,s]].  So [a, a] is the off-diagonal sector plus the span
-    of those diagonal parts.  The parts are reduced exactly over Q; each
-    diagonal element outside the span so far is kept and joins the span.
+    of those diagonal parts.  The parts go into one echelon_insert basis;
+    each diagonal element outside the span so far is kept and joins it.
     """
-    rows: dict[BasisElt, LieMap] = {}  # pivot -> row, 1 at its pivot
-
-    def insert(vec: LieMap) -> bool:
-        # Each row is zero at the pivots of earlier rows, so one pass in
-        # insertion order reduces vec against the span.
-        vec = dict(vec)
-        for pivot, row in rows.items():
-            c = vec.get(pivot)
-            if c:
-                add_into(vec, ((e, -c * q) for e, q in row.items()))
-        if not vec:
-            return False
-        pivot = min(vec)
-        c = Fraction(vec[pivot])
-        rows[pivot] = {e: q / c for e, q in vec.items()}
-        return True
-
+    rows: dict = {}
     basis = centralizer_basis(p)
     for a in basis:
         if a.i < a.j:
             for s in p.r_window(a.j, a.i):
-                insert(bracket(p, a, BasisElt(a.j, a.i, s)))
-    return [e for e in basis if e.i == e.j and insert({e: 1})]
+                echelon_insert(rows, bracket(p, a, BasisElt(a.j, a.i, s)))
+    return [e for e in basis if e.i == e.j and echelon_insert(rows, {e: 1})]
 
 
 def trace_form(p: Partition, a, b) -> Rat:

@@ -184,7 +184,8 @@ def _run_miura(ctx: Context) -> Report:
 
 
 def _run_jacobian(ctx: Context) -> Report:
-    cert = jacobian_independence(ctx.p, seed=ctx.cfg.seed)
+    cert = jacobian_independence(ctx.p, seed=ctx.cfg.seed,
+                                 mt=ctx.table(miura_generators))
     data = {
         "partition": str(ctx.p),
         "nonzero": cert.nonzero,

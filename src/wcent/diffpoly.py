@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from .centralizer import BasisElt, LieMap, Rat, add_into
+from .centralizer import BasisElt, LieMap, Rat, Sparse, add_into
 
 
 class DiffVar(NamedTuple):
@@ -48,13 +48,6 @@ Mono = tuple
 def mono_degree(mono: Mono) -> int:
     """Derivation degree: E[i,j,r][s] has degree s."""
     return sum(v.s * e for v, e in mono)
-
-
-class Monomial(NamedTuple):
-    """Read-only view of one term."""
-
-    coeff: Rat
-    vars: Mono
 
 
 def _normalize_mono(mono) -> Mono:
@@ -110,25 +103,17 @@ def _derive_terms(terms: dict):
             yield _merge_mono(rest, ((v.shifted(), 1),)), c * e
 
 
-class DiffPoly:
-    """Differential polynomial in canonical sparse form."""
+class DiffPoly(Sparse):
+    """Differential polynomial in canonical sparse form: terms maps each
+    monomial to its coefficient.  Rationals coerce to constants in +, -, *
+    and ==."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
         items = terms.items() if isinstance(terms, dict) else terms
-        self._terms: dict[Mono, Rat] = add_into(
+        self.terms: dict[Mono, Rat] = add_into(
             {}, ((_normalize_mono(mono), c) for mono, c in items or ()))
-
-    @classmethod
-    def _raw(cls, terms: dict) -> "DiffPoly":
-        self = object.__new__(cls)
-        self._terms = terms
-        return self
-
-    @classmethod
-    def zero(cls) -> "DiffPoly":
-        return cls._raw({})
 
     @classmethod
     def const(cls, c: Rat) -> "DiffPoly":
@@ -150,49 +135,29 @@ class DiffPoly:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = DiffPoly.const(other)
-        return DiffPoly._raw(add_into(dict(self._terms), other._terms.items()))
+        return Sparse.__add__(self, other)
 
     __radd__ = __add__
 
-    @classmethod
-    def sum(cls, items: list["DiffPoly"]) -> "DiffPoly":
-        """n-ary sum: copies the first summand once and adds the rest into it."""
-        if not items:
-            return cls._raw({})
-        acc = dict(items[0]._terms)
-        for poly in items[1:]:
-            add_into(acc, poly._terms.items())
-        return cls._raw(acc)
-
-    def __neg__(self):
-        return self.scale(-1)
-
     def __sub__(self, other):
-        if not isinstance(other, DiffPoly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = DiffPoly.const(other)
-        return self + other.scale(-1)
+        if not isinstance(other, (DiffPoly, int, Fraction)):
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
-
-    def scale(self, q: Rat) -> "DiffPoly":
-        if not q:
-            return DiffPoly._raw({})
-        return DiffPoly._raw({m: c * q for m, c in self._terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, DiffPoly):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             return self.scale(other)
-        if not self._terms or not other._terms:
+        if not self.terms or not other.terms:
             return DiffPoly._raw({})
         return DiffPoly._raw(add_into({}, (
             (_merge_mono(m1, m2), c1 * c2)
-            for m1, c1 in self._terms.items()
-            for m2, c2 in other._terms.items())))
+            for m1, c1 in self.terms.items()
+            for m2, c2 in other.terms.items())))
 
     __rmul__ = __mul__
 
@@ -204,41 +169,28 @@ class DiffPoly:
             out = out * self
         return out
 
-    # -- structure -------------------------------------------------------
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, DiffPoly):
-            return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return not self._terms
-            return self._terms == {(): other}
-        return NotImplemented
+        if not isinstance(other, DiffPoly) and isinstance(other, (int, Fraction)):
+            other = DiffPoly.const(other)
+        return Sparse.__eq__(self, other)
 
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def monomials(self) -> list[Monomial]:
-        return [Monomial(c, m) for m, c in sorted(self._terms.items())]
+    # -- structure -------------------------------------------------------
 
     def variables(self) -> set[DiffVar]:
         out: set[DiffVar] = set()
-        for mono in self._terms:
+        for mono in self.terms:
             for v, _ in mono:
                 out.add(v)
         return out
 
     def constant_term(self) -> Rat:
-        return self._terms.get((), 0)
+        return self.terms.get((), 0)
 
     # -- calculus --------------------------------------------------------
 
     def derive(self, k: int = 1) -> "DiffPoly":
         """Apply the derivation k times (Leibniz over each monomial)."""
-        terms = self._terms
+        terms = self.terms
         for _ in range(k):
             terms = add_into({}, _derive_terms(terms))
         return DiffPoly._raw(terms)
@@ -246,7 +198,7 @@ class DiffPoly:
     def partials(self) -> dict[DiffVar, "DiffPoly"]:
         """All nonzero partial derivatives in one pass."""
         out: dict[DiffVar, dict] = {}
-        for mono, c in self._terms.items():
+        for mono, c in self.terms.items():
             for idx, (w, e) in enumerate(mono):
                 nm = mono[:idx] + ((w, e - 1),) + mono[idx + 1:] if e > 1 \
                     else mono[:idx] + mono[idx + 1:]
@@ -255,21 +207,21 @@ class DiffPoly:
         return {v: DiffPoly._raw(t) for v, t in out.items()}
 
     def min_degree(self) -> int:
-        if not self._terms:
+        if not self.terms:
             raise ValueError("zero polynomial has no minimal degree")
-        return min(mono_degree(m) for m in self._terms)
+        return min(mono_degree(m) for m in self.terms)
 
     def min_component(self) -> "DiffPoly":
         """Homogeneous component of minimal derivation degree."""
         d = self.min_degree()
-        return DiffPoly._raw({m: c for m, c in self._terms.items() if mono_degree(m) == d})
+        return DiffPoly._raw({m: c for m, c in self.terms.items() if mono_degree(m) == d})
 
     def is_homogeneous(self) -> bool:
-        return len({mono_degree(m) for m in self._terms}) <= 1
+        return len({mono_degree(m) for m in self.terms}) <= 1
 
     def eval_at(self, point: dict[DiffVar, Rat]) -> Rat:
         total: Rat = 0
-        for mono, c in self._terms.items():
+        for mono, c in self.terms.items():
             val = c
             for v, e in mono:
                 if v not in point:
@@ -282,7 +234,7 @@ class DiffPoly:
         """Algebra map fixing variables where image(v) is None and replacing
         the rest by the returned constant (0 kills the monomial)."""
         def images():
-            for mono, c in self._terms.items():
+            for mono, c in self.terms.items():
                 coeff = c
                 kept = []
                 for v, e in mono:
@@ -297,21 +249,3 @@ class DiffPoly:
                     yield tuple(kept), coeff
 
         return DiffPoly._raw(add_into({}, images()))
-
-    # -- display ---------------------------------------------------------
-
-    def text(self) -> str:
-        if not self._terms:
-            return "0"
-        bits = []
-        for mono, c in sorted(self._terms.items()):
-            factors = []
-            if c != 1 or not mono:
-                factors.append(str(c))
-            for v, e in mono:
-                factors.append(v.text() if e == 1 else "%s^%d" % (v.text(), e))
-            bits.append("*".join(factors))
-        return " + ".join(bits)
-
-    def __repr__(self) -> str:
-        return "DiffPoly(%s)" % self.text()

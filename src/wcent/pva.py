@@ -30,7 +30,7 @@ LCoeffs = dict  # lambda-power -> DiffPoly
 def neg_lambda_substitute(lp: UPoly) -> UPoly:
     """sum_k (-lam-d)^k C_k for lp = sum_k C_k lam^k (skewsymmetry substitution)."""
     acc: LCoeffs = {}
-    for pwr, poly in lp.coeffs.items():
+    for pwr, poly in lp.terms.items():
         add_into(acc, _shift({0: poly.scale(-1) if pwr % 2 else poly}, pwr).items())
     return UPoly._raw(acc)
 
@@ -129,7 +129,7 @@ def lambda_bracket(p: Partition, a: DiffPoly, b: DiffPoly,
     partials_b = _partials(p, b, cfg)
     products = []
     for base, orders in _partials(p, a, cfg).items():
-        kernel = _bracket_gen(p, base, partials_b, cfg).coeffs  # {u_lam b}
+        kernel = _bracket_gen(p, base, partials_b, cfg).terms  # {u_lam b}
         for s, fa in orders:
             right = _shift({0: fa.scale(-1) if s % 2 else fa}, s)
             for k, c in kernel.items():
@@ -279,15 +279,15 @@ def jacobi_defect(p: Partition, a: DiffPoly, b: DiffPoly, c: DiffPoly) -> BiLamb
     """
     acc: BiLambda = {}
     add_into(acc, (((k, q), g)
-                   for q, f in lambda_bracket(p, b, c).coeffs.items()
-                   for k, g in lambda_bracket(p, a, f).coeffs.items()))
+                   for q, f in lambda_bracket(p, b, c).terms.items()
+                   for k, g in lambda_bracket(p, a, f).terms.items()))
     add_into(acc, (((k, q), g.scale(-1))
-                   for k, f in lambda_bracket(p, a, c).coeffs.items()
-                   for q, g in lambda_bracket(p, b, f).coeffs.items()))
+                   for k, f in lambda_bracket(p, a, c).terms.items()
+                   for q, g in lambda_bracket(p, b, f).terms.items()))
     # substitute the bracket symbol by lam + mu and tack on lam^nn
     add_into(acc, (((nn + alpha, mm - alpha), d.scale(-comb(mm, alpha)))
-                   for nn, cn in lambda_bracket(p, a, b).coeffs.items()
-                   for mm, d in lambda_bracket(p, cn, c).coeffs.items()
+                   for nn, cn in lambda_bracket(p, a, b).terms.items()
+                   for mm, d in lambda_bracket(p, cn, c).terms.items()
                    for alpha in range(mm + 1)))
     return acc
 
@@ -343,7 +343,7 @@ def pva_axiom_suite(p: Partition, seed: int = 0, samples: int = 100) -> AxiomSui
 
         # {da_lam b} = -lam {a_lam b}
         lhs = lambda_bracket(p, a.derive(), b)
-        rhs = UPoly({k + 1: poly.scale(-1) for k, poly in ab.coeffs.items()})
+        rhs = UPoly({k + 1: poly.scale(-1) for k, poly in ab.terms.items()})
         record("sesquilinearity-left", lhs == rhs)
 
         # {a_lam db} = (lam + d) {a_lam b}

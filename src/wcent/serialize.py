@@ -14,7 +14,7 @@ from typing import Callable
 
 from .affine import LoopMode, VacuumVector, _group
 from .cdet import DiffOp, GeneratorTable, UPoly
-from .centralizer import Partition, Rat
+from .centralizer import Partition, Rat, Sparse
 from .diffpoly import DiffPoly, DiffVar
 
 # -- rationals -----------------------------------------------------------------
@@ -35,10 +35,10 @@ def rat_from_json(obj: dict) -> Rat:
 
 def diffpoly_to_json(poly: DiffPoly) -> list:
     out = []
-    for mono in poly.monomials():
+    for mono, c in poly.items():
         out.append({
-            "coeff": rat_to_json(mono.coeff),
-            "vars": [[v.i, v.j, v.r, v.s, e] for v, e in mono.vars],
+            "coeff": rat_to_json(c),
+            "vars": [[v.i, v.j, v.r, v.s, e] for v, e in mono],
         })
     return out
 
@@ -66,7 +66,7 @@ def lambdapoly_from_json(obj: dict) -> UPoly:
 
 def vacuum_to_json(v: VacuumVector) -> dict:
     terms = []
-    for mono, c in v.monomials():
+    for mono, c in v.items():
         modes = []
         for mode, e in mono:
             modes.extend([[mode.i, mode.j, mode.r, mode.m]] * e)
@@ -161,10 +161,8 @@ def latex_mode(mode: LoopMode) -> str:
 def _latex_sum(parts: list[str]) -> str:
     if not parts:
         return "0"
-    out = parts[0]
-    for part in parts[1:]:
-        out += " - " + part[1:] if part.startswith("-") else " + " + part
-    return out
+    return parts[0] + "".join(" - " + part[1:] if part.startswith("-") else " + " + part
+                              for part in parts[1:])
 
 
 def _latex_term(coeff: Rat, factors: list[str]) -> str:
@@ -178,13 +176,19 @@ def _latex_term(coeff: Rat, factors: list[str]) -> str:
     return latex_rat(coeff) + r" \, " + body
 
 
-def latex_diffpoly(poly: DiffPoly) -> str:
+def _latex_monomials(x: Sparse, latex_factor: Callable) -> str:
+    """The terms of a DiffPoly or VacuumVector in key order, each factor
+    printed by latex_factor."""
     parts = []
-    for mono in poly.monomials():
-        factors = [latex_var(v) if e == 1 else "{%s}^{%d}" % (latex_var(v), e)
-                   for v, e in mono.vars]
-        parts.append(_latex_term(mono.coeff, factors))
+    for mono, c in x.items():
+        factors = [latex_factor(f) if e == 1 else "{%s}^{%d}" % (latex_factor(f), e)
+                   for f, e in mono]
+        parts.append(_latex_term(c, factors))
     return _latex_sum(parts)
+
+
+def latex_diffpoly(poly: DiffPoly) -> str:
+    return _latex_monomials(poly, latex_var)
 
 
 def latex_lambdapoly(lp: UPoly) -> str:
@@ -192,12 +196,7 @@ def latex_lambdapoly(lp: UPoly) -> str:
 
 
 def latex_vacuum(v: VacuumVector) -> str:
-    parts = []
-    for mono, c in v.monomials():
-        factors = [latex_mode(mode) if e == 1 else "{%s}^{%d}" % (latex_mode(mode), e)
-                   for mode, e in mono]
-        parts.append(_latex_term(c, factors))
-    return _latex_sum(parts)
+    return _latex_monomials(v, latex_mode)
 
 
 def _latex_coeff_ring(val) -> str:

@@ -82,6 +82,16 @@ def test_product_groups_exponents():
     assert (a - a) == 0 and not (a - a)
 
 
+@pytest.mark.parametrize("op", [
+    lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+    lambda a, b: VacuumVector.sum([a, b])], ids=["add", "sub", "mul", "sum"])
+def test_vectors_of_different_partitions_do_not_mix(op):
+    a, b = single(P11, 1, 1, 0, -1), single(P12, 1, 1, 0, -1)
+    with pytest.raises(ValueError):
+        op(a, b)
+    assert VacuumVector.vacuum(P11) != VacuumVector.vacuum(P12)
+
+
 def test_product_associativity_samples():
     rng = random.Random(2)
     pool = [M(1, 1, 0, -1), M(2, 2, 0, -1), M(1, 2, 0, -1), M(2, 1, 0, -2),

@@ -87,9 +87,9 @@ def test_upoly_preserves_factor_order():
 
 def _upoly_mul_oracle(self, other):
     out = UPoly()
-    out.coeffs = add_into({}, ((k1 + k2, c1 * c2)
-                               for k1, c1 in self.coeffs.items()
-                               for k2, c2 in other.coeffs.items()))
+    out.terms = add_into({}, ((k1 + k2, c1 * c2)
+                              for k1, c1 in self.coeffs.items()
+                              for k2, c2 in other.coeffs.items()))
     return out
 
 
@@ -334,6 +334,48 @@ def test_jacobian_point_primes_at_seed_zero():
     assert sorted(pt.values()) == [2, 3, 5]
     assert jacobian_point(Partition.of(1, 2), seed=3) == \
         jacobian_point(Partition.of(1, 2), seed=3)
+
+
+def _dense_det_oracle(rows):
+    """fraction_det as it was before it ran on echelon_insert: dense
+    fraction Gaussian elimination with the first nonzero pivot."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col]:
+                factor = m[r][col] * inv
+                for cc in range(col, n):
+                    m[r][cc] -= factor * m[col][cc]
+    return det
+
+
+def test_fraction_det_matches_dense_oracle():
+    rng = random.Random(11)
+    entries = [0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(7, 5)]
+    singular = 0
+    for _ in range(300):
+        n = rng.randint(0, 7)
+        rows = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+        if n >= 3 and rng.random() < 0.3:
+            # a row that is a rational combination of two others
+            i, j, k = rng.sample(range(n), 3)
+            q = rng.choice(entries[3:])
+            rows[i] = [q * a + b for a, b in zip(rows[j], rows[k])]
+        expected = _dense_det_oracle(rows)
+        singular += expected == 0
+        # the same value and type: Fraction when nonzero, int 0 when singular
+        assert repr(fraction_det(rows)) == repr(expected), rows
+    assert 30 <= singular <= 270
 
 
 def test_determinant_helpers():

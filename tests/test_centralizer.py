@@ -1,14 +1,17 @@
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from wcent import (BasisElt, DiffPoly, DiffVar, LoopMode, Partition,
-                   all_partitions, bracket, cartan_basis, centralizer_basis,
-                   centralizer_dim, critical_form, lie_bracket, lower_basis,
-                   parabolic_basis, parse_basis_elt, trace_form, upper_basis)
+from wcent import (BasisElt, DiffOp, DiffPoly, DiffVar, LoopMode, Partition,
+                   UPoly, VacuumVector, all_partitions, bracket, cartan_basis,
+                   centralizer_basis, centralizer_dim, critical_form, lie_bracket,
+                   lower_basis, normal_order, parabolic_basis, parse_basis_elt,
+                   trace_form, upper_basis)
 from wcent.affine import _generating_scan
-from wcent.centralizer import add_into, derived_complement, form_on_elements
+from wcent.centralizer import Sparse, add_into, derived_complement, form_on_elements
+from wcent.pva import random_diffpoly
 
 
 def E(i, j, r):
@@ -271,3 +274,49 @@ def test_add_into_keeps_no_zero_coefficient():
     x = DiffPoly.var(DiffVar(0, 1, 1, 0))
     polys = add_into({}, [(0, x), (1, DiffPoly.zero()), (2, x), (0, x.scale(-1))])
     assert polys == {2: x}
+
+
+P12 = Partition.of(1, 2)
+
+
+def _seeded_element(kind, rng):
+    """A nonzero element of one of the four sparse types, over P12."""
+    def poly():
+        return random_diffpoly(P12, rng, max_terms=3)
+
+    if kind is DiffPoly:
+        return poly()
+    if kind is UPoly:
+        return UPoly({k: poly() for k in range(3)})
+    if kind is DiffOp:
+        return DiffOp({(a, b): UPoly({0: poly(), 1: poly()})
+                       for a in range(2) for b in range(2)})
+    modes = [LoopMode.of(e, -m) for e in centralizer_basis(P12) for m in (1, 2)]
+    return VacuumVector.sum([normal_order(P12, rng.sample(modes, 2), rng.choice([-2, 1, 3]))
+                             for _ in range(3)])
+
+
+def _assert_no_zero_stored(x):
+    for c in x.terms.values():
+        assert c
+        if isinstance(c, Sparse):
+            _assert_no_zero_stored(c)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", [DiffPoly, VacuumVector, UPoly, DiffOp],
+                         ids=lambda kind: kind.__name__)
+def test_sparse_arithmetic_identities(kind, seed):
+    rng = random.Random(seed)
+    x, y = _seeded_element(kind, rng), _seeded_element(kind, rng)
+    zero = kind.zero(P12) if kind is VacuumVector else kind.zero()
+    assert x and y and not zero and x != y and x.scale(2) != x
+    assert not (x - x) and x - x == 0 and x - x == zero
+    assert not kind.sum([x, -x])
+    assert x.scale(0).terms == {}
+    assert x + zero == x and zero + x == x
+    # y - x cancels against x term by term, and leaves exactly y
+    assert x + (y - x) == y and kind.sum([x, y, -x]) == y
+    for z in (x + y, x - y, -x, x.scale(Fraction(-2, 3)), kind.sum([x, y, -y]),
+              x + (y - x)):
+        _assert_no_zero_stored(z)

@@ -10,7 +10,7 @@ import wcent
 from wcent import (BasisElt, CenterCheck, GeneratorTable, Partition,
                    VacuumVector, hc_project, loop_realization, miura_generators,
                    miura_image, ss_vectors, w_generators)
-from wcent import cli
+from wcent import cdet, cli
 from wcent.serialize import (diffpoly_from_json, generator_table_from_json,
                              sugawara_table_from_json, vacuum_from_json)
 
@@ -238,7 +238,7 @@ def test_short_tables_fail(capsys, monkeypatch):
         # an empty Miura table too, so that `unmatched` alone cannot fail `miura`
         patch.setattr(cli, "miura_generators", lambda q: GeneratorTable(q, {}, {}))
         for command in ("generators", "ss-vectors", "check-membership", "miura",
-                        "verify-center", "verify-commute"):
+                        "jacobian", "verify-center", "verify-commute"):
             assert run(capsys, command, "-p", "1,1")[0] == 1, command
     # verify-iso with one table short and the other whole: a generator table
     # cut to its first entry, then a Sugawara table cut the same way
@@ -271,6 +271,8 @@ def test_sweep_builds_each_table_once(capsys, monkeypatch):
             calls[name] = calls.get(name, 0) + 1
             return build(q)
         monkeypatch.setattr(cli, name, counted)
+    # the Jacobian reads the context's Miura table, not one of its own
+    monkeypatch.setattr(cdet, "miura_generators", cli.miura_generators)
     assert run(capsys, "sweep", "-p", "1,2", "--format", "json")[0] == 0
     assert calls == {"w_generators": 1, "miura_generators": 1, "ss_vectors": 1}
 

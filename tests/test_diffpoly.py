@@ -147,7 +147,7 @@ def test_pow_and_text():
 def test_monomials_are_canonically_sorted():
     p = DiffPoly.var(V(2, 1, 0)) + DiffPoly.var(V(1, 1, 0)) + \
         DiffPoly.var(V(1, 1, 0, s=1))
-    ms = [m.vars for m in p.monomials()]
+    ms = [m for m, _ in p.items()]
     assert ms == sorted(ms)
     assert ms[0][0][0] == V(1, 1, 0)
     assert ms[-1][0][0] == V(1, 1, 0, s=1)

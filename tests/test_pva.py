@@ -69,7 +69,7 @@ def _master_formula_oracle(p: Partition, a: DiffPoly, b: DiffPoly) -> UPoly:
                 mid = _shift_once(mid)
             add_into(acc, ((k, gb * q) for k, q in mid.items()))
     out = UPoly()
-    out.coeffs = acc
+    out.terms = acc
     return out
 
 
@@ -319,8 +319,8 @@ def test_random_diffpoly_respects_bounds():
     for _ in range(50):
         poly = random_diffpoly(p, rng)
         assert len(poly.variables()) <= 3
-        for mono in poly.monomials():
-            assert sum(e for _, e in mono.vars) <= 3
+        for mono, _ in poly.items():
+            assert sum(e for _, e in mono) <= 3
 
 
 @pytest.mark.parametrize("parts", [(1, 2), (2, 2)])
