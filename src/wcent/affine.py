@@ -9,10 +9,10 @@ with the critical-level form as central charge; the central generator acts
 as 1 on the vacuum.  On top of the normal-ordering engine this module builds
 the translation operator, the action of nonnegative modes, the
 Segal-Sugawara vectors extracted from a full column determinant with the
-translation operator in the derivation slot, a centre membership check, the
-Harish-Chandra projection onto diagonal modes, and the comparison map that
-matches Miura images of the W-algebra generators with the projected
-Segal-Sugawara vectors.
+translation operator in the derivation slot, applied to the vacuum, a centre
+membership check, the Harish-Chandra projection onto diagonal modes, and the
+comparison map that matches Miura images of the W-algebra generators with
+the projected Segal-Sugawara vectors.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .centralizer import (BasisElt, Partition, Rat, Sparse, add_into, bracket,
                           centralizer_basis, critical_form, derived_complement)
-from .cdet import (DiffOp, GeneratorTable, basis_u_series, column_determinant,
+from .cdet import (DiffOp, GeneratorTable, applied_column_determinant, basis_u_series,
                    diagonal_entry, miura_image, w_generators, window_table)
 from .diffpoly import DiffPoly
 
@@ -313,7 +313,8 @@ def ss_vectors(p: Partition) -> GeneratorTable:
     """Extract the vectors from the column determinant of the full matrix,
     with the translation operator in the derivation slot, applied to the
     vacuum."""
-    return window_table(p, column_determinant(ss_matrix(p)), VacuumVector.vacuum(p))
+    vacuum = VacuumVector.vacuum(p)
+    return window_table(p, applied_column_determinant(ss_matrix(p), vacuum), vacuum)
 
 
 # -- centre check and projections ----------------------------------------------

@@ -9,23 +9,28 @@ PBW-ordered loop algebra (where D acts as the translation operator).
 
 The column determinant multiplies entries in column order, left factor from
 column one:  cdet M = sum over permutations of sgn * M[s(1)][1] ... M[s(n)][n].
-It is evaluated by a left-to-right sweep over columns that shares common
-prefixes between permutations, pruning zero entries, so a banded matrix costs
-far fewer products than n!.
+The tables of both sides need only cdet M applied to 1, and
+applied_column_determinant computes exactly that: it sweeps the columns right
+to left, applying each entry to the partial results already applied to 1, so
+no power of D is ever carried.  A state maps the set of rows used by the
+later columns to its signed sum; placing row r in column c flips the sign
+once for each used row smaller than r (the inversions that r makes with the
+columns after c).  Zero entries are pruned, so a banded matrix costs far
+fewer products than n!.  The operator product DiffOp.__mul__ and the
+operator determinant column_determinant, a left-to-right sweep, stay as the
+reference the kernel is tested against.
 
-Also here: the generator matrix whose column determinant (applied to 1, i.e.
-dropping positive powers of D) yields the W-algebra generators, the Miura
-map onto the diagonal sector, and the Jacobian certificate of algebraic
-independence of the leading terms of the Miura images.
+Also here: the generator matrix whose column determinant (applied to 1)
+yields the W-algebra generators, the Miura map onto the diagonal sector, and
+the Jacobian certificate of algebraic independence of the leading terms of
+the Miura images.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import comb
-from operator import mul
 from typing import Callable, Optional
 
 from .centralizer import (BasisElt, Partition, Rat, Sparse, add_into, echelon_insert,
@@ -174,6 +179,8 @@ def column_determinant(rows: list[list[DiffOp]]) -> DiffOp:
     Sweeps columns left to right keeping, for each set of used rows, the
     signed sum of all partial products; zero entries are pruned, so for the
     generator matrix (zero above the superdiagonal) the work stays small.
+    The tables need only its value at 1, applied_column_determinant; this
+    whole operator is the reference that kernel is tested against.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
@@ -198,6 +205,78 @@ def column_determinant(rows: list[list[DiffOp]]) -> DiffOp:
             return DiffOp.zero()
     (result,) = states.values()
     return result
+
+
+def applied_column_determinant(rows: list[list[DiffOp]], one) -> dict[int, UPoly]:
+    """cdet M applied to 1, with one the unit of the coefficient ring: the
+    map x-power -> u-polynomial that column_determinant(rows).constant_part()
+    returns, computed without building the operator.
+
+    Sweeps the columns right to left.  A state maps a set of used rows to a
+    sparse map (x-power, u-power) -> ring element: the signed sum of the
+    products of the later columns' entries over those rows, applied to 1.
+    An entry term F x^a D^b u^k sends G x^c u^l to F d^b(G) x^(a+c) u^(k+l);
+    placing row r in column c negates F once for each used row with a
+    smaller index than r.
+    Each target state is summed once per key with sum_by_key.
+
+    Soundness.  The ring R with its derivation d is a module over the
+    operators: F acts by left multiplication, D by d, x and u as central
+    scalars, and D F = F D + d(F) is the Leibniz rule d(FG) = d(F) G + F d(G),
+    so this is the module action of the normal-ordered operator.  Hence
+    (AB)(1) = A(B(1)), and each product M[s(1)][1] ... M[s(n)][n] applied to
+    1 is its entries applied in turn from the right, with F kept on the left
+    of d^b(G), so noncommutative rings are fine; d(1) = 0 is why the terms of
+    positive D-power of cdet M drop out of the value at 1.  The sign of s is
+    its number of inversions, pairs of columns c < c' with s(c) > s(c'),
+    counted when column c is placed.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
+    states: dict[frozenset, dict] = {frozenset(): {(0, 0): one}}
+    for col in reversed(range(n)):
+        entries = [(row, rows[row][col]) for row in range(n) if rows[row][col]]
+        negated: dict[int, DiffOp] = {}
+        groups: dict[frozenset, list] = {}
+        for used, vec in states.items():
+            derivs: dict = {}  # (x-power, u-power) -> [G, dG, d^2 G, ...]
+            for row, entry in entries:
+                if row in used:
+                    continue
+                if sum(1 for u in used if u < row) % 2:
+                    if row not in negated:
+                        negated[row] = entry.scale(-1)
+                    entry = negated[row]
+                groups.setdefault(used | {row}, []).append(_apply(entry, vec, derivs))
+        states = {}
+        for used, parts in groups.items():
+            vec = sum_by_key(item for part in parts for item in part)
+            if vec:
+                states[used] = vec
+        if not states:
+            return {}
+    (vec,) = states.values()
+    out: dict[int, dict] = {}
+    for (a, k), c in vec.items():
+        out.setdefault(a, {})[k] = c
+    return {a: UPoly._raw(coeffs) for a, coeffs in out.items()}
+
+
+def _apply(entry: DiffOp, vec: dict, derivs: dict):
+    """The terms ((x-power, u-power), F d^b(G)) of entry applied to the state
+    vec, unsummed; derivs caches the derivatives of the state's elements."""
+    for (a, b), f in entry.terms.items():
+        for (c, l), g in vec.items():
+            if b:
+                ds = derivs.setdefault((c, l), [g])
+                while len(ds) <= b and ds[-1]:
+                    ds.append(ds[-1].derive())
+                if len(ds) <= b or not ds[b]:
+                    continue  # d^b G = 0
+                g = ds[b]
+            for k, fk in f.terms.items():
+                yield (a + c, k + l), fk * g
 
 
 # -- the generator matrix and tables -----------------------------------------
@@ -289,13 +368,14 @@ class GeneratorTable:
         return sorted(self.entries.items())
 
 
-def window_table(p: Partition, op: DiffOp, one) -> GeneratorTable:
-    """The table of op applied to 1: entry (k, r) is the u^r coefficient of
-    the x^(n-k) coefficient, kept apart when (k, r) is outside the window.
+def window_table(p: Partition, cp: dict[int, UPoly], one) -> GeneratorTable:
+    """The table of a column determinant applied to 1, given as the map
+    x-power -> u-polynomial of applied_column_determinant: entry (k, r) is
+    the u^r coefficient of the x^(n-k) coefficient, kept apart when (k, r)
+    is outside the window.
 
     Requires the x^n coefficient to be exactly the unit one.
     """
-    cp = op.constant_part()
     n = p.n
     top = cp.get(n)
     if top is None or top != UPoly({0: one}):
@@ -313,7 +393,8 @@ def w_generators(p: Partition) -> GeneratorTable:
     The x^(n-k) coefficient of cdet applied to 1 is a u-polynomial; its
     admissible u-coefficients form the table (exactly N of them).
     """
-    return window_table(p, column_determinant(w_generator_matrix(p)), DiffPoly.const(1))
+    one = DiffPoly.const(1)
+    return window_table(p, applied_column_determinant(w_generator_matrix(p), one), one)
 
 
 # -- Miura map ----------------------------------------------------------------
@@ -336,10 +417,14 @@ def miura_image(poly: DiffPoly) -> DiffPoly:
 
 def miura_generators(p: Partition) -> GeneratorTable:
     """Images of the generators under the Miura map, computed directly from
-    the product of the diagonal operator factors."""
+    the diagonal operator factors: the column determinant of the diagonal
+    matrix is their product in order, applied to 1 factor by factor from the
+    right."""
     one = DiffPoly.const(1)
-    return window_table(p, reduce(mul, (diagonal_entry(p, i, one)
-                                        for i in range(1, p.n + 1))), one)
+    n = p.n
+    rows = [[diagonal_entry(p, i, one) if j == i else DiffOp.zero()
+             for j in range(1, n + 1)] for i in range(1, n + 1)]
+    return window_table(p, applied_column_determinant(rows, one), one)
 
 
 # -- Jacobian certificate ------------------------------------------------------

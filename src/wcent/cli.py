@@ -78,7 +78,8 @@ class Report:
     """One command's outcome: JSON-ready payload plus text/LaTeX renderings.
 
     Failed checks carry their witnesses inside `data`.  Timings appear only
-    in the text rendering, never in `data`.
+    in the text rendering, never in `data`.  `latex` is built only when the
+    run prints LaTeX (`Context.latex`), and is None otherwise.
     """
 
     command: str
@@ -111,6 +112,11 @@ class Context:
         self.read.append(self._tables[build])
         return self._tables[build]
 
+    @property
+    def latex(self) -> bool:
+        """Whether the run prints LaTeX; runners build it only then."""
+        return self.cfg.fmt == "latex"
+
 
 # -- per-partition runners ------------------------------------------------------
 
@@ -124,8 +130,10 @@ def _run_basis(ctx: Context) -> Report:
     }
     lines = ["partition %s: dim %d" % (ctx.p, len(basis))]
     lines += ["  " + e.text() for e in basis]
-    latex = "\\begin{itemize}\n%s\n\\end{itemize}" % "\n".join(
-        r"\item $%s$" % sz.latex_var(DiffVar.of(e)) for e in basis)
+    latex = None
+    if ctx.latex:
+        latex = "\\begin{itemize}\n%s\n\\end{itemize}" % "\n".join(
+            r"\item $%s$" % sz.latex_var(DiffVar.of(e)) for e in basis)
     return Report("basis", True, data, lines, latex)
 
 
@@ -134,7 +142,8 @@ def _run_generators(ctx: Context) -> Report:
     data = sz.generator_table_to_json(t)
     lines = ["partition %s: %d generators" % (ctx.p, len(t))]
     lines += ["  w[%d][%d] = %s" % (k, r, poly.text()) for (k, r), poly in t.ordered()]
-    return Report("generators", True, data, lines, sz.latex_table(t, "w"))
+    return Report("generators", True, data, lines,
+                  sz.latex_table(t, "w") if ctx.latex else None)
 
 
 def _run_check_membership(ctx: Context) -> Report:
@@ -180,7 +189,7 @@ def _run_miura(ctx: Context) -> Report:
     data = {"partition": str(ctx.p), "entries": entries, "ok": ok}
     if unmatched:
         data["unmatched"] = [sz.table_key("w", k, r) for k, r in sorted(unmatched)]
-    return Report("miura", ok, data, lines, sz.latex_table(mt, "w"))
+    return Report("miura", ok, data, lines, sz.latex_table(mt, "w") if ctx.latex else None)
 
 
 def _run_jacobian(ctx: Context) -> Report:
@@ -205,9 +214,11 @@ def _run_jacobian(ctx: Context) -> Report:
         ctx.p, cert.det, cert.seed, cert.attempts, "s" if cert.attempts != 1 else "",
         "" if cert.symbolic_det is None else
         "; symbolic check %s" % ("nonzero" if cert.symbolic_nonzero else "ZERO"))]
-    latex = r"\det J = %s" % sz.latex_rat(cert.det)
-    if cert.symbolic_det is not None:
-        latex += ",\\qquad \\det J(E) = %s" % sz.latex_diffpoly(cert.symbolic_det)
+    latex = None
+    if ctx.latex:
+        latex = r"\det J = %s" % sz.latex_rat(cert.det)
+        if cert.symbolic_det is not None:
+            latex += ",\\qquad \\det J(E) = %s" % sz.latex_diffpoly(cert.symbolic_det)
     return Report("jacobian", cert.ok, data, lines, latex)
 
 
@@ -216,7 +227,8 @@ def _run_ss_vectors(ctx: Context) -> Report:
     data = sz.sugawara_table_to_json(t)
     lines = ["partition %s: %d vectors" % (ctx.p, len(t))]
     lines += ["  phi[%d][%d] = %s" % (k, r, v.text()) for (k, r), v in t.ordered()]
-    return Report("ss-vectors", True, data, lines, sz.latex_table(t, r"\phi"))
+    return Report("ss-vectors", True, data, lines,
+                  sz.latex_table(t, r"\phi") if ctx.latex else None)
 
 
 def _run_verify_center(ctx: Context) -> Report:

@@ -93,6 +93,13 @@ def _merge_mono(m1: Mono, m2: Mono) -> Mono:
     return tuple(out)
 
 
+# Each variable's derived factor ((v.shifted(), 1),), built once: without it
+# every derivation makes a new DiffVar for each factor it shifts, and the
+# monomials of derived polynomials hold that many copies of equal variables.
+# Bounded by the number of variables met.
+_SHIFTED: dict[DiffVar, Mono] = {}
+
+
 def _derive_terms(terms: dict):
     """The terms of d(P) for P with the given terms, by Leibniz, unsummed."""
     for mono, c in terms.items():
@@ -100,7 +107,10 @@ def _derive_terms(terms: dict):
             v, e = mono[idx]
             rest = mono[:idx] + ((v, e - 1),) + mono[idx + 1:] if e > 1 \
                 else mono[:idx] + mono[idx + 1:]
-            yield _merge_mono(rest, ((v.shifted(), 1),)), c * e
+            factor = _SHIFTED.get(v)
+            if factor is None:
+                factor = _SHIFTED[v] = ((v.shifted(), 1),)
+            yield _merge_mono(rest, factor), c * e
 
 
 class DiffPoly(Sparse):
@@ -154,6 +164,12 @@ class DiffPoly(Sparse):
             return self.scale(other)
         if not self.terms or not other.terms:
             return DiffPoly._raw({})
+        # a constant side {(): c}, such as the unit entries of the operator
+        # matrices, only scales the other side
+        if len(self.terms) == 1 and () in self.terms:
+            return other.scale(self.terms[()])
+        if len(other.terms) == 1 and () in other.terms:
+            return self.scale(other.terms[()])
         return DiffPoly._raw(add_into({}, (
             (_merge_mono(m1, m2), c1 * c2)
             for m1, c1 in self.terms.items()

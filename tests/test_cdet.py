@@ -1,19 +1,22 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations
 from math import comb
+from operator import mul
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wcent import (DiffOp, DiffPoly, DiffVar, Partition, UPoly,
-                   all_partitions, column_determinant, generator_window, in_window,
-                   jacobian_independence, miura_generators, miura_image,
+from wcent import (DiffOp, DiffPoly, DiffVar, LoopMode, Partition, UPoly, VacuumVector,
+                   all_partitions, centralizer_basis,
+                   column_determinant, generator_window, in_window,
+                   jacobian_independence, miura_generators, miura_image, normal_order,
                    ss_matrix, ss_vectors, w_generator_matrix, w_generators)
-from wcent.cdet import (basis_u_series, fraction_det, jacobian_point, poly_det,
-                        tail_sum, window_table)
+from wcent.cdet import (applied_column_determinant, basis_u_series, diagonal_entry,
+                        fraction_det, jacobian_point, poly_det, tail_sum, window_table)
 from wcent.centralizer import add_into
 from wcent.pva import random_diffpoly
 
@@ -149,16 +152,35 @@ def test_products_match_oracle_on_ss_matrix(parts):
         assert prod == expected
 
 
+def _operator_tables(p):
+    """The three tables by the operator path: build the whole operator (the
+    column determinant, or the product of the diagonal factors for the Miura
+    images), then keep its terms free of D."""
+    vacuum = VacuumVector.vacuum(p)
+    diagonal = [diagonal_entry(p, i, ONE) for i in range(1, p.n + 1)]
+    return {
+        w_generators: window_table(
+            p, column_determinant(w_generator_matrix(p)).constant_part(), ONE),
+        miura_generators: window_table(p, reduce(mul, diagonal).constant_part(), ONE),
+        ss_vectors: window_table(
+            p, column_determinant(ss_matrix(p)).constant_part(), vacuum),
+    }
+
+
 def test_tables_match_oracle_products(monkeypatch):
+    # The tables come from the applied sweep; the reference builds the
+    # operators with the oracle products.
     parts = all_partitions(5)
     tables = {(make, p): make(p) for make in (w_generators, miura_generators, ss_vectors)
               for p in parts}
     monkeypatch.setattr(DiffOp, "__mul__", _diffop_mul_oracle)
     monkeypatch.setattr(UPoly, "__mul__", _upoly_mul_oracle)
-    for (make, p), table in tables.items():
-        expected = make(p)
-        assert table.entries == expected.entries, (make.__name__, p)
-        assert table.out_of_window == expected.out_of_window, (make.__name__, p)
+    for p in parts:
+        for make, expected in _operator_tables(p).items():
+            table = tables[make, p]
+            assert len(table) == p.N, (make.__name__, p)
+            assert table.entries == expected.entries, (make.__name__, p)
+            assert table.out_of_window == expected.out_of_window, (make.__name__, p)
 
 
 def brute_force_cdet(rows):
@@ -200,6 +222,74 @@ def test_cdet_on_generator_matrix_matches_bruteforce():
 def test_cdet_rejects_non_square():
     with pytest.raises(ValueError):
         column_determinant([[D, D]])
+    with pytest.raises(ValueError):
+        applied_column_determinant([[D, D]], ONE)
+
+
+def _random_matrix(rng, n, coeff, max_b):
+    """n x n operator matrix of a few terms F x^a D^b u^k, b <= max_b, with
+    about a quarter of the entries zero and, one time in five, a zero column."""
+    def entry():
+        if rng.random() < 0.25:
+            return DiffOp.zero()
+        def upoly():
+            return UPoly({rng.randint(0, 2): coeff() for _ in range(rng.randint(1, 2))})
+
+        return DiffOp({(rng.randint(0, 2), rng.randint(0, max_b)): upoly()
+                       for _ in range(rng.randint(1, 3))})
+
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.2:
+        col = rng.randrange(n)
+        for row in rows:
+            row[col] = DiffOp.zero()
+    return rows
+
+
+def _check_applied(rows, one):
+    applied = applied_column_determinant(rows, one)
+    assert applied == brute_force_cdet(rows).constant_part()
+    assert applied == column_determinant(rows).constant_part()
+    if any(not any(row[c] for row in rows) for c in range(len(rows))):
+        assert applied == {}
+    return applied
+
+
+def test_applied_cdet_matches_operator_path():
+    rng = random.Random(12)
+    p = Partition.of(1, 2)
+    seen = {"nonzero": 0, "zero column": 0, "D^3": 0}
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        rows = _random_matrix(rng, n, lambda: random_diffpoly(
+            p, rng, max_vars=2, max_degree=1, max_s=1), 3)
+        applied = _check_applied(rows, ONE)
+        seen["nonzero"] += bool(applied)
+        seen["zero column"] += any(not any(row[c] for row in rows) for c in range(n))
+        seen["D^3"] += any(b == 3 for row in rows for e in row for _, b in e.terms)
+    assert all(seen.values()), seen
+
+
+def test_applied_cdet_keeps_noncommutative_order():
+    # VacuumVector coefficients: a noncommutative ring with the translation
+    # operator as derivation, so F must stay on the left of d^b(G).
+    rng = random.Random(13)
+    p = Partition.of(1, 2)
+    basis = centralizer_basis(p)
+
+    def vector():
+        modes = [LoopMode.of(rng.choice(basis), -rng.randint(1, 2))
+                 for _ in range(rng.randint(1, 2))]
+        return normal_order(p, modes, rng.choice([-2, -1, 1, Fraction(1, 2)]))
+
+    pool = [vector() for _ in range(12)]
+    assert any(a * b != b * a for a in pool for b in pool)
+    nonzero = 0
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        rows = _random_matrix(rng, n, lambda: rng.choice(pool), 2)
+        nonzero += bool(_check_applied(rows, VacuumVector.vacuum(p)))
+    assert nonzero >= 10
 
 
 def closed_form_two_rows(p, k, r):
@@ -264,7 +354,7 @@ def test_extract_requires_monic_top():
     rows = w_generator_matrix(p)
     rows[0][0] = rows[0][0].scale(2)
     with pytest.raises(ArithmeticError):
-        window_table(p, column_determinant(rows), ONE)
+        window_table(p, applied_column_determinant(rows, ONE), ONE)
 
 
 def test_basis_u_series_windows():

@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wcent import DiffPoly, DiffVar
-from wcent.diffpoly import mono_degree
+from wcent.centralizer import add_into
+from wcent.diffpoly import _merge_mono, mono_degree
 
 
 def V(i, j, r, s=0):
@@ -54,6 +55,36 @@ def test_scalar_action(a, q):
     assert a.scale(q) == a * DiffPoly.const(q)
     if q:
         assert a.scale(q).scale(Fraction(1, q)) == a
+
+
+def _merge_product(a, b):
+    """a * b term by term, as DiffPoly.__mul__ computes it when neither side
+    is a constant."""
+    return DiffPoly._raw(add_into({}, ((_merge_mono(m1, m2), c1 * c2)
+                                       for m1, c1 in a.terms.items()
+                                       for m2, c2 in b.terms.items())))
+
+
+@pytest.mark.parametrize("c", [1, -1, Fraction(3, 2)])
+@given(polys)
+def test_constant_operand_scales(c, a):
+    k = DiffPoly.const(c)
+    expected = a.scale(c)
+    assert c * a == expected and a * c == expected
+    assert a * k == expected and k * a == expected
+    merged = _merge_product(k, a)
+    assert _merge_product(a, k) == expected == merged
+    # the same coefficients, down to int against Fraction
+    assert all(type(q) is type(merged.terms[m]) for m, q in (k * a).terms.items())
+    assert (k * a).terms is not a.terms  # a new element, not an alias
+
+
+def test_derive_shares_shifted_variables():
+    x, y = DiffPoly.var(V(1, 1, 0)), DiffPoly.var(V(2, 2, 1))
+    first = {v: v for v in (x * y).derive().variables()}
+    again = (x * x * y + y).derive().variables()
+    assert again == set(first)
+    assert all(v is first[v] for v in again)
 
 
 @given(polys, polys)
