@@ -501,20 +501,13 @@ def fraction_det(rows: list[list[Rat]]) -> Rat:
     return -det if inversions % 2 else det
 
 
-def poly_det(rows: list[list[DiffPoly]]) -> DiffPoly:
-    """Symbolic determinant by cofactor expansion (small matrices only)."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = DiffPoly.zero()
-    for j in range(n):
-        entry = rows[0][j]
-        if not entry:
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
-        term = entry * poly_det(minor)
-        total = total + (term if j % 2 == 0 else term.scale(-1))
-    return total
+def _scalar_det(rows: list[list[DiffPoly]]) -> DiffPoly:
+    """Determinant of a matrix of differential polynomials: the column
+    determinant of the entries as scalar operators (no x, D or u), which for
+    commuting entries is the determinant, applied to 1."""
+    ops = [[DiffOp({(0, 0): UPoly({0: f})}) for f in row] for row in rows]
+    cp = applied_column_determinant(ops, DiffPoly.const(1))
+    return cp[0].coeff(0) if cp else DiffPoly.zero()
 
 
 @dataclass
@@ -566,7 +559,7 @@ def jacobian_independence(p: Partition, seed: int = 0,
     partials = [leading[key].partials() if key in leading else {} for key in poly_order]
     jac = [[row.get(v, DiffPoly.zero()) for v in var_order] for row in partials]
 
-    symbolic = poly_det(jac) if p.N <= JACOBIAN_SYMBOLIC_LIMIT else None
+    symbolic = _scalar_det(jac) if p.N <= JACOBIAN_SYMBOLIC_LIMIT else None
 
     attempts = 0
     use_seed = seed

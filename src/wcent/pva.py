@@ -2,11 +2,18 @@
 
 The generators carry the affine lambda-bracket {x_lam y} = [x, y] + (x|y) lam
 built from the centralizer commutator and the trace form; it extends to all
-differential polynomials through the standard master formula.  On top of that
-this module provides the parabolic projection (substituting constants for the
-top superdiagonal generators and zero for the rest of the upper sector), the
+differential polynomials through the standard master formula, and one kernel,
+{x_lam P} for a generator x, computes both.  On top of that this module
+provides the parabolic projection pi (substituting constants for the top
+superdiagonal generators and zero for the rest of the upper sector), the
 W-algebra membership predicate, the induced bracket on members, and a seeded
 random checker for the PVA axioms.
+
+The lower and Cartan elements form a Lie subalgebra and the trace form is a
+constant, so the differential polynomials of the parabolic sector are closed
+under the bracket and pi fixes every bracket of two of them.  pi is applied
+in one place only: to the generator brackets {x_lam v} with x upper, inside
+the membership test.
 """
 
 from __future__ import annotations
@@ -38,22 +45,19 @@ def neg_lambda_substitute(lp: UPoly) -> UPoly:
 Partials = dict  # v.base -> [(v.s, dP/dv), ...] by increasing s, over the variables v of P
 
 
-def _partials(p: Partition, poly: DiffPoly, cfg: Optional[ProjectionConfig]) -> Partials:
-    """The nonzero partials of poly grouped by base element, each projected
-    when cfg is given."""
+def _partials(poly: DiffPoly) -> Partials:
+    """The nonzero partials of poly grouped by base element."""
     out: Partials = {}
     for v, pv in sorted(poly.partials().items()):
-        if cfg is not None:
-            pv = parabolic_project(p, pv, cfg)
-        if pv:
-            out.setdefault(v.base, []).append((v.s, pv))
+        out.setdefault(v.base, []).append((v.s, pv))
     return out
 
 
 def _bracket_gen(p: Partition, x: BasisElt, partials: Partials,
-                 cfg: Optional[ProjectionConfig]) -> UPoly:
-    """The kernel of lambda_bracket_gen on precomputed (projected) partials:
-    {x_lam y} once per base element y, shifted on to each derivative order."""
+                 cfg: Optional[ProjectionConfig] = None) -> UPoly:
+    """The kernel of lambda_bracket_gen on precomputed partials: {x_lam y}
+    once per base element y, shifted on to each derivative order.  With cfg
+    each commutator [x, y] is projected first (see w_membership)."""
     products = []
     for base, orders in partials.items():
         gen: LCoeffs = {}
@@ -76,27 +80,15 @@ def _bracket_gen(p: Partition, x: BasisElt, partials: Partials,
     return UPoly._raw(sum_by_key(products))
 
 
-def lambda_bracket_gen(p: Partition, x: BasisElt, poly: DiffPoly,
-                       cfg: Optional[ProjectionConfig] = None) -> UPoly:
+def lambda_bracket_gen(p: Partition, x: BasisElt, poly: DiffPoly) -> UPoly:
     """{x_lam poly} for a single generator x: the one bracket kernel.
 
     On generators {x_lam y} = [x, y] + (x|y) lam.  Expansion by the right
     Leibniz rule and sesquilinearity:
     {x_lam P} = sum over variables v[s] of (dP/dv[s]) (lam+d)^s {x_lam v}.
     Each lambda-coefficient is summed once over all its products.
-
-    With a projection config the result is pi({x_lam P}), coefficient-wise
-    the parabolic projection of the bracket, computed as
-    pi({x_lam P}) = sum pi(dP/dv[s]) (lam+d)^s pi({x_lam v}),
-    so no product of unprojected factors is formed.  This holds for any P,
-    upper variables included: pi is an algebra homomorphism (it substitutes
-    constants for variables), and it commutes with d, because it fixes
-    every lower and diagonal variable with all its derivatives and sends
-    each upper E[i,j,r][s] to a constant for s = 0 and to 0 for s > 0, the
-    derivative of that constant.  Hence pi(F (lam+d)^s G) = pi(F)
-    (lam+d)^s pi(G) term by term.
     """
-    return _bracket_gen(p, x, _partials(p, poly, cfg), cfg)
+    return _bracket_gen(p, x, _partials(poly))
 
 
 def generator_bracket(p: Partition, x: BasisElt, y: BasisElt) -> UPoly:
@@ -104,8 +96,7 @@ def generator_bracket(p: Partition, x: BasisElt, y: BasisElt) -> UPoly:
     return lambda_bracket_gen(p, x, DiffPoly.var(DiffVar.of(y)))
 
 
-def lambda_bracket(p: Partition, a: DiffPoly, b: DiffPoly,
-                   cfg: Optional[ProjectionConfig] = None) -> UPoly:
+def lambda_bracket(p: Partition, a: DiffPoly, b: DiffPoly) -> UPoly:
     """Bilinear lambda-bracket via the master formula, built on the kernel.
 
     The master formula reads
@@ -121,15 +112,11 @@ def lambda_bracket(p: Partition, a: DiffPoly, b: DiffPoly,
     coefficient C and the right factor, so (lam+d)^n = (mu + d_C)^n.  Summing
     (db/dv[n]) (mu + d_C)^n {u_mu v} over the variables v[n] of b is the
     kernel's own expansion, so it gives {u_mu b}.
-
-    With a projection config the result is pi({a_lam b}): the kernel runs
-    projected and each da/du[m] is projected before the shift, which is
-    sound for the reason given in lambda_bracket_gen.
     """
-    partials_b = _partials(p, b, cfg)
+    partials_b = _partials(b)
     products = []
-    for base, orders in _partials(p, a, cfg).items():
-        kernel = _bracket_gen(p, base, partials_b, cfg).terms  # {u_lam b}
+    for base, orders in _partials(a).items():
+        kernel = _bracket_gen(p, base, partials_b).terms  # {u_lam b}
         for s, fa in orders:
             right = _shift({0: fa.scale(-1) if s % 2 else fa}, s)
             for k, c in kernel.items():
@@ -224,6 +211,12 @@ def membership_test_set(p: Partition, mode: MembershipMode) -> list[BasisElt]:
             for t in p.r_window(i, i + 1)]
 
 
+def _require_parabolic(poly: DiffPoly, what: str) -> None:
+    """Raise ValueError when poly has an upper variable E[i,j,r][s], i < j."""
+    if any(v.i < v.j for v in poly.variables()):
+        raise ValueError("%s expects a polynomial over the parabolic sector" % what)
+
+
 def w_membership(p: Partition, poly: DiffPoly,
                  mode: MembershipMode = MembershipMode.FULL_BASIS,
                  cfg: Optional[ProjectionConfig] = None) -> MembershipResult:
@@ -231,14 +224,21 @@ def w_membership(p: Partition, poly: DiffPoly,
 
     The input is checked by its variables: any upper variable E[i,j,r][s]
     with i < j raises ValueError.  Scans the test set in canonical order and
-    reports the first violation as (x, projected bracket).  The projected
-    kernel gives pi({x_lam poly}) directly, on partials taken once.
+    reports the first violation as (x, pi({x_lam poly})).
+
+    The kernel projects only the commutators [x, y]; the partials of poly
+    are taken once and used as they are.  This gives pi({x_lam poly})
+    because pi is an algebra homomorphism (it substitutes constants for
+    variables) that commutes with d: it fixes every lower and diagonal
+    variable with all its derivatives and sends each upper E[i,j,r][s] to a
+    constant for s = 0 and to 0 for s > 0, the derivative of that constant.
+    Hence pi(F (lam+d)^s G) = pi(F) (lam+d)^s pi(G) term by term, and pi
+    fixes each partial of a parabolic poly.
     """
-    if any(v.i < v.j for v in poly.variables()):
-        raise ValueError("membership test expects a polynomial over the parabolic sector")
+    _require_parabolic(poly, "membership test")
     if cfg is None:
         cfg = ProjectionConfig.default(p)
-    partials = _partials(p, poly, cfg)
+    partials = _partials(poly)
     for x in membership_test_set(p, mode):
         img = _bracket_gen(p, x, partials, cfg)
         if img:
@@ -249,21 +249,27 @@ def w_membership(p: Partition, poly: DiffPoly,
 def w_bracket(p: Partition, a: DiffPoly, b: DiffPoly,
               cfg: Optional[ProjectionConfig] = None,
               check: bool = True) -> UPoly:
-    """Induced bracket on members: the projected lambda-bracket.
+    """Induced bracket on members: the projected lambda-bracket pi{a_lam b}.
 
-    With check (the default), both arguments must pass w_membership, else
-    ValueError names the first failing one.  The master formula runs on the
-    projected kernel, so the unprojected bracket is never formed.
+    Both arguments must lie in the parabolic sector, else ValueError, with
+    or without check.  With check (the default), both must also pass
+    w_membership under cfg, else ValueError names the first failing one.
+
+    The plain bracket is returned: the lower and Cartan elements E[i,j,r],
+    i >= j, span a Lie subalgebra (the commutator of E[i,j] and E[j,l] is
+    E[i,l], and i >= j >= l gives i >= l), and the trace form is a constant,
+    so every coefficient of {a_lam b} is again a polynomial over the
+    parabolic sector, which pi fixes for any cfg.
     """
-    if cfg is None:
-        cfg = ProjectionConfig.default(p)
+    for name, poly in (("first", a), ("second", b)):
+        _require_parabolic(poly, "w_bracket (%s argument)" % name)
     if check:
         for name, poly in (("first", a), ("second", b)):
             res = w_membership(p, poly, cfg=cfg)
             if not res.ok:
                 raise ValueError("%s argument fails membership (witness %s)"
                                  % (name, res.witness_x.text()))
-    return lambda_bracket(p, a, b, cfg)
+    return lambda_bracket(p, a, b)
 
 
 # -- two-symbol Jacobi harness ----------------------------------------------

@@ -15,8 +15,9 @@ from wcent import (DiffOp, DiffPoly, DiffVar, LoopMode, Partition, UPoly, Vacuum
                    column_determinant, generator_window, in_window,
                    jacobian_independence, miura_generators, miura_image, normal_order,
                    ss_matrix, ss_vectors, w_generator_matrix, w_generators)
-from wcent.cdet import (applied_column_determinant, basis_u_series, diagonal_entry,
-                        fraction_det, jacobian_point, poly_det, tail_sum, window_table)
+from wcent.cdet import (_scalar_det, applied_column_determinant, basis_u_series,
+                        diagonal_entry, fraction_det, jacobian_point, tail_sum,
+                        window_table)
 from wcent.centralizer import add_into
 from wcent.pva import random_diffpoly
 
@@ -468,9 +469,58 @@ def test_fraction_det_matches_dense_oracle():
     assert 30 <= singular <= 270
 
 
+def _cofactor_det_oracle(rows):
+    """Symbolic determinant by cofactor expansion along the first row, the
+    routine the Jacobian certificate used before it ran on
+    applied_column_determinant."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    total = DiffPoly.zero()
+    for j in range(n):
+        entry = rows[0][j]
+        if not entry:
+            continue
+        minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
+        term = entry * _cofactor_det_oracle(minor)
+        total = total + (term if j % 2 == 0 else term.scale(-1))
+    return total
+
+
+def test_scalar_det_matches_cofactor_oracle():
+    rng = random.Random(13)
+    p = Partition.of(1, 2)
+    counts = {"zero_line": 0, "dependent": 0, "singular": 0}
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        rows = [[DiffPoly.zero() if rng.random() < 0.3 else
+                 random_diffpoly(p, rng, max_terms=2, max_vars=2, max_degree=2, max_s=1)
+                 for _ in range(n)] for _ in range(n)]
+        pick = rng.random()
+        if pick < 0.15:
+            rows[rng.randrange(n)] = [DiffPoly.zero()] * n
+            counts["zero_line"] += 1
+        elif pick < 0.3:
+            c = rng.randrange(n)
+            for row in rows:
+                row[c] = DiffPoly.zero()
+            counts["zero_line"] += 1
+        elif pick < 0.45 and n >= 2:
+            # a row that is a polynomial multiple of another
+            i, j = rng.sample(range(n), 2)
+            q = random_diffpoly(p, rng, max_terms=1, max_vars=1, max_degree=1, max_s=0)
+            rows[i] = [q * e for e in rows[j]]
+            counts["dependent"] += 1
+        expected = _cofactor_det_oracle(rows)
+        counts["singular"] += not expected
+        assert _scalar_det(rows) == expected, rows
+    assert counts["zero_line"] >= 20 and counts["dependent"] >= 10
+    assert counts["singular"] >= counts["zero_line"] + counts["dependent"]
+
+
 def test_determinant_helpers():
     assert fraction_det([[1, 2], [3, 4]]) == -2
     assert fraction_det([[Fraction(1, 2), 1], [1, 2]]) == 0
     x, y = vp(1, 1, 0), vp(2, 2, 0)
-    assert poly_det([[x, y], [y, x]]) == x * x - y * y
-    assert poly_det([[x]]) == x
+    assert _scalar_det([[x, y], [y, x]]) == x * x - y * y
+    assert _scalar_det([[x]]) == x

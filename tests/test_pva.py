@@ -15,8 +15,8 @@ from wcent import (BasisElt, DiffPoly, DiffVar, MembershipMode, Partition,
                    miura_image, parabolic_project, pva_axiom_suite, trace_form,
                    w_bracket, w_generators, w_membership)
 from wcent.centralizer import add_into
-from wcent.pva import (LCoeffs, membership_test_set, neg_lambda_substitute,
-                       project_lambda, random_diffpoly)
+from wcent.pva import (LCoeffs, _bracket_gen, _partials, membership_test_set,
+                       neg_lambda_substitute, project_lambda, random_diffpoly)
 
 
 def V(i, j, r, s=0):
@@ -120,31 +120,53 @@ def _membership_oracle(p, poly, mode, cfg):
     return None
 
 
+def _parabolic_sample(p: Partition, rng: random.Random, cfg: ProjectionConfig) -> DiffPoly:
+    """A parabolic input: a projected random polynomial (mostly a non-member),
+    a generator (a member) or an out-of-window coefficient (a non-member)."""
+    t = w_generators(p)
+    pick = rng.random()
+    if pick < 0.2:
+        return rng.choice([q for _, q in t.ordered()])
+    if pick < 0.3 and t.out_of_window:
+        return rng.choice([q for _, q in sorted(t.out_of_window.items())])
+    return parabolic_project(p, random_diffpoly(p, rng, max_terms=3, max_s=3), cfg)
+
+
 @given(st.sampled_from(SMALL_PARTITIONS), st.integers(0, 2**32 - 1))
 def test_projected_kernel_matches_projected_oracle(p, seed):
-    # Inputs may hold upper variables (kernel and master formula) and fail
-    # membership; the default and a random projection are both checked.
+    # The kernel projects only inside the membership test, on a parabolic
+    # input; the default and a random projection are both checked.
     rng = random.Random(seed)
     cfg = rng.choice([ProjectionConfig.default(p), random_config(p, rng)])
-    a = random_diffpoly(p, rng, max_terms=3, max_s=3)
-    b = random_diffpoly(p, rng, max_terms=3, max_s=3)
-    x = rng.choice(centralizer_basis(p))
-    projected = lambda_bracket_gen(p, x, b, cfg)
-    assert projected == project_lambda(p, lambda_bracket_gen(p, x, b), cfg)
-    assert projected == project_lambda(p, _master_formula_oracle(p, var(x), b), cfg)
-    assert w_bracket(p, a, b, cfg, check=False) == \
-        project_lambda(p, lambda_bracket(p, a, b), cfg)
-    # membership needs a parabolic input: project the upper variables away,
-    # or take a generator, so that members are scanned too
-    poly = parabolic_project(p, a, cfg)
-    if rng.random() < 0.3:
-        poly = rng.choice([q for _, q in w_generators(p).ordered()])
+    poly = _parabolic_sample(p, rng, cfg)
     mode = rng.choice(list(MembershipMode))
+    partials = _partials(poly)
+    for x in membership_test_set(p, mode):
+        assert _bracket_gen(p, x, partials, cfg) == \
+            project_lambda(p, _master_formula_oracle(p, var(x), poly), cfg)
     res = w_membership(p, poly, mode, cfg)
     witness = _membership_oracle(p, poly, mode, cfg)
     assert res.ok == (witness is None)
     if witness is not None:
         assert (res.witness_x, res.witness_bracket) == witness
+
+
+@given(st.sampled_from(SMALL_PARTITIONS), st.integers(0, 2**32 - 1))
+def test_w_bracket_is_the_plain_bracket_on_the_parabolic_sector(p, seed):
+    rng = random.Random(seed)
+    cfg = rng.choice([ProjectionConfig.default(p), random_config(p, rng)])
+    a, b = _parabolic_sample(p, rng, cfg), _parabolic_sample(p, rng, cfg)
+    plain = lambda_bracket(p, a, b)
+    assert w_bracket(p, a, b, cfg, check=False) == \
+        project_lambda(p, plain, cfg) == plain
+    assert all(v.i >= v.j for _, c in plain.items() for v in c.variables())
+    upper = [e for e in centralizer_basis(p) if e.i < e.j]
+    if upper:
+        up = var(rng.choice(upper)).scale(rng.choice([1, -2]))
+        for check in (True, False):
+            for args in ((a + up, b), (a, b + up * up)):
+                with pytest.raises(ValueError, match="parabolic sector"):
+                    w_bracket(p, *args, cfg, check=check)
 
 
 def test_generator_bracket_oracles():
