@@ -23,24 +23,24 @@ from .centralizer import (BasisElt, Partition, all_partitions, bracket,
                           upper_basis)
 from .diffpoly import DiffPoly, DiffVar
 from .pva import (AxiomSuiteReport, MembershipMode, MembershipResult,
-                  ProjectionConfig, generator_bracket, jacobi_defect,
-                  lambda_bracket, lambda_bracket_gen, parabolic_project,
-                  pva_axiom_suite, w_bracket, w_membership)
+                  generator_bracket, jacobi_defect, lambda_bracket,
+                  lambda_bracket_gen, parabolic_project, pva_axiom_suite,
+                  w_bracket, w_membership)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AxiomSuiteReport", "BasisElt", "CenterCheck", "CorrespondenceReport",
     "DiffOp", "DiffPoly", "DiffVar", "GeneratorTable", "JacobianCertificate",
-    "LoopMode", "MembershipMode", "MembershipResult", "Partition",
-    "ProjectionConfig", "UPoly", "VacuumVector", "act_mode", "all_partitions",
-    "bracket", "cartan_basis", "center_check", "centralizer_basis",
-    "centralizer_dim", "column_determinant", "critical_form",
-    "generator_bracket", "generator_window", "hc_project", "in_window",
-    "jacobi_defect", "jacobian_independence", "lambda_bracket",
-    "lambda_bracket_gen", "lie_bracket", "loop_realization", "lower_basis",
-    "miura_generators", "miura_image", "normal_order", "parabolic_basis",
-    "parabolic_project", "parse_basis_elt", "pva_axiom_suite", "ss_matrix",
-    "ss_vectors", "trace_form", "upper_basis", "w_bracket", "w_correspondence",
+    "LoopMode", "MembershipMode", "MembershipResult", "Partition", "UPoly",
+    "VacuumVector", "act_mode", "all_partitions", "bracket", "cartan_basis",
+    "center_check", "centralizer_basis", "centralizer_dim",
+    "column_determinant", "critical_form", "generator_bracket",
+    "generator_window", "hc_project", "in_window", "jacobi_defect",
+    "jacobian_independence", "lambda_bracket", "lambda_bracket_gen",
+    "lie_bracket", "loop_realization", "lower_basis", "miura_generators",
+    "miura_image", "normal_order", "parabolic_basis", "parabolic_project",
+    "parse_basis_elt", "pva_axiom_suite", "ss_matrix", "ss_vectors",
+    "trace_form", "upper_basis", "w_bracket", "w_correspondence",
     "w_generator_matrix", "w_generators", "w_membership",
 ]

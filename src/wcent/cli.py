@@ -494,7 +494,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE
     start = time.perf_counter()
     report = dispatch(cfg)
-    print(render(report, cfg.fmt, time.perf_counter() - start))
+    try:
+        print(render(report, cfg.fmt, time.perf_counter() - start))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout: the verdict still stands.  Point stdout at
+        # devnull so the flush at interpreter exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return EXIT_PASS if report.ok else EXIT_CHECK_FAILED
 
 

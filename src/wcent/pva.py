@@ -4,10 +4,13 @@ The generators carry the affine lambda-bracket {x_lam y} = [x, y] + (x|y) lam
 built from the centralizer commutator and the trace form; it extends to all
 differential polynomials through the standard master formula, and one kernel,
 {x_lam P} for a generator x, computes both.  On top of that this module
-provides the parabolic projection pi (substituting constants for the top
-superdiagonal generators and zero for the rest of the upper sector), the
-W-algebra membership predicate, the induced bracket on members, and a seeded
-random checker for the PVA axioms.
+provides the parabolic projection pi, the W-algebra membership predicate, the
+induced bracket on members, and a seeded random checker for the PVA axioms.
+
+pi is one fixed map, the one the generator matrix is built for: it fixes
+every lower and Cartan variable E[i,j,r][s], i >= j, sends each top
+superdiagonal variable E[i,i+1,lam_{i+1}-1][0] to 1, and sends every other
+upper variable, and every derivative of an upper variable, to 0.
 
 The lower and Cartan elements form a Lie subalgebra and the trace form is a
 constant, so the differential polynomials of the parabolic sector are closed
@@ -21,7 +24,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from math import comb
 from typing import Optional
 
@@ -54,18 +56,18 @@ def _partials(poly: DiffPoly) -> Partials:
 
 
 def _bracket_gen(p: Partition, x: BasisElt, partials: Partials,
-                 cfg: Optional[ProjectionConfig] = None) -> UPoly:
+                 project: bool = False) -> UPoly:
     """The kernel of lambda_bracket_gen on precomputed partials: {x_lam y}
-    once per base element y, shifted on to each derivative order.  With cfg
-    each commutator [x, y] is projected first (see w_membership)."""
+    once per base element y, shifted on to each derivative order.  With
+    project each commutator [x, y] is projected first (see w_membership)."""
     products = []
     for base, orders in partials.items():
         gen: LCoeffs = {}
         br = bracket(p, x, base)
         if br:
             lie = DiffPoly.from_lie(br)
-            if cfg is not None:
-                lie = parabolic_project(p, lie, cfg)
+            if project:
+                lie = parabolic_project(p, lie)
             if lie:
                 gen[0] = lie
         f = trace_form(p, x, base)
@@ -127,65 +129,24 @@ def lambda_bracket(p: Partition, a: DiffPoly, b: DiffPoly) -> UPoly:
 # -- parabolic projection --------------------------------------------------
 
 
-@dataclass
-class ProjectionConfig:
-    """Constants substituted for the superdiagonal generators.
+def parabolic_project(p: Partition, poly: DiffPoly) -> DiffPoly:
+    """Differential-algebra projection pi onto the parabolic sector.
 
-    coeffs maps (i, r) to the constant replacing E[i,i+1,r]; for each
-    superdiagonal position the top coefficient (r = lam_{i+1} - 1) must be
-    nonzero.  Unlisted pairs default to zero.  The standard choice puts 1 at
-    the top shift and 0 elsewhere.
+    Fixes lower and diagonal variables; sends E[i,i+1,lam_{i+1}-1][0] to 1
+    and every other upper variable (or any derivative of an upper variable)
+    to zero.
     """
-
-    partition: Partition
-    coeffs: dict[tuple[int, int], Rat] = field(default_factory=dict)
-
-    def __post_init__(self):
-        p = self.partition
-        for (i, r), c in self.coeffs.items():
-            if not 1 <= i < p.n:
-                raise ValueError("superdiagonal index %d out of range" % i)
-            if r not in p.r_window(i, i + 1):
-                raise ValueError("shift %d invalid for position (%d,%d)" % (r, i, i + 1))
-            if not isinstance(c, (int, Fraction)):
-                raise ValueError("projection constants must be rational")
-        for i in range(1, p.n):
-            if not self.coeffs.get((i, p.part(i + 1) - 1), 0):
-                raise ValueError("top projection constant at position %d must be nonzero" % i)
-
-    @classmethod
-    def default(cls, p: Partition) -> "ProjectionConfig":
-        return cls(p, {(i, p.part(i + 1) - 1): 1 for i in range(1, p.n)})
-
-    def coeff(self, i: int, r: int) -> Rat:
-        return self.coeffs.get((i, r), 0)
-
-    def image(self, v: DiffVar) -> Optional[Rat]:
-        """The projection of one variable: None where it is fixed (i >= j),
-        else the constant that replaces it."""
+    def image(v: DiffVar) -> Optional[Rat]:
         if v.i >= v.j:
             return None
-        if v.s or v.j != v.i + 1:
-            return 0
-        return self.coeff(v.i, v.r)
+        top = not v.s and v.j == v.i + 1 and v.r == p.part(v.j) - 1
+        return 1 if top else 0
+
+    return poly.substitute_consts(image)
 
 
-def parabolic_project(p: Partition, poly: DiffPoly,
-                      cfg: Optional[ProjectionConfig] = None) -> DiffPoly:
-    """Differential-algebra projection onto the parabolic sector.
-
-    Fixes lower and diagonal variables; sends E[i,i+1,r][0] to the configured
-    constant and every other upper variable (or any derivative of an upper
-    variable) to zero.
-    """
-    if cfg is None:
-        cfg = ProjectionConfig.default(p)
-    return poly.substitute_consts(cfg.image)
-
-
-def project_lambda(p: Partition, lp: UPoly,
-                   cfg: Optional[ProjectionConfig] = None) -> UPoly:
-    return lp.map_coeffs(lambda q: parabolic_project(p, q, cfg))
+def project_lambda(p: Partition, lp: UPoly) -> UPoly:
+    return lp.map_coeffs(lambda q: parabolic_project(p, q))
 
 
 # -- membership and induced bracket -----------------------------------------
@@ -204,6 +165,21 @@ class MembershipResult:
 
 
 def membership_test_set(p: Partition, mode: MembershipMode) -> list[BasisElt]:
+    """The upper elements x whose brackets pi({x_lam P}) w_membership scans:
+    every upper basis element (FULL_BASIS), or the superdiagonal E[i,i+1,t]
+    only (GENERATORS).
+
+    Soundness of GENERATORS, for a parabolic P: ker pi is the differential
+    ideal generated by the m - pi(m), m an upper variable.  For x and m
+    upper, (x|m) = 0 and [x, m] lies two or more blocks above the diagonal,
+    so pi{x_lam m} = 0; by the Leibniz rule pi{x_lam Q} = 0 whenever
+    pi(Q) = 0.  Hence, by the Jacobi identity
+    {[x,y]_{lam+mu} P} = {x_lam {y_mu P}} - {y_mu {x_lam P}}, the x with
+    pi{x_lam P} = 0 form a Lie subalgebra of the upper sector.  The
+    superdiagonal generates the upper sector, by induction on j - i:
+    [E[i,j-1,t], E[j-1,j,t']] = E[i,j,t+t'], and the sums t+t' over the
+    windows of (i, j-1) and (j-1, j) cover the window of (i, j).
+    """
     if mode is MembershipMode.FULL_BASIS:
         return upper_basis(p)
     return [BasisElt(i, i + 1, t)
@@ -218,8 +194,7 @@ def _require_parabolic(poly: DiffPoly, what: str) -> None:
 
 
 def w_membership(p: Partition, poly: DiffPoly,
-                 mode: MembershipMode = MembershipMode.FULL_BASIS,
-                 cfg: Optional[ProjectionConfig] = None) -> MembershipResult:
+                 mode: MembershipMode = MembershipMode.FULL_BASIS) -> MembershipResult:
     """Test whether the projected bracket with the upper sector vanishes.
 
     The input is checked by its variables: any upper variable E[i,j,r][s]
@@ -236,36 +211,33 @@ def w_membership(p: Partition, poly: DiffPoly,
     fixes each partial of a parabolic poly.
     """
     _require_parabolic(poly, "membership test")
-    if cfg is None:
-        cfg = ProjectionConfig.default(p)
     partials = _partials(poly)
     for x in membership_test_set(p, mode):
-        img = _bracket_gen(p, x, partials, cfg)
+        img = _bracket_gen(p, x, partials, project=True)
         if img:
             return MembershipResult(False, x, img)
     return MembershipResult(True)
 
 
 def w_bracket(p: Partition, a: DiffPoly, b: DiffPoly,
-              cfg: Optional[ProjectionConfig] = None,
               check: bool = True) -> UPoly:
     """Induced bracket on members: the projected lambda-bracket pi{a_lam b}.
 
     Both arguments must lie in the parabolic sector, else ValueError, with
     or without check.  With check (the default), both must also pass
-    w_membership under cfg, else ValueError names the first failing one.
+    w_membership, else ValueError names the first failing one.
 
     The plain bracket is returned: the lower and Cartan elements E[i,j,r],
     i >= j, span a Lie subalgebra (the commutator of E[i,j] and E[j,l] is
     E[i,l], and i >= j >= l gives i >= l), and the trace form is a constant,
     so every coefficient of {a_lam b} is again a polynomial over the
-    parabolic sector, which pi fixes for any cfg.
+    parabolic sector, which pi fixes.
     """
     for name, poly in (("first", a), ("second", b)):
         _require_parabolic(poly, "w_bracket (%s argument)" % name)
     if check:
         for name, poly in (("first", a), ("second", b)):
-            res = w_membership(p, poly, cfg=cfg)
+            res = w_membership(p, poly)
             if not res.ok:
                 raise ValueError("%s argument fails membership (witness %s)"
                                  % (name, res.witness_x.text()))

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .affine import LoopMode, VacuumVector, _group
-from .cdet import DiffOp, GeneratorTable, UPoly
+from .cdet import GeneratorTable, UPoly
 from .centralizer import Partition, Rat, Sparse
 from .diffpoly import DiffPoly, DiffVar
 
@@ -191,10 +191,6 @@ def latex_diffpoly(poly: DiffPoly) -> str:
     return _latex_monomials(poly, latex_var)
 
 
-def latex_lambdapoly(lp: UPoly) -> str:
-    return latex_upoly(lp, r"\lambda")
-
-
 def latex_vacuum(v: VacuumVector) -> str:
     return _latex_monomials(v, latex_mode)
 
@@ -207,40 +203,18 @@ def _latex_coeff_ring(val) -> str:
     return latex_rat(val)
 
 
-def latex_upoly(up: UPoly, symbol: str = "u") -> str:
+def latex_lambdapoly(lp: UPoly) -> str:
     parts = []
-    for power, coeff in up.items():
+    for power, coeff in lp.items():
         body = _latex_coeff_ring(coeff)
         if "+" in body or "-" in body[1:]:
             body = r"\left(%s\right)" % body
         if power == 0:
             parts.append(body)
         else:
-            us = symbol if power == 1 else "%s^{%d}" % (symbol, power)
-            parts.append(us if body == "1" else body + r" \, " + us)
+            lam = r"\lambda" if power == 1 else r"\lambda^{%d}" % power
+            parts.append(lam if body == "1" else body + r" \, " + lam)
     return _latex_sum(parts)
-
-
-def latex_diffop(op: DiffOp, dsymbol: str = r"\partial") -> str:
-    parts = []
-    for (a, b), up in sorted(op.terms.items(), reverse=True):
-        body = latex_upoly(up)
-        if "+" in body or "-" in body[1:]:
-            body = r"\left(%s\right)" % body
-        factors = []
-        if body != "1" or (a, b) == (0, 0):
-            factors.append(body)
-        if a:
-            factors.append("x" if a == 1 else "x^{%d}" % a)
-        if b:
-            factors.append(dsymbol if b == 1 else "%s^{%d}" % (dsymbol, b))
-        parts.append(r" \, ".join(factors))
-    return _latex_sum(parts)
-
-
-def latex_matrix(rows: list[list[DiffOp]], dsymbol: str = r"\partial") -> str:
-    lines = [" & ".join(latex_diffop(e, dsymbol) for e in row) for row in rows]
-    return "\\begin{pmatrix}\n%s\n\\end{pmatrix}" % " \\\\\n".join(lines)
 
 
 def latex_table(t: GeneratorTable, prefix: str) -> str:

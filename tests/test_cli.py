@@ -2,6 +2,8 @@ import ast
 import importlib
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -332,3 +334,32 @@ def test_public_names_resolve():
     assert len(set(wcent.__all__)) == len(wcent.__all__)
     for name in wcent.__all__:
         assert hasattr(wcent, name), name
+
+
+# Run the CLI with its verdict forced to FAIL.
+_FORCED_FAIL = "\n".join([
+    "import dataclasses, sys",
+    "from wcent import cli",
+    "real = cli.dispatch",
+    "cli.dispatch = lambda cfg: dataclasses.replace(real(cfg), ok=False)",
+    "sys.exit(cli.main(sys.argv[1:]))",
+])
+
+
+@pytest.mark.parametrize("runner, code", [(["-m", "wcent"], 0),
+                                          (["-c", _FORCED_FAIL], 1)],
+                         ids=["pass", "fail"])
+@pytest.mark.parametrize("argv", [["basis", "-p", "1,2"],
+                                  ["generators", "--max-N", "5", "--format", "json"]],
+                         ids=["short", "long"])
+def test_closed_stdout_exits_with_the_verdict(runner, code, argv):
+    # A reader that closes the pipe at once: the short report fails in the
+    # flush, the long one inside print.  Neither may turn into a traceback.
+    proc = subprocess.Popen([sys.executable, *runner, *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")))
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == code
+    assert err == b""

@@ -10,13 +10,11 @@ from wcent import (BasisElt, DiffPoly, DiffVar, LoopMode, Partition, UPoly,
 from wcent.serialize import (diffpoly_from_json, diffpoly_to_json,
                              generator_table_from_json, generator_table_to_json,
                              lambdapoly_from_json, lambdapoly_to_json,
-                             latex_diffpoly, latex_lambdapoly, latex_matrix,
-                             latex_mode, latex_rat, latex_table,
-                             latex_vacuum, latex_var, parse_table_key,
-                             rat_from_json, rat_to_json,
+                             latex_diffpoly, latex_lambdapoly, latex_mode,
+                             latex_rat, latex_table, latex_vacuum, latex_var,
+                             parse_table_key, rat_from_json, rat_to_json,
                              sugawara_table_from_json, sugawara_table_to_json,
                              table_key, vacuum_from_json, vacuum_to_json)
-from wcent.cdet import w_generator_matrix
 
 
 def V(i, j, r, s=0):
@@ -138,12 +136,3 @@ def test_latex_vacuum_and_tables():
     assert r"\phi_{2}^{(0)} &=" in table
     wtable = latex_table(w_generators(Partition.of(1, 2)), "w")
     assert r"w_{2}^{(1)} &=" in wtable
-
-
-def test_latex_matrix():
-    p = Partition.of(1, 2)
-    out = latex_matrix(w_generator_matrix(p))
-    assert out.startswith(r"\begin{pmatrix}")
-    assert "x" in out and r"\partial" in out and "&" in out
-    assert out.count("&") == 2  # one separator per row for n = 2
-    assert r"u" in out  # series variable on the superdiagonal entry
