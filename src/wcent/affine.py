@@ -1,7 +1,9 @@
 """Vacuum module of the affinized centralizer at the critical level.
 
 Elements are PBW-normal-ordered words in negative loop modes E[i,j,r](m),
-m <= -1, applied to the vacuum.  The commutator of modes is
+m <= -1, applied to the vacuum; a vector's terms are keyed by these words,
+one LoopMode per factor, and only VacuumVector.items() groups a repeated
+mode into a (mode, exponent) pair for printing.  The commutator of modes is
 
     [X(a), Y(b)] = [X, Y](a + b) + a * delta_{a,-b} <X, Y>,
 
@@ -61,21 +63,16 @@ def pbw_key(mode: LoopMode):
     return (pbw_sector(mode), -mode.m, mode.i, mode.j, mode.r)
 
 
-# A PBW monomial is a tuple of (LoopMode, exponent) pairs with the modes
-# strictly increasing in pbw_key.
+# A PBW monomial is a word: a tuple of LoopModes nondecreasing in pbw_key,
+# a repeated mode appearing once per factor.  pbw_key holds every field, so
+# equal keys mean equal modes.
 PBWMono = tuple
 
 
-def _flatten(mono: PBWMono) -> tuple[LoopMode, ...]:
+def _group(word: PBWMono) -> tuple:
+    """The word as (mode, exponent) pairs, one per run of a repeated mode."""
     out = []
-    for mode, e in mono:
-        out.extend([mode] * e)
-    return tuple(out)
-
-
-def _group(seq: tuple[LoopMode, ...]) -> PBWMono:
-    out = []
-    for mode in seq:
+    for mode in word:
         if out and out[-1][0] == mode:
             out[-1] = (mode, out[-1][1] + 1)
         else:
@@ -86,7 +83,7 @@ def _group(seq: tuple[LoopMode, ...]) -> PBWMono:
 def _normal_insert(p: Partition, seq: tuple[LoopMode, ...], coeff: Rat):
     """Rewrite a word of negative modes into PBW order.
 
-    Yields (PBW monomial, coefficient) pairs, unsummed; pass them to
+    Yields (PBW word, coefficient) pairs, unsummed; pass them to
     add_into.  Straightening swaps out-of-order adjacent factors and adds the
     commutator word; negative modes never meet their opposites, so no central
     terms appear here.
@@ -104,29 +101,33 @@ def _normal_insert(p: Partition, seq: tuple[LoopMode, ...], coeff: Rat):
                     stack.append((head + (LoopMode(e.i, e.j, e.r, mm),) + tail, c * cz))
                 break
         else:
-            yield _group(s), c
+            yield s, c
 
 
-def _pbw_mono(p: Partition, mono) -> PBWMono:
-    """Validate a PBW monomial given as (mode, exponent) pairs, in canonical form."""
-    mono = tuple((LoopMode(*mode), int(e)) for mode, e in mono)
-    keys = [pbw_key(mode) for mode, _ in mono]
-    if any(k2 <= k1 for k1, k2 in zip(keys, keys[1:])):
-        raise ValueError("monomial factors not in PBW order")
-    for mode, e in mono:
+def _negative_modes(p: Partition, modes: Iterable) -> tuple[LoopMode, ...]:
+    """The modes as a tuple of LoopModes, each of p with m <= -1."""
+    modes = tuple(LoopMode(*mode) for mode in modes)
+    for mode in modes:
         if mode.m > -1:
-            raise ValueError("non-negative mode %s in a vacuum monomial" % mode.text())
-        if e < 1:
-            raise ValueError("bad exponent")
+            raise ValueError("non-negative mode %s on the vacuum" % mode.text())
         p.check_valid(mode.base)
-    return mono
+    return modes
+
+
+def _pbw_mono(p: Partition, word) -> PBWMono:
+    """Validate a PBW monomial: a word of negative modes of p, nondecreasing
+    in pbw_key."""
+    word = _negative_modes(p, word)
+    if any(pbw_key(b) < pbw_key(a) for a, b in zip(word, word[1:])):
+        raise ValueError("monomial factors not in PBW order")
+    return word
 
 
 class VacuumVector(Sparse):
     """PBW-normal-ordered element of the vacuum module (equivalently, of the
     enveloping algebra of the negative loop modes) of one partition: terms
-    maps each PBW monomial to its coefficient.  +, -, * and sum raise
-    ValueError on vectors of different partitions."""
+    maps each PBW word to its coefficient.  +, -, * and sum raise
+    ValueError on vectors of different partitions, and sum on no vectors."""
 
     __slots__ = ("partition",)
 
@@ -152,10 +153,8 @@ class VacuumVector(Sparse):
 
     @classmethod
     def single(cls, p: Partition, base: BasisElt, m: int, coeff: Rat = 1) -> "VacuumVector":
-        p.check_valid(base)
-        if m > -1:
-            raise ValueError("vacuum monomials take modes m <= -1")
-        return cls._raw(p, {((LoopMode.of(base, m), 1),): coeff} if coeff else {})
+        word = _negative_modes(p, [LoopMode.of(base, m)])
+        return cls._raw(p, {word: coeff} if coeff else {})
 
     @classmethod
     def from_modes(cls, p: Partition, modes: Iterable[LoopMode],
@@ -174,6 +173,8 @@ class VacuumVector(Sparse):
 
     @classmethod
     def sum(cls, items: list["VacuumVector"]) -> "VacuumVector":
+        if not items:
+            raise ValueError("an empty sum of vacuum vectors has no partition")
         for v in items[1:]:
             items[0]._match(v)
         return super().sum(items)
@@ -183,9 +184,8 @@ class VacuumVector(Sparse):
         self._match(other)
         acc: dict[PBWMono, Rat] = {}
         for m1, c1 in self.terms.items():
-            f1 = _flatten(m1)
             for m2, c2 in other.terms.items():
-                add_into(acc, _normal_insert(self.partition, f1 + _flatten(m2), c1 * c2))
+                add_into(acc, _normal_insert(self.partition, m1 + m2, c1 * c2))
         return VacuumVector._raw(self.partition, acc)
 
     def derive(self, k: int = 1) -> "VacuumVector":
@@ -193,17 +193,22 @@ class VacuumVector(Sparse):
         out = self
         for _ in range(k):
             acc: dict[PBWMono, Rat] = {}
-            for mono, c in out.terms.items():
-                flat = _flatten(mono)
-                for idx, mode in enumerate(flat):
+            for word, c in out.terms.items():
+                for idx, mode in enumerate(word):
                     nm = LoopMode(mode.i, mode.j, mode.r, mode.m - 1)
                     add_into(acc, _normal_insert(out.partition,
-                                                 flat[:idx] + (nm,) + flat[idx + 1:],
+                                                 word[:idx] + (nm,) + word[idx + 1:],
                                                  c * (-mode.m)))
             out = VacuumVector._raw(out.partition, acc)
         return out
 
     # -- structure --------------------------------------------------------
+
+    def items(self) -> list:
+        """The (monomial, coefficient) pairs, each word grouped into (mode,
+        exponent) pairs and sorted by that grouping: the form and order the
+        printers and the JSON read."""
+        return sorted((_group(word), c) for word, c in self.terms.items())
 
     def __eq__(self, other) -> bool:
         if isinstance(other, VacuumVector) and self.partition != other.partition:
@@ -215,28 +220,25 @@ class VacuumVector(Sparse):
         """Largest total t-degree (sum of -m over factors) of any monomial."""
         if not self.terms:
             return 0
-        return max(sum(-mode.m * e for mode, e in mono) for mono in self.terms)
-
-    def weights(self, mono: PBWMono) -> dict[int, int]:
-        w: dict[int, int] = {}
-        for mode, e in mono:
-            w[mode.i] = w.get(mode.i, 0) + e
-            w[mode.j] = w.get(mode.j, 0) - e
-        return {i: x for i, x in w.items() if x}
+        return max(sum(-mode.m for mode in word) for word in self.terms)
 
     def is_weight_zero(self) -> bool:
         """Zero weight under the adjoint action of the diagonal E[i,i,0](0)."""
-        return all(not self.weights(mono) for mono in self.terms)
+        return all(not weights(word) for word in self.terms)
+
+
+def weights(word: PBWMono) -> dict[int, int]:
+    """The nonzero weights of a word under the diagonal E[i,i,0](0)."""
+    w: dict[int, int] = {}
+    for mode in word:
+        w[mode.i] = w.get(mode.i, 0) + 1
+        w[mode.j] = w.get(mode.j, 0) - 1
+    return {i: x for i, x in w.items() if x}
 
 
 def normal_order(p: Partition, modes: Iterable[LoopMode], coeff: Rat = 1) -> VacuumVector:
     """PBW normal form of a formal product of negative modes."""
-    modes = tuple(modes)
-    for mode in modes:
-        if mode.m > -1:
-            raise ValueError("non-negative mode %s cannot be normal-ordered onto the vacuum"
-                             % mode.text())
-        p.check_valid(mode.base)
+    modes = _negative_modes(p, modes)
     return VacuumVector._raw(p, add_into({}, _normal_insert(p, modes, coeff)))
 
 
@@ -252,8 +254,8 @@ def act_mode(x: BasisElt, m: int, v: VacuumVector) -> VacuumVector:
     p = v.partition
     p.check_valid(x)
     acc: dict[PBWMono, Rat] = {}
-    for mono, c in v.terms.items():
-        _act(p, x, m, _flatten(mono), c, acc)
+    for word, c in v.terms.items():
+        _act(p, x, m, word, c, acc)
     return VacuumVector._raw(p, acc)
 
 
@@ -271,8 +273,8 @@ def _act(p: Partition, x: BasisElt, m: int, seq: tuple[LoopMode, ...],
     rest = seq[1:]
     sub: dict[PBWMono, Rat] = {}
     _act(p, x, m, rest, coeff, sub)
-    for mono2, c2 in sub.items():
-        add_into(acc, _normal_insert(p, (y,) + _flatten(mono2), c2))
+    for word, c2 in sub.items():
+        add_into(acc, _normal_insert(p, (y,) + word, c2))
     t = m + y.m
     for z, cz in bracket(p, x, y).items():
         if t >= 0:
@@ -397,11 +399,10 @@ def hc_project(v: VacuumVector) -> VacuumVector:
     Requires zero weight; then every discarded monomial ends in an upper-
     sector factor, so the projection is along loop-algebra weight spaces.
     """
-    bad = [mono for mono in v.terms if v.weights(mono)]
-    if bad:
+    if not v.is_weight_zero():
         raise ValueError("input has monomials of nonzero weight")
-    kept = {mono: c for mono, c in v.terms.items()
-            if all(mode.i == mode.j for mode, _ in mono)}
+    kept = {word: c for word, c in v.terms.items()
+            if all(mode.i == mode.j for mode in word)}
     return VacuumVector._raw(v.partition, kept)
 
 

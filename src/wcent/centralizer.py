@@ -141,8 +141,8 @@ class Sparse:
         return NotImplemented
 
     def text(self) -> str:
-        """The terms in key order as c*x*y^e, for keys that are tuples of
-        (factor, exponent) pairs whose factors have a text()."""
+        """The items() in order as c*x*y^e, for items() keys that are tuples
+        of (factor, exponent) pairs whose factors have a text()."""
         bits = []
         for mono, c in self.items():
             factors = [str(c)] if c != 1 or not mono else []

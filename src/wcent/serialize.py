@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .affine import LoopMode, VacuumVector, _group
+from .affine import LoopMode, VacuumVector
 from .cdet import GeneratorTable, UPoly
 from .centralizer import Partition, Rat, Sparse
 from .diffpoly import DiffPoly, DiffVar
@@ -75,12 +75,8 @@ def vacuum_to_json(v: VacuumVector) -> dict:
 
 
 def vacuum_from_json(obj: dict) -> VacuumVector:
-    p = Partition.parse(obj["partition"])
-    terms = []
-    for t in obj["terms"]:
-        flat = tuple(LoopMode(i, j, r, m) for i, j, r, m in t["modes"])
-        terms.append((_group(flat), rat_from_json(t["coeff"])))
-    return VacuumVector(p, terms)
+    return VacuumVector(Partition.parse(obj["partition"]),
+                        [(t["modes"], rat_from_json(t["coeff"])) for t in obj["terms"]])
 
 
 # -- generator tables ------------------------------------------------------------
@@ -177,7 +173,7 @@ def _latex_term(coeff: Rat, factors: list[str]) -> str:
 
 
 def _latex_monomials(x: Sparse, latex_factor: Callable) -> str:
-    """The terms of a DiffPoly or VacuumVector in key order, each factor
+    """The items() of a DiffPoly or VacuumVector in order, each factor
     printed by latex_factor."""
     parts = []
     for mono, c in x.items():
@@ -195,31 +191,14 @@ def latex_vacuum(v: VacuumVector) -> str:
     return _latex_monomials(v, latex_mode)
 
 
-def _latex_coeff_ring(val) -> str:
-    if isinstance(val, DiffPoly):
-        return latex_diffpoly(val)
-    if isinstance(val, VacuumVector):
-        return latex_vacuum(val)
-    return latex_rat(val)
-
-
-def latex_lambdapoly(lp: UPoly) -> str:
-    parts = []
-    for power, coeff in lp.items():
-        body = _latex_coeff_ring(coeff)
-        if "+" in body or "-" in body[1:]:
-            body = r"\left(%s\right)" % body
-        if power == 0:
-            parts.append(body)
-        else:
-            lam = r"\lambda" if power == 1 else r"\lambda^{%d}" % power
-            parts.append(lam if body == "1" else body + r" \, " + lam)
-    return _latex_sum(parts)
+def _latex_entry(val) -> str:
+    """A table entry: a DiffPoly (W-algebra side) or a VacuumVector."""
+    return latex_diffpoly(val) if isinstance(val, DiffPoly) else latex_vacuum(val)
 
 
 def latex_table(t: GeneratorTable, prefix: str) -> str:
     """Align the entries as prefix_k^(r) = entry; the prefix names the side
     (w for W-algebra generators, phi for Segal-Sugawara vectors)."""
-    lines = [r"%s_{%d}^{(%d)} &= %s \\" % (prefix, k, r, _latex_coeff_ring(val))
+    lines = [r"%s_{%d}^{(%d)} &= %s \\" % (prefix, k, r, _latex_entry(val))
              for (k, r), val in t.ordered()]
     return "\\begin{align*}\n%s\n\\end{align*}" % "\n".join(lines)

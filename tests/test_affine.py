@@ -65,17 +65,23 @@ def test_normal_order_rejects_nonnegative_modes():
 
 
 def test_vacuum_vector_validation():
+    # a vector is built from PBW words, one mode per factor
     with pytest.raises(ValueError):
-        VacuumVector(P11, [(((M(1, 2, 0, -1), 1), (M(2, 1, 0, -1), 1)), 1)])
+        VacuumVector(P11, [((M(1, 2, 0, -1), M(2, 1, 0, -1)), 1)])  # out of order
     with pytest.raises(ValueError):
-        VacuumVector(P12, [(((M(1, 2, 0, -1), 1),), 1)])  # invalid window
-    v = VacuumVector(P11, [(((M(2, 1, 0, -1), 2),), 3)])
-    assert v.terms == {((M(2, 1, 0, -1), 2),): 3}
+        VacuumVector(P11, [((M(2, 1, 0, -1), M(1, 1, 0, 0)), 1)])  # nonnegative mode
+    with pytest.raises(ValueError):
+        VacuumVector(P12, [((M(1, 2, 0, -1),), 1)])  # invalid window
+    v = VacuumVector(P11, [((M(2, 1, 0, -1), M(2, 1, 0, -1)), 3)])
+    assert v.terms == {(M(2, 1, 0, -1), M(2, 1, 0, -1)): 3}
+    assert v == single(P11, 2, 1, 0, -1, 3) * single(P11, 2, 1, 0, -1)
 
 
 def test_product_groups_exponents():
     a = single(P11, 1, 1, 0, -1)
-    assert (a * a).terms == {((M(1, 1, 0, -1), 2),): 1}
+    A = M(1, 1, 0, -1)
+    assert (a * a).terms == {(A, A): 1}
+    assert (a * a).items() == [(((A, 2),), 1)]
     assert (a * a).depth == 2
     vac = VacuumVector.vacuum(P11)
     assert vac * a == a and a * vac == a
@@ -90,6 +96,13 @@ def test_vectors_of_different_partitions_do_not_mix(op):
     with pytest.raises(ValueError):
         op(a, b)
     assert VacuumVector.vacuum(P11) != VacuumVector.vacuum(P12)
+
+
+def test_empty_sum_has_no_partition():
+    with pytest.raises(ValueError):
+        VacuumVector.sum([])
+    a = single(P11, 1, 1, 0, -1)
+    assert VacuumVector.sum([a]) == a and VacuumVector.sum([a, a]) == a.scale(2)
 
 
 def test_product_associativity_samples():
@@ -296,8 +309,9 @@ def test_hc_project():
 
 def test_weights():
     v = single(P11, 2, 1, 0, -1)
-    [(mono, _)] = v.terms.items()
-    assert v.weights(mono) == {2: 1, 1: -1}
+    [(word, _)] = v.terms.items()
+    assert affine.weights(word) == {2: 1, 1: -1}
+    assert affine.weights(word + word) == {2: 2, 1: -2}
     assert not v.is_weight_zero()
     assert (v * single(P11, 1, 2, 0, -1)).is_weight_zero()
 

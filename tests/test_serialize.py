@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from wcent import (BasisElt, DiffPoly, DiffVar, LoopMode, Partition, UPoly,
 from wcent.serialize import (diffpoly_from_json, diffpoly_to_json,
                              generator_table_from_json, generator_table_to_json,
                              lambdapoly_from_json, lambdapoly_to_json,
-                             latex_diffpoly, latex_lambdapoly, latex_mode,
+                             latex_diffpoly, latex_mode,
                              latex_rat, latex_table, latex_vacuum, latex_var,
                              parse_table_key, rat_from_json, rat_to_json,
                              sugawara_table_from_json, sugawara_table_to_json,
@@ -75,6 +76,40 @@ def test_vacuum_round_trip_with_exponents():
                for mode in t["modes"])
 
 
+def test_repeated_modes_group_only_in_items():
+    # Terms are keyed by flat words; items() groups each run of a repeated
+    # mode, and the printers and the JSON read only items().
+    rng = random.Random(15)
+    p = Partition.of(1, 1)
+    pool = [LoopMode(1, 1, 0, -1), LoopMode(2, 1, 0, -1), LoopMode(1, 2, 0, -1),
+            LoopMode(2, 2, 0, -2)]
+    squared = 0
+    for _ in range(40):
+        v = VacuumVector.vacuum(p)
+        for _ in range(rng.randint(2, 4)):
+            mode = rng.choice(pool)
+            v = v * VacuumVector.single(p, mode.base, mode.m, rng.randint(1, 3))
+        items = v.items()
+        keys = [mono for mono, _ in items]
+        assert keys == sorted(set(keys)) and len(items) == len(v.terms)
+        for mono, c in items:
+            word = tuple(mode for mode, e in mono for _ in range(e))
+            assert v.terms[word] == c
+            assert all(e >= 1 for _, e in mono)
+            assert all(a != b for (a, _), (b, _) in zip(mono, mono[1:]))
+        blob = vacuum_to_json(v)
+        assert [len(t["modes"]) for t in blob["terms"]] == \
+            [sum(e for _, e in mono) for mono in keys]
+        assert vacuum_from_json(json.loads(json.dumps(blob))) == v
+        for mono, _ in items:
+            for mode, e in mono:
+                if e == 2:
+                    squared += 1
+                    assert "%s^2" % mode.text() in v.text()
+                    assert "{%s}^{2}" % latex_mode(mode) in latex_vacuum(v)
+    assert squared  # the pool repeats modes, so some term has one squared
+
+
 @pytest.mark.parametrize("parts", [(1, 2), (2, 2)])
 def test_table_round_trips(parts):
     p = Partition.of(*parts)
@@ -116,13 +151,6 @@ def test_latex_diffpoly():
     assert latex_diffpoly(DiffPoly.zero()) == "0"
     assert latex_diffpoly(vp(1, 1, 0) ** 2 - DiffPoly.const(Fraction(1, 2))) == \
         r"-\tfrac{1}{2} + {E_{1\,1}^{(0)}}^{2}"
-
-
-def test_latex_lambdapoly():
-    lp = UPoly({0: vp(1, 1, 0), 1: DiffPoly.const(1), 2: DiffPoly.const(3)})
-    out = latex_lambdapoly(lp)
-    assert r"\lambda" in out and r"\lambda^{2}" in out
-    assert out.startswith(r"E_{1\,1}^{(0)}")
 
 
 def test_latex_vacuum_and_tables():
