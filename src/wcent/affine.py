@@ -3,7 +3,9 @@
 Elements are PBW-normal-ordered words in negative loop modes E[i,j,r](m),
 m <= -1, applied to the vacuum; a vector's terms are keyed by these words,
 one LoopMode per factor, and only VacuumVector.items() groups a repeated
-mode into a (mode, exponent) pair for printing.  The commutator of modes is
+mode into a (mode, exponent) pair for printing.  A LoopMode is stored as its
+PBW key, so the order of a word is plain tuple order.  The commutator of
+modes is
 
     [X(a), Y(b)] = [X, Y](a + b) + a * delta_{a,-b} <X, Y>,
 
@@ -21,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import factorial
-from typing import Iterable, NamedTuple, Optional
+from operator import itemgetter
+from typing import Iterable, Optional
 
 from .centralizer import (BasisElt, Partition, Rat, Sparse, add_into, bracket,
                           centralizer_basis, critical_form, derived_complement)
@@ -30,13 +33,29 @@ from .cdet import (DiffOp, GeneratorTable, applied_column_determinant, basis_u_s
 from .diffpoly import DiffPoly
 
 
-class LoopMode(NamedTuple):
-    """Loop algebra element E[i,j,r](m), the basis element at t-power m."""
+class LoopMode(tuple):
+    """Loop algebra element E[i,j,r](m), the basis element at t-power m.
 
-    i: int
-    j: int
-    r: int
-    m: int
+    Built and read as (i, j, r, m), but stored as its PBW key
+    (sector, -m, i, j, r), so tuple comparison is the PBW order: lower
+    (i > j) sector 0, Cartan 1, upper 2, so upper factors sit rightmost, and
+    shallow modes first within a sector.  The key holds every field, so
+    equal keys mean equal modes.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, i: int, j: int, r: int, m: int) -> "LoopMode":
+        return tuple.__new__(cls, (1 + (i < j) - (i > j), -m, i, j, r))
+
+    sector = property(itemgetter(0), doc="Lower 0, Cartan 1, upper 2.")
+    i = property(itemgetter(2))
+    j = property(itemgetter(3))
+    r = property(itemgetter(4))
+
+    @property
+    def m(self) -> int:
+        return -self[1]
 
     @classmethod
     def of(cls, base: BasisElt, m: int) -> "LoopMode":
@@ -46,26 +65,20 @@ class LoopMode(NamedTuple):
     def base(self) -> BasisElt:
         return BasisElt(self.i, self.j, self.r)
 
+    def __getnewargs__(self) -> tuple:
+        # pickle and copy rebuild through __new__, which takes the fields
+        return (self.i, self.j, self.r, self.m)
+
+    def __repr__(self) -> str:
+        return "LoopMode(i=%d, j=%d, r=%d, m=%d)" % (self.i, self.j, self.r, self.m)
+
     def text(self) -> str:
         return "E[%d,%d,%d](%d)" % (self.i, self.j, self.r, self.m)
 
 
-def pbw_sector(mode: LoopMode) -> int:
-    """Lower 0, Cartan 1, Upper 2; upper factors sit rightmost in words."""
-    if mode.i > mode.j:
-        return 0
-    if mode.i == mode.j:
-        return 1
-    return 2
-
-
-def pbw_key(mode: LoopMode):
-    return (pbw_sector(mode), -mode.m, mode.i, mode.j, mode.r)
-
-
-# A PBW monomial is a word: a tuple of LoopModes nondecreasing in pbw_key,
-# a repeated mode appearing once per factor.  pbw_key holds every field, so
-# equal keys mean equal modes.
+# A PBW monomial is a word: a tuple of LoopModes in nondecreasing order, a
+# repeated mode appearing once per factor.  A mode is its PBW key, so the
+# order of a word is plain tuple order.
 PBWMono = tuple
 
 
@@ -78,6 +91,11 @@ def _group(word: PBWMono) -> tuple:
         else:
             out.append((mode, 1))
     return tuple(out)
+
+
+def _printing_order(item) -> list:
+    """Sort key of items(): each (mode, exponent) pair as (i, j, r, m, exponent)."""
+    return [(mode.i, mode.j, mode.r, mode.m, e) for mode, e in item[0]]
 
 
 def _normal_insert(p: Partition, seq: tuple[LoopMode, ...], coeff: Rat):
@@ -93,10 +111,10 @@ def _normal_insert(p: Partition, seq: tuple[LoopMode, ...], coeff: Rat):
         s, c = stack.pop()
         for idx in range(len(s) - 1):
             a, b = s[idx], s[idx + 1]
-            if pbw_key(a) > pbw_key(b):
+            if a > b:
                 head, tail = s[:idx], s[idx + 2:]
                 stack.append((head + (b, a) + tail, c))
-                mm = a.m + b.m
+                mm = -a[1] - b[1]  # a.m + b.m, read off the keys
                 for e, cz in bracket(p, a, b).items():
                     stack.append((head + (LoopMode(e.i, e.j, e.r, mm),) + tail, c * cz))
                 break
@@ -106,7 +124,8 @@ def _normal_insert(p: Partition, seq: tuple[LoopMode, ...], coeff: Rat):
 
 def _negative_modes(p: Partition, modes: Iterable) -> tuple[LoopMode, ...]:
     """The modes as a tuple of LoopModes, each of p with m <= -1."""
-    modes = tuple(LoopMode(*mode) for mode in modes)
+    modes = tuple(mode if isinstance(mode, LoopMode) else LoopMode(*mode)
+                  for mode in modes)
     for mode in modes:
         if mode.m > -1:
             raise ValueError("non-negative mode %s on the vacuum" % mode.text())
@@ -115,10 +134,9 @@ def _negative_modes(p: Partition, modes: Iterable) -> tuple[LoopMode, ...]:
 
 
 def _pbw_mono(p: Partition, word) -> PBWMono:
-    """Validate a PBW monomial: a word of negative modes of p, nondecreasing
-    in pbw_key."""
+    """Validate a PBW monomial: a nondecreasing word of negative modes of p."""
     word = _negative_modes(p, word)
-    if any(pbw_key(b) < pbw_key(a) for a, b in zip(word, word[1:])):
+    if any(b < a for a, b in zip(word, word[1:])):
         raise ValueError("monomial factors not in PBW order")
     return word
 
@@ -206,9 +224,11 @@ class VacuumVector(Sparse):
 
     def items(self) -> list:
         """The (monomial, coefficient) pairs, each word grouped into (mode,
-        exponent) pairs and sorted by that grouping: the form and order the
-        printers and the JSON read."""
-        return sorted((_group(word), c) for word, c in self.terms.items())
+        exponent) pairs and sorted by that grouping read as (i, j, r, m,
+        exponent) per pair: the form and order the printers and the JSON
+        read.  That is field order, not the PBW order of the stored modes."""
+        return sorted(((_group(word), c) for word, c in self.terms.items()),
+                      key=_printing_order)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, VacuumVector) and self.partition != other.partition:
@@ -275,13 +295,13 @@ def _act(p: Partition, x: BasisElt, m: int, seq: tuple[LoopMode, ...],
     _act(p, x, m, rest, coeff, sub)
     for word, c2 in sub.items():
         add_into(acc, _normal_insert(p, (y,) + word, c2))
-    t = m + y.m
+    t = m - y[1]  # m + y.m
     for z, cz in bracket(p, x, y).items():
         if t >= 0:
             _act(p, z, t, rest, coeff * cz, acc)
         else:
             add_into(acc, _normal_insert(p, (LoopMode(z.i, z.j, z.r, t),) + rest, coeff * cz))
-    if m and y.m == -m:
+    if m and y[1] == m:  # y.m == -m
         q = critical_form(p, x, y)
         if q:
             add_into(acc, _normal_insert(p, rest, coeff * m * q))

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import combinations
 
@@ -9,7 +11,7 @@ from wcent import (BasisElt, DiffPoly, DiffVar, LoopMode, Partition,
                    normal_order, ss_matrix, ss_vectors, upper_basis,
                    w_correspondence, w_generators)
 from wcent import affine
-from wcent.affine import pbw_key, pbw_sector
+from wcent.centralizer import add_into, bracket, critical_form
 
 
 def E(i, j, r):
@@ -32,11 +34,37 @@ def test_pbw_order():
     # lower < diagonal < upper; shallow modes first within a sector
     modes = [M(1, 2, 0, -1), M(1, 1, 0, -2), M(2, 1, 0, -5), M(1, 1, 0, -1),
              M(2, 2, 0, -1)]
-    assert sorted(modes, key=pbw_key) == [
+    assert sorted(modes) == [
         M(2, 1, 0, -5), M(1, 1, 0, -1), M(2, 2, 0, -1), M(1, 1, 0, -2),
         M(1, 2, 0, -1)]
-    assert [pbw_sector(m) for m in (M(2, 1, 0, -1), M(1, 1, 0, -1), M(1, 2, 0, -1))] \
+    assert [m.sector for m in (M(2, 1, 0, -1), M(1, 1, 0, -1), M(1, 2, 0, -1))] \
         == [0, 1, 2]
+
+
+def test_loop_mode_contract():
+    # Stored as its PBW key, but built, read, printed and pickled as
+    # (i, j, r, m).
+    a = LoopMode(2, 1, 1, -3)
+    assert a == LoopMode(i=2, j=1, r=1, m=-3) == LoopMode.of(E(2, 1, 1), -3)
+    assert (a.i, a.j, a.r, a.m, a.base, a.sector) == (2, 1, 1, -3, E(2, 1, 1), 0)
+    assert repr(a) == "LoopMode(i=2, j=1, r=1, m=-3)"
+    assert a.text() == "E[2,1,1](-3)"
+    assert hash(a) == hash(M(2, 1, 1, -3)) and len({a, M(2, 1, 1, -3)}) == 1
+    assert a != M(2, 1, 1, -2) and a != M(1, 2, 1, -3)
+    for name in ("_replace", "_make", "_asdict"):
+        assert not hasattr(a, name)
+    word = (M(2, 1, 0, -1), a, M(1, 2, 0, -2))
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(word, proto))
+        assert back == word and all(type(x) is LoopMode for x in back)
+        assert [x.m for x in back] == [-1, -3, -2]
+    assert copy.deepcopy(word) == word and copy.copy(a) == a
+    assert type(copy.deepcopy(a)) is LoopMode
+    # a plain mode list is read as (i, j, r, m), also next to a LoopMode
+    v = VacuumVector(P11, [([[2, 1, 0, -1], M(1, 2, 0, -1)], 3)])
+    assert v == single(P11, 2, 1, 0, -1, 3) * single(P11, 1, 2, 0, -1)
+    assert normal_order(P11, [(1, 2, 0, -1), M(2, 1, 0, -1)]) == \
+        normal_order(P11, [M(1, 2, 0, -1), M(2, 1, 0, -1)])
 
 
 def test_normal_order_swap_with_bracket():
@@ -369,3 +397,128 @@ def test_ss_vectors_commute_pairwise():
         vs = [v for _, v in ss_vectors(p).ordered()]
         for a, b in combinations(vs, 2):
             assert a * b == b * a
+
+
+# -- the straightening on a key built from the fields, kept as the oracle ----
+
+
+def _field_key(mode):
+    """The PBW key (sector, -m, i, j, r), built from the public fields."""
+    sector = 0 if mode.i > mode.j else 1 if mode.i == mode.j else 2
+    return (sector, -mode.m, mode.i, mode.j, mode.r)
+
+
+def _oracle_insert(p, seq, coeff, acc):
+    """Straighten seq into acc, comparing adjacent factors by _field_key."""
+    stack = [(tuple(seq), coeff)]
+    while stack:
+        s, c = stack.pop()
+        for idx in range(len(s) - 1):
+            a, b = s[idx], s[idx + 1]
+            if _field_key(a) > _field_key(b):
+                head, tail = s[:idx], s[idx + 2:]
+                stack.append((head + (b, a) + tail, c))
+                for e, cz in bracket(p, a, b).items():
+                    stack.append((head + (M(e.i, e.j, e.r, a.m + b.m),) + tail, c * cz))
+                break
+        else:
+            add_into(acc, [(s, c)])
+    return acc
+
+
+def _oracle_order(p, seq, coeff=1):
+    return VacuumVector._raw(p, _oracle_insert(p, seq, coeff, {}))
+
+
+def _oracle_mul(u, v):
+    acc = {}
+    for w1, c1 in u.terms.items():
+        for w2, c2 in v.terms.items():
+            _oracle_insert(u.partition, w1 + w2, c1 * c2, acc)
+    return VacuumVector._raw(u.partition, acc)
+
+
+def _oracle_derive(v):
+    acc = {}
+    for word, c in v.terms.items():
+        for idx, mode in enumerate(word):
+            lowered = M(mode.i, mode.j, mode.r, mode.m - 1)
+            _oracle_insert(v.partition, word[:idx] + (lowered,) + word[idx + 1:],
+                           c * -mode.m, acc)
+    return VacuumVector._raw(v.partition, acc)
+
+
+def _oracle_act(p, x, m, seq, coeff, acc):
+    if not seq:
+        return
+    y, rest = seq[0], seq[1:]
+    sub = {}
+    _oracle_act(p, x, m, rest, coeff, sub)
+    for word, c in sub.items():
+        _oracle_insert(p, (y,) + word, c, acc)
+    t = m + y.m
+    for z, cz in bracket(p, x, y).items():
+        if t >= 0:
+            _oracle_act(p, z, t, rest, coeff * cz, acc)
+        else:
+            _oracle_insert(p, (M(z.i, z.j, z.r, t),) + rest, coeff * cz, acc)
+    if m and y.m == -m:
+        q = critical_form(p, x, y)
+        if q:
+            _oracle_insert(p, rest, coeff * m * q, acc)
+
+
+def _oracle_act_mode(x, m, v):
+    acc = {}
+    for word, c in v.terms.items():
+        _oracle_act(v.partition, x, m, word, c, acc)
+    return VacuumVector._raw(v.partition, acc)
+
+
+def _oracle_witness(v):
+    """The first x(m) of the full (m, basis) scan with a nonzero image."""
+    for m in range(v.depth + 1):
+        for x in centralizer_basis(v.partition):
+            img = _oracle_act_mode(x, m, v)
+            if img:
+                return x, m, img
+    return None
+
+
+@pytest.mark.parametrize("parts", [(1, 1, 1), (1, 2), (1, 1, 2), (2, 2)])
+def test_straightening_matches_field_key_oracle(parts):
+    # Seeded words with repeated modes, m in -1..-3, some already in order.
+    p = Partition.of(*parts)
+    rng = random.Random(str(parts))
+    basis = centralizer_basis(p)
+    vectors, repeated, ordered = [], 0, 0
+    for _ in range(30):
+        pool = [M(*rng.choice(basis), -rng.randint(1, 3)) for _ in range(3)]
+        word = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:
+            word.sort(key=_field_key)
+        ordered += all(_field_key(a) <= _field_key(b) for a, b in zip(word, word[1:]))
+        repeated += len(set(word)) < len(word)
+        c = rng.choice((-2, -1, 1, 3))
+        got = normal_order(p, word, c)
+        assert got == _oracle_order(p, word, c), word
+        assert all(_field_key(a) <= _field_key(b)
+                   for w in got.terms for a, b in zip(w, w[1:]))
+        vectors.append(got)
+    assert repeated and ordered > 1
+    for u, v in zip(vectors, vectors[1:]):
+        assert u * v == _oracle_mul(u, v)
+        assert v.derive() == _oracle_derive(v)
+    for v in vectors[:8]:
+        for x in basis:
+            for m in range(3):
+                assert act_mode(x, m, v) == _oracle_act_mode(x, m, v), (x, m)
+    verdicts = set()
+    for v in _differential_inputs(p, rng):  # includes E(-1)|0> for an upper E
+        got, want = center_check(v), _oracle_witness(v)
+        assert got.ok == (want is None), v
+        if want is not None:
+            (x, m, img), (wx, wm, wimg) = got.witness, want
+            assert (x, m) == (wx, wm) and img == wimg, v
+        verdicts.add(got.ok)
+    assert verdicts == {True, False}

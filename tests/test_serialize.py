@@ -91,7 +91,11 @@ def test_repeated_modes_group_only_in_items():
             v = v * VacuumVector.single(p, mode.base, mode.m, rng.randint(1, 3))
         items = v.items()
         keys = [mono for mono, _ in items]
-        assert keys == sorted(set(keys)) and len(items) == len(v.terms)
+        # printer order: each grouped factor read as (i, j, r, m, exponent)
+        order = [[(mode.i, mode.j, mode.r, mode.m, e) for mode, e in mono]
+                 for mono in keys]
+        assert all(a < b for a, b in zip(order, order[1:]))
+        assert len(items) == len(v.terms)
         for mono, c in items:
             word = tuple(mode for mode, e in mono for _ in range(e))
             assert v.terms[word] == c
@@ -108,6 +112,28 @@ def test_repeated_modes_group_only_in_items():
                     assert "%s^2" % mode.text() in v.text()
                     assert "{%s}^{2}" % latex_mode(mode) in latex_vacuum(v)
     assert squared  # the pool repeats modes, so some term has one squared
+
+
+def test_items_print_in_field_order_not_pbw_order():
+    # PBW order puts E[2,1,0](-1) < E[1,1,0](-1) < E[1,2,0](-2); the
+    # printers and the JSON list terms in (i, j, r, m, exponent) order.
+    p = Partition.of(1, 1)
+    modes = [LoopMode(2, 1, 0, -1), LoopMode(1, 1, 0, -1), LoopMode(1, 2, 0, -2)]
+    a, b, c = (VacuumVector.single(p, mode.base, mode.m) for mode in modes)
+    v = c + b.scale(2) + a.scale(3) + a * b * c + b * b * c
+    assert sorted(modes) == modes
+    assert [word[0] for word in sorted(v.terms)] == [modes[0]] * 2 + [modes[1]] * 2 + [modes[2]]
+    assert v.text() == (
+        "2*E[1,1,0](-1) + E[1,1,0](-1)^2*E[1,2,0](-2) + E[1,2,0](-2)"
+        " + 3*E[2,1,0](-1) + E[2,1,0](-1)*E[1,1,0](-1)*E[1,2,0](-2)")
+    blob = vacuum_to_json(v)
+    assert [(t["coeff"]["num"], t["modes"]) for t in blob["terms"]] == [
+        ("2", [[1, 1, 0, -1]]),
+        ("1", [[1, 1, 0, -1], [1, 1, 0, -1], [1, 2, 0, -2]]),
+        ("1", [[1, 2, 0, -2]]),
+        ("3", [[2, 1, 0, -1]]),
+        ("1", [[2, 1, 0, -1], [1, 1, 0, -1], [1, 2, 0, -2]])]
+    assert vacuum_from_json(json.loads(json.dumps(blob))) == v
 
 
 @pytest.mark.parametrize("parts", [(1, 2), (2, 2)])
