@@ -279,32 +279,47 @@ def act_mode(x: BasisElt, m: int, v: VacuumVector) -> VacuumVector:
     return VacuumVector._raw(p, acc)
 
 
-def _act(p: Partition, x: BasisElt, m: int, seq: tuple[LoopMode, ...],
+def _act(p: Partition, x: BasisElt, m: int, seq: PBWMono,
          coeff: Rat, acc: dict) -> None:
-    """Add coeff * x(m) seq|0> into acc, commuting x(m) past the first factor.
+    """Add coeff * x(m) seq|0> into acc, for m >= 0 and a PBW word seq.
 
-    The action on the rest of seq is summed before the first factor is
-    prepended and straightened, so terms that cancel there are never
-    straightened again.
+    Soundness.  ad x(m) is a derivation and x(m)|0> = 0 for m >= 0, so for
+    seq = y_1 ... y_k
+
+        x(m) y_1 ... y_k|0> = sum_i y_1 ... y_{i-1} [x(m), y_i] y_{i+1} ... y_k|0>,
+
+    with [x(m), y(b)] = [x, y](m + b) + m delta_{m,-b} <x, y>.  For each
+    z(t) in [x, y](m + b): a negative mode is spliced in at position i and
+    that word is straightened once; a mode with t >= 0 acts on the suffix,
+    itself a PBW word, by recursion, whose PBW words are straightened once
+    behind the prefix (with an empty prefix they are already in order).  The central term is
+    the word with y_i deleted, a subword of a PBW word and so already in
+    PBW order: it is added unstraightened.  bracket(x, y) is nonzero only if
+    x.j = y.i or x.i = y.j, and the central term needs y.m = -m, so a
+    position meeting neither is skipped without building the bracket.
     """
-    if not seq:
-        return  # nonnegative modes kill the vacuum
-    y = seq[0]
-    rest = seq[1:]
-    sub: dict[PBWMono, Rat] = {}
-    _act(p, x, m, rest, coeff, sub)
-    for word, c2 in sub.items():
-        add_into(acc, _normal_insert(p, (y,) + word, c2))
-    t = m - y[1]  # m + y.m
-    for z, cz in bracket(p, x, y).items():
-        if t >= 0:
-            _act(p, z, t, rest, coeff * cz, acc)
-        else:
-            add_into(acc, _normal_insert(p, (LoopMode(z.i, z.j, z.r, t),) + rest, coeff * cz))
-    if m and y[1] == m:  # y.m == -m
-        q = critical_form(p, x, y)
-        if q:
-            add_into(acc, _normal_insert(p, rest, coeff * m * q))
+    xi, xj = x.i, x.j
+    for idx, y in enumerate(seq):
+        central = y[1] == m  # y.m == -m; never for m = 0, as y.m <= -1
+        if xj != y[2] and xi != y[3] and not central:  # y[2], y[3] = y.i, y.j
+            continue  # [x(m), y] = 0
+        head, rest = seq[:idx], seq[idx + 1:]
+        t = m - y[1]  # m + y.m
+        for z, cz in bracket(p, x, y).items():
+            if t < 0:
+                add_into(acc, _normal_insert(p, head + (LoopMode(z.i, z.j, z.r, t),) + rest,
+                                             coeff * cz))
+            elif head:
+                sub: dict[PBWMono, Rat] = {}
+                _act(p, z, t, rest, coeff * cz, sub)
+                for word, c in sub.items():
+                    add_into(acc, _normal_insert(p, head + word, c))
+            else:
+                _act(p, z, t, rest, coeff * cz, acc)
+        if central:
+            q = critical_form(p, x, y)
+            if q:
+                add_into(acc, ((head + rest, coeff * m * q),))
 
 
 # -- Segal-Sugawara vectors ----------------------------------------------------

@@ -21,6 +21,8 @@ from .diffpoly import DiffPoly, DiffVar
 
 
 def rat_to_json(q: Rat) -> dict:
+    if isinstance(q, int):
+        return {"num": str(q), "den": "1"}
     f = Fraction(q)
     return {"num": str(f.numerator), "den": str(f.denominator)}
 
@@ -46,7 +48,7 @@ def diffpoly_to_json(poly: DiffPoly) -> list:
 def diffpoly_from_json(obj: list) -> DiffPoly:
     terms = []
     for t in obj:
-        mono = tuple((DiffVar(s=s, i=i, j=j, r=r), e)
+        mono = tuple((DiffVar(s, i, j, r), e)
                      for i, j, r, s, e in t["vars"])
         terms.append((mono, rat_from_json(t["coeff"])))
     return DiffPoly(terms)

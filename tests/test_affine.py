@@ -449,6 +449,8 @@ def _oracle_derive(v):
 
 
 def _oracle_act(p, x, m, seq, coeff, acc):
+    """The suffix-first recursion: x(m) acts on seq[1:], then seq[0] is
+    prepended and straightened, at every level."""
     if not seq:
         return
     y, rest = seq[0], seq[1:]
@@ -522,3 +524,50 @@ def test_straightening_matches_field_key_oracle(parts):
             assert (x, m) == (wx, wm) and img == wimg, v
         verdicts.add(got.ok)
     assert verdicts == {True, False}
+
+
+# -- act_mode against the suffix-first recursion it replaces ------------------
+
+
+def _cross_block_central(x, m, word):
+    """Whether x is a shift-0 idempotent and the word has a factor
+    E[j,j,0](-m) of another block: a central term that the skip rule of
+    _act must keep, as x.j != y.i and x.i != y.j there."""
+    return bool(m) and x.i == x.j and not x.r and any(
+        y.i == y.j != x.i and not y.r and y.m == -m for y in word)
+
+
+def _chains_through_two(p, x, m, word):
+    """Whether x(m) meets a factor at a nonnegative mode z(t), and z(t)
+    meets a later factor at a nonnegative mode again."""
+    for idx, y in enumerate(word):
+        t = m + y.m
+        if t >= 0 and any(bracket(p, z, w) and t + w.m >= 0
+                          for z in bracket(p, x, y) for w in word[idx + 1:]):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("parts", [(1, 1, 1, 1), (1, 1, 2), (1, 2, 2)])
+def test_act_mode_matches_suffix_first_oracle(parts):
+    p = Partition.of(*parts)
+    basis = centralizer_basis(p)
+    # E[i,i,0](1) E[j,j,0](-1)|0> = min(lam_i, lam_j)|0> across blocks
+    for i, j in combinations(range(1, p.n + 1), 2):
+        for a, b in ((i, j), (j, i)):
+            v = single(p, b, b, 0, -1)
+            want = VacuumVector.vacuum(p, min(p.part(i), p.part(j)))
+            assert act_mode(E(a, a, 0), 1, v) == want == _oracle_act_mode(E(a, a, 0), 1, v)
+    # Seeded words of 1..5 factors at modes -1..-4, every basis x and every
+    # m from 0 to depth + 1.
+    rng = random.Random("act" + str(parts))
+    central = chains = 0
+    for _ in range(12):
+        word = [M(*rng.choice(basis), -rng.randint(1, 4)) for _ in range(rng.randint(1, 5))]
+        v = normal_order(p, word, rng.choice((-2, -1, 1, 3)))
+        for x in basis:
+            for m in range(v.depth + 2):
+                assert act_mode(x, m, v) == _oracle_act_mode(x, m, v), (x, m, v)
+                central += any(_cross_block_central(x, m, w) for w in v.terms)
+                chains += any(_chains_through_two(p, x, m, w) for w in v.terms)
+    assert central and chains, (central, chains)
