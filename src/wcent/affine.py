@@ -101,25 +101,40 @@ def _printing_order(item) -> list:
 def _normal_insert(p: Partition, seq: tuple[LoopMode, ...], coeff: Rat):
     """Rewrite a word of negative modes into PBW order.
 
-    Yields (PBW word, coefficient) pairs, unsummed; pass them to
-    add_into.  Straightening swaps out-of-order adjacent factors and adds the
-    commutator word; negative modes never meet their opposites, so no central
-    terms appear here.
+    Yields (PBW word, coefficient) pairs, unsummed; pass them to add_into.
+
+    Soundness.  One insertion pass per word s, with coefficient c.  The list
+    out holds s[:pos] sorted, and y = s[pos] moves left past each factor a
+    of out with a > y, the nearest first.  With k the index of a, crossing
+    it uses a y = y a + [a, y]: the reordered word keeps c, and for each term
+    z of [a, y] the word out[:k] z(a.m + y.m) out[k+1:] s[pos+1:] is pushed
+    with c times that term's coefficient.  So at every step c s equals
+    c out s[pos:] plus the pushed words, out stays sorted, and each
+    inversion of s is crossed exactly once.  No central term arises, as
+    a.m + y.m <= -2.  [a, y] is nonzero only if a.j = y.i or a.i = y.j (the
+    test _act uses), so a crossing that meets neither pushes nothing and
+    builds no map.  Each pushed word is one factor shorter than s, so the
+    stack empties.  The PBW normal form is unique, so the summed pairs equal
+    those of straightening by adjacent swaps; only the order of the yielded
+    pairs differs, and items() sorts.
     """
     stack = [(seq, coeff)]
     while stack:
         s, c = stack.pop()
-        for idx in range(len(s) - 1):
-            a, b = s[idx], s[idx + 1]
-            if a > b:
-                head, tail = s[:idx], s[idx + 2:]
-                stack.append((head + (b, a) + tail, c))
-                mm = -a[1] - b[1]  # a.m + b.m, read off the keys
-                for e, cz in bracket(p, a, b).items():
-                    stack.append((head + (LoopMode(e.i, e.j, e.r, mm),) + tail, c * cz))
-                break
-        else:
-            yield s, c
+        out: list = []
+        for pos, y in enumerate(s):
+            k = len(out)
+            while k and out[k - 1] > y:
+                k -= 1
+                a = out[k]
+                if a[3] != y[2] and a[2] != y[3]:  # a.j != y.i and a.i != y.j
+                    continue  # [a, y] = 0
+                mm = -a[1] - y[1]  # a.m + y.m, read off the keys
+                for z, cz in bracket(p, a, y).items():
+                    stack.append((tuple(out[:k]) + (LoopMode(z.i, z.j, z.r, mm),)
+                                  + tuple(out[k + 1:]) + s[pos + 1:], c * cz))
+            out.insert(k, y)
+        yield tuple(out), c
 
 
 def _negative_modes(p: Partition, modes: Iterable) -> tuple[LoopMode, ...]:
@@ -295,8 +310,9 @@ def _act(p: Partition, x: BasisElt, m: int, seq: PBWMono,
     behind the prefix (with an empty prefix they are already in order).  The central term is
     the word with y_i deleted, a subword of a PBW word and so already in
     PBW order: it is added unstraightened.  bracket(x, y) is nonzero only if
-    x.j = y.i or x.i = y.j, and the central term needs y.m = -m, so a
-    position meeting neither is skipped without building the bracket.
+    x.j = y.i or x.i = y.j (the index test _normal_insert applies to each
+    crossing), and the central term needs y.m = -m, so a position meeting
+    neither is skipped without building the bracket.
     """
     xi, xj = x.i, x.j
     for idx, y in enumerate(seq):

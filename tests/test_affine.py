@@ -1,7 +1,7 @@
 import copy
 import pickle
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -487,31 +487,72 @@ def _oracle_witness(v):
     return None
 
 
-@pytest.mark.parametrize("parts", [(1, 1, 1), (1, 2), (1, 1, 2), (2, 2)])
+def _in_order(word):
+    return all(_field_key(a) <= _field_key(b) for a, b in zip(word, word[1:]))
+
+
+def _commuting_inversions(p, word):
+    """The kinds of inversion a > y of word that passes the index test of
+    _normal_insert (a.j = y.i or a.i = y.j) but whose bracket is empty:
+    "diagonal" for two diagonal modes of one block, else "truncated"."""
+    kinds = set()
+    for idx, a in enumerate(word):
+        for y in word[idx + 1:]:
+            if (_field_key(a) > _field_key(y) and (a.j == y.i or a.i == y.j)
+                    and not bracket(p, a, y)):
+                kinds.add("diagonal" if a.i == a.j == y.i == y.j else "truncated")
+    return kinds
+
+
+@pytest.mark.parametrize("parts", [(1, 1, 1), (1, 2), (1, 1, 2), (2, 2), (1, 1, 1, 1)])
 def test_straightening_matches_field_key_oracle(parts):
-    # Seeded words with repeated modes, m in -1..-3, some already in order.
+    # Seeded words of 1..7 factors (the products verify-commute straightens
+    # on 1^4 have up to 7), with repeated modes, m in -1..-3: some already in
+    # order, some the concatenation of two PBW words (the shape __mul__
+    # straightens).
     p = Partition.of(*parts)
     rng = random.Random(str(parts))
     basis = centralizer_basis(p)
-    vectors, repeated, ordered = [], 0, 0
-    for _ in range(30):
-        pool = [M(*rng.choice(basis), -rng.randint(1, 3)) for _ in range(3)]
-        word = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
-        if rng.random() < 0.3:
+    vectors = []
+    seen = dict.fromkeys(("repeated", "ordered", "long", "concatenated",
+                          "diagonal", "truncated"), 0)
+    for _ in range(40):
+        # the first base twice, each time at a random depth
+        bases = [rng.choice(basis) for _ in range(3)]
+        pool = [M(*e, -rng.randint(1, 3)) for e in bases + bases[:1]]
+        word = [rng.choice(pool) for _ in range(rng.randint(1, 7))]
+        shape = rng.random()
+        if shape < 0.25:
             word.sort(key=_field_key)
-        ordered += all(_field_key(a) <= _field_key(b) for a, b in zip(word, word[1:]))
-        repeated += len(set(word)) < len(word)
+        elif shape < 0.6:
+            cut = rng.randint(1, len(word))
+            word = sorted(word[:cut], key=_field_key) + sorted(word[cut:], key=_field_key)
+            seen["concatenated"] += not _in_order(word)
+        seen["ordered"] += len(word) > 1 and _in_order(word)
+        seen["repeated"] += len(set(word)) < len(word)
+        seen["long"] += len(word) >= 5
+        for kind in _commuting_inversions(p, word):
+            seen[kind] += 1
         c = rng.choice((-2, -1, 1, 3))
         got = normal_order(p, word, c)
         assert got == _oracle_order(p, word, c), word
-        assert all(_field_key(a) <= _field_key(b)
-                   for w in got.terms for a, b in zip(w, w[1:]))
-        vectors.append(got)
-    assert repeated and ordered > 1
-    for u, v in zip(vectors, vectors[1:]):
-        assert u * v == _oracle_mul(u, v)
+        assert all(_in_order(w) for w in got.terms)
+        vectors.append((got, len(word)))
+    # a commutator is truncated only where a block has size > 1
+    assert all(n for kind, n in seen.items() if kind != "truncated" or max(parts) > 1), seen
+    if parts == (1, 1, 1, 1):
+        # every product verify-commute makes, and its non-commuting control
+        # E[1,1,0](-1) E(-1)|0> with E upper
+        ss = [v for _, v in ss_vectors(p).ordered()]
+        a, b = single(p, 1, 1, 0, -1), VacuumVector.single(p, upper_basis(p)[0], -1)
+        for u, v in [*permutations(ss, 2), (a, b), (b, a)]:
+            assert u * v == _oracle_mul(u, v)
+        assert a * b != b * a
+    for (u, lu), (v, lv) in zip(vectors, vectors[1:]):
         assert v.derive() == _oracle_derive(v)
-    for v in vectors[:8]:
+        if lu + lv <= 8:  # the oracle's cost grows fast with the length
+            assert u * v == _oracle_mul(u, v)
+    for v, _ in vectors[:8]:
         for x in basis:
             for m in range(3):
                 assert act_mode(x, m, v) == _oracle_act_mode(x, m, v), (x, m)
