@@ -6,18 +6,24 @@ text, JSON, or LaTeX; JSON reports are deterministic byte-for-byte for a
 fixed configuration (sorted keys, canonical term order, no timings), so two
 seeded runs can be diffed directly.
 
+Runners decide; reports render on demand.  A runner computes its verdict and
+returns a `Report` that holds it together with builders for the JSON data,
+the text lines and the LaTeX, and only the format that is printed is built.
+
 `sweep` checks the whole claim for each partition by calling the other
 runners: census (`generators`), membership, Miura and Jacobian always;
 centre and iso for N <= --center-bound; pairwise commutativity
 (`verify-commute`) for N <= --commute-bound.  Each row holds one verdict per
-check that ran, and a failed check's report data under `witnesses`.
+check that ran, and a failed check's report data under `witnesses`; a check
+that passed is never rendered.
 
 Each partition gets one `Context`.  Runners read the generator, Miura and
 Segal-Sugawara tables only through `Context.table`, which builds each at most
 once per partition, so every check in a sweep row judges the same tables.
 Every command and every sweep check goes through `run`, which holds the one
 N-entry rule: a runner fails if any table it read has other than N entries,
-so an empty table never passes.  `miura` and `verify-iso`, which read two
+so an empty table never passes.  So a runner reads its tables before it
+returns, never inside a builder.  `miura` and `verify-iso`, which read two
 tables, also fail unless their keys agree.  A failed entry carries what it was
 compared with: `miura` the expected Miura table entry, `verify-iso` the
 difference of the two sides.
@@ -75,18 +81,25 @@ class RunConfig:
 
 @dataclass
 class Report:
-    """One command's outcome: JSON-ready payload plus text/LaTeX renderings.
-
-    Failed checks carry their witnesses inside `data`.  Timings appear only
-    in the text rendering, never in `data`.  `latex` is built only when the
-    run prints LaTeX (`Context.latex`), and is None otherwise.
+    """One command's outcome: the verdict `ok`, decided by the runner, and
+    builders that render it on demand: `data` (the JSON payload, witnesses of
+    failed checks included), `lines` (text) and `latex` (None for a command
+    without LaTeX).  A builder reads no table and builds afresh on each call.
+    Timings appear only in the text, never in `data`.
     """
 
     command: str
     ok: bool
-    data: dict
-    lines: list[str] = field(default_factory=list)
-    latex: Optional[str] = None
+    data: Callable[[], dict]
+    lines: Callable[[], list[str]]
+    latex: Optional[Callable[[], str]] = None
+
+    def json(self) -> dict:
+        """The payload, with its "ok" key (where it has one) set to the verdict."""
+        data = self.data()
+        if "ok" in data:
+            data["ok"] = self.ok
+        return data
 
 
 @dataclass
@@ -95,7 +108,7 @@ class Context:
 
     `read` lists every table handed out, in order, so that `run` can judge
     the tables of one runner by their slice of it (a sweep's slice spans
-    its checks').
+    its checks'); so tables are read before the runner returns.
     """
 
     p: Partition
@@ -112,164 +125,159 @@ class Context:
         self.read.append(self._tables[build])
         return self._tables[build]
 
-    @property
-    def latex(self) -> bool:
-        """Whether the run prints LaTeX; runners build it only then."""
-        return self.cfg.fmt == "latex"
-
 
 # -- per-partition runners ------------------------------------------------------
 
 
+def _verdict_lines(title: str, verdicts: dict) -> list[str]:
+    """`title`, then one `  key: pass/FAIL` line per key in sorted order."""
+    return [title] + ["  %s: %s" % (key, "pass" if verdicts[key] else "FAIL")
+                      for key in sorted(verdicts)]
+
+
+def _entry_report(command: str, ctx: Context, results: dict, witness: Callable,
+                  title: str, **extra) -> Report:
+    """The report of a check judged entry by entry: `results` maps each table
+    key to a result with `.ok`, and `witness(result)` renders a failed one."""
+    ok = all(res.ok for res in results.values())
+
+    def data():
+        entries = {key: {"pass": True} if res.ok else {"pass": False, "witness": witness(res)}
+                   for key, res in results.items()}
+        return {"partition": str(ctx.p), **extra, "entries": entries, "ok": ok}
+
+    return Report(command, ok, data, lambda: _verdict_lines(
+        title, {key: res.ok for key, res in results.items()}))
+
+
 def _run_basis(ctx: Context) -> Report:
     basis = centralizer_basis(ctx.p)
-    data = {
-        "partition": str(ctx.p),
-        "dim": len(basis),
-        "basis": [[e.i, e.j, e.r] for e in basis],
-    }
-    lines = ["partition %s: dim %d" % (ctx.p, len(basis))]
-    lines += ["  " + e.text() for e in basis]
-    latex = None
-    if ctx.latex:
-        latex = "\\begin{itemize}\n%s\n\\end{itemize}" % "\n".join(
-            r"\item $%s$" % sz.latex_var(DiffVar.of(e)) for e in basis)
-    return Report("basis", True, data, lines, latex)
+    return Report(
+        "basis", True,
+        lambda: {"partition": str(ctx.p), "dim": len(basis),
+                 "basis": [[e.i, e.j, e.r] for e in basis]},
+        lambda: ["partition %s: dim %d" % (ctx.p, len(basis))]
+        + ["  " + e.text() for e in basis],
+        lambda: "\\begin{itemize}\n%s\n\\end{itemize}" % "\n".join(
+            r"\item $%s$" % sz.latex_var(DiffVar.of(e)) for e in basis))
 
 
 def _run_generators(ctx: Context) -> Report:
     t = ctx.table(w_generators)
-    data = sz.generator_table_to_json(t)
-    lines = ["partition %s: %d generators" % (ctx.p, len(t))]
-    lines += ["  w[%d][%d] = %s" % (k, r, poly.text()) for (k, r), poly in t.ordered()]
-    return Report("generators", True, data, lines,
-                  sz.latex_table(t, "w") if ctx.latex else None)
+    return Report(
+        "generators", True, lambda: sz.generator_table_to_json(t),
+        lambda: ["partition %s: %d generators" % (ctx.p, len(t))]
+        + ["  w[%d][%d] = %s" % (k, r, poly.text()) for (k, r), poly in t.ordered()],
+        lambda: sz.latex_table(t, "w"))
 
 
 def _run_check_membership(ctx: Context) -> Report:
-    t = ctx.table(w_generators)
-    entries = {}
-    for (k, r), poly in t.ordered():
-        res = w_membership(ctx.p, poly, ctx.cfg.mode)
-        entry = {"pass": res.ok}
-        if not res.ok:
-            entry["witness"] = {
-                "x": [res.witness_x.i, res.witness_x.j, res.witness_x.r],
-                "bracket": sz.lambdapoly_to_json(res.witness_bracket),
-            }
-        entries[sz.table_key("w", k, r)] = entry
-    ok = all(e["pass"] for e in entries.values())
-    mode_name = ctx.cfg.mode.value
-    data = {"partition": str(ctx.p), "mode": mode_name, "entries": entries, "ok": ok}
-    lines = ["partition %s: membership (%s mode)" % (ctx.p, mode_name)]
-    lines += ["  %s: %s" % (key, "pass" if entries[key]["pass"] else "FAIL")
-              for key in sorted(entries)]
-    return Report("check-membership", ok, data, lines)
+    mode = ctx.cfg.mode
+    results = {sz.table_key("w", k, r): w_membership(ctx.p, poly, mode)
+               for (k, r), poly in ctx.table(w_generators).ordered()}
+    return _entry_report(
+        "check-membership", ctx, results,
+        lambda res: {"x": [res.witness_x.i, res.witness_x.j, res.witness_x.r],
+                     "bracket": sz.lambdapoly_to_json(res.witness_bracket)},
+        "partition %s: membership (%s mode)" % (ctx.p, mode.value), mode=mode.value)
 
 
 def _run_miura(ctx: Context) -> Report:
     wt = ctx.table(w_generators)
     mt = ctx.table(miura_generators)
-    entries = {}
-    lines = ["partition %s: Miura images" % ctx.p]
-    for (k, r), poly in wt.ordered():
-        img = miura_image(poly)
-        expected = mt.entries.get((k, r))
-        key = sz.table_key("w", k, r)
-        entry = {"pass": img == expected, "image": sz.diffpoly_to_json(img)}
-        note = ""
-        if not entry["pass"]:
-            entry["expected"] = None if expected is None else sz.diffpoly_to_json(expected)
-            note = "  MISMATCH (expected %s)" % ("nothing" if expected is None
-                                                else expected.text())
-        entries[key] = entry
-        lines.append("  %s -> %s%s" % (key, img.text(), note))
-    unmatched = set(wt.entries) ^ set(mt.entries)
-    ok = not unmatched and all(e["pass"] for e in entries.values())
-    data = {"partition": str(ctx.p), "entries": entries, "ok": ok}
-    if unmatched:
-        data["unmatched"] = [sz.table_key("w", k, r) for k, r in sorted(unmatched)]
-    return Report("miura", ok, data, lines, sz.latex_table(mt, "w") if ctx.latex else None)
+    images = [(sz.table_key("w", k, r), miura_image(poly), mt.entries.get((k, r)))
+              for (k, r), poly in wt.ordered()]
+    unmatched = sorted(set(wt.entries) ^ set(mt.entries))
+    ok = not unmatched and all(img == expected for _, img, expected in images)
+
+    def data():
+        entries = {}
+        for key, img, expected in images:
+            entries[key] = {"pass": img == expected, "image": sz.diffpoly_to_json(img)}
+            if img != expected:
+                entries[key]["expected"] = (None if expected is None
+                                            else sz.diffpoly_to_json(expected))
+        out = {"partition": str(ctx.p), "entries": entries, "ok": ok}
+        if unmatched:
+            out["unmatched"] = [sz.table_key("w", k, r) for k, r in unmatched]
+        return out
+
+    def lines():
+        return ["partition %s: Miura images" % ctx.p] + [
+            "  %s -> %s%s" % (key, img.text(), "" if img == expected else
+                              "  MISMATCH (expected %s)" % (
+                                  "nothing" if expected is None else expected.text()))
+            for key, img, expected in images]
+
+    return Report("miura", ok, data, lines, lambda: sz.latex_table(mt, "w"))
 
 
 def _run_jacobian(ctx: Context) -> Report:
     cert = jacobian_independence(ctx.p, seed=ctx.cfg.seed,
                                  mt=ctx.table(miura_generators))
-    data = {
-        "partition": str(ctx.p),
-        "nonzero": cert.nonzero,
-        "det": sz.rat_to_json(cert.det),
-        "seed": cert.seed,
-        "attempts": cert.attempts,
-        "point": {v.text(): sz.rat_to_json(q) for v, q in sorted(cert.point.items())},
-        "poly_order": [sz.table_key("w", k, r) for k, r in cert.poly_order],
-        "var_order": [v.text() for v in cert.var_order],
-        "symbolic": {
-            "computed": cert.symbolic_det is not None,
-            "nonzero": cert.symbolic_nonzero,
+    return Report(
+        "jacobian", cert.ok,
+        lambda: {
+            "partition": str(ctx.p),
+            "nonzero": cert.nonzero,
+            "det": sz.rat_to_json(cert.det),
+            "seed": cert.seed,
+            "attempts": cert.attempts,
+            "point": {v.text(): sz.rat_to_json(q) for v, q in sorted(cert.point.items())},
+            "poly_order": [sz.table_key("w", k, r) for k, r in cert.poly_order],
+            "var_order": [v.text() for v in cert.var_order],
+            "symbolic": {"computed": cert.symbolic_det is not None,
+                         "nonzero": cert.symbolic_nonzero},
+            "ok": cert.ok,
         },
-        "ok": cert.ok,
-    }
-    lines = ["partition %s: Jacobian determinant %s at seed %d (%d attempt%s)%s" % (
-        ctx.p, cert.det, cert.seed, cert.attempts, "s" if cert.attempts != 1 else "",
-        "" if cert.symbolic_det is None else
-        "; symbolic check %s" % ("nonzero" if cert.symbolic_nonzero else "ZERO"))]
-    latex = None
-    if ctx.latex:
-        latex = r"\det J = %s" % sz.latex_rat(cert.det)
-        if cert.symbolic_det is not None:
-            latex += ",\\qquad \\det J(E) = %s" % sz.latex_diffpoly(cert.symbolic_det)
-    return Report("jacobian", cert.ok, data, lines, latex)
+        lambda: ["partition %s: Jacobian determinant %s at seed %d (%d attempt%s)%s" % (
+            ctx.p, cert.det, cert.seed, cert.attempts, "s" if cert.attempts != 1 else "",
+            "" if cert.symbolic_det is None else
+            "; symbolic check %s" % ("nonzero" if cert.symbolic_nonzero else "ZERO"))],
+        lambda: r"\det J = %s" % sz.latex_rat(cert.det) + (
+            "" if cert.symbolic_det is None else
+            ",\\qquad \\det J(E) = %s" % sz.latex_diffpoly(cert.symbolic_det)))
 
 
 def _run_ss_vectors(ctx: Context) -> Report:
     t = ctx.table(ss_vectors)
-    data = sz.sugawara_table_to_json(t)
-    lines = ["partition %s: %d vectors" % (ctx.p, len(t))]
-    lines += ["  phi[%d][%d] = %s" % (k, r, v.text()) for (k, r), v in t.ordered()]
-    return Report("ss-vectors", True, data, lines,
-                  sz.latex_table(t, r"\phi") if ctx.latex else None)
+    return Report(
+        "ss-vectors", True, lambda: sz.sugawara_table_to_json(t),
+        lambda: ["partition %s: %d vectors" % (ctx.p, len(t))]
+        + ["  phi[%d][%d] = %s" % (k, r, v.text()) for (k, r), v in t.ordered()],
+        lambda: sz.latex_table(t, r"\phi"))
 
 
 def _run_verify_center(ctx: Context) -> Report:
-    t = ctx.table(ss_vectors)
-    entries = {}
-    for (k, r), v in t.ordered():
-        res = center_check(v)
-        entry = {"pass": res.ok}
-        if not res.ok:
-            x, m, img = res.witness
-            entry["witness"] = {
-                "x": [x.i, x.j, x.r],
-                "m": m,
-                "image": sz.vacuum_to_json(img),
-            }
-        entries[sz.table_key("phi", k, r)] = entry
-    ok = all(e["pass"] for e in entries.values())
-    data = {"partition": str(ctx.p), "entries": entries, "ok": ok}
-    lines = ["partition %s: centre check" % ctx.p]
-    lines += ["  %s: %s" % (key, "pass" if entries[key]["pass"] else "FAIL")
-              for key in sorted(entries)]
-    return Report("verify-center", ok, data, lines)
+    results = {sz.table_key("phi", k, r): center_check(v)
+               for (k, r), v in ctx.table(ss_vectors).ordered()}
+
+    def witness(res):
+        x, m, img = res.witness
+        return {"x": [x.i, x.j, x.r], "m": m, "image": sz.vacuum_to_json(img)}
+
+    return _entry_report("verify-center", ctx, results, witness,
+                         "partition %s: centre check" % ctx.p)
 
 
 def _run_verify_iso(ctx: Context) -> Report:
     rep = w_correspondence(ctx.p, ctx.table(w_generators), ctx.table(ss_vectors))
-    entries = {}
-    for key in sorted(rep.matches):
-        entry = {"match": rep.matches[key], "translation": rep.translation_ok[key]}
-        if key in rep.differences:
-            entry["difference"] = sz.vacuum_to_json(rep.differences[key])
-        entries[sz.table_key("phi", *key)] = entry
-    data = {"partition": str(ctx.p), "entries": entries, "ok": rep.ok}
-    if rep.unmatched:
-        data["unmatched"] = [sz.table_key("phi", k, r) for k, r in rep.unmatched]
-    lines = ["partition %s: Miura/Sugawara correspondence" % ctx.p]
-    lines += ["  %s: %s" % (key,
-                            "pass" if entries[key]["match"] and entries[key]["translation"]
-                            else "FAIL")
-              for key in sorted(entries)]
-    return Report("verify-iso", rep.ok, data, lines)
+    keys = {sz.table_key("phi", *key): key for key in sorted(rep.matches)}
+
+    def data():
+        entries = {}
+        for name, key in keys.items():
+            entries[name] = {"match": rep.matches[key], "translation": rep.translation_ok[key]}
+            if key in rep.differences:
+                entries[name]["difference"] = sz.vacuum_to_json(rep.differences[key])
+        out = {"partition": str(ctx.p), "entries": entries, "ok": rep.ok}
+        if rep.unmatched:
+            out["unmatched"] = [sz.table_key("phi", k, r) for k, r in rep.unmatched]
+        return out
+
+    return Report("verify-iso", rep.ok, data, lambda: _verdict_lines(
+        "partition %s: Miura/Sugawara correspondence" % ctx.p,
+        {name: rep.matches[key] and rep.translation_ok[key] for name, key in keys.items()}))
 
 
 def _run_verify_commute(ctx: Context) -> Report:
@@ -277,32 +285,29 @@ def _run_verify_commute(ctx: Context) -> Report:
     commutators = ((ka, kb, a * b - b * a)
                    for (ka, a), (kb, b) in combinations(t.ordered(), 2))
     failed = next(((ka, kb, c) for ka, kb, c in commutators if c), None)
-    ok = failed is None
-    data = {"partition": str(ctx.p), "ok": ok}
-    lines = ["partition %s: pairwise commutativity of %d vectors" % (ctx.p, len(t))]
-    if failed is not None:
-        ka, kb, c = failed
-        pair = [sz.table_key("phi", *ka), sz.table_key("phi", *kb)]
-        data["witness"] = {"pair": pair, "commutator": sz.vacuum_to_json(c)}
-        lines.append("  [%s, %s] = %s" % (pair[0], pair[1], c.text()))
-    return Report("verify-commute", ok, data, lines)
+    head = "partition %s: pairwise commutativity of %d vectors" % (ctx.p, len(t))
+    if failed is None:
+        return Report("verify-commute", True, lambda: {"partition": str(ctx.p), "ok": True},
+                      lambda: [head])
+    ka, kb, c = failed
+    pair = [sz.table_key("phi", *ka), sz.table_key("phi", *kb)]
+    return Report("verify-commute", False,
+                  lambda: {"partition": str(ctx.p), "ok": False,
+                           "witness": {"pair": pair, "commutator": sz.vacuum_to_json(c)}},
+                  lambda: [head, "  [%s, %s] = %s" % (pair[0], pair[1], c.text())])
 
 
 def _run_pva_axioms(ctx: Context) -> Report:
     rep = pva_axiom_suite(ctx.p, seed=ctx.cfg.seed, samples=ctx.cfg.samples)
-    data = {
-        "partition": str(ctx.p),
-        "seed": rep.seed,
-        "samples": rep.samples,
-        "checked": dict(sorted(rep.checked.items())),
-        "failures": dict(sorted(rep.failures.items())),
-        "ok": rep.ok,
-    }
-    lines = ["partition %s: bracket axioms on %d samples (seed %d)" % (
-        ctx.p, rep.samples, rep.seed)]
-    lines += ["  %s: %d checked, %d failed" % (name, n, rep.failures.get(name, 0))
-              for name, n in sorted(rep.checked.items())]
-    return Report("pva-axioms", rep.ok, data, lines)
+    return Report(
+        "pva-axioms", rep.ok,
+        lambda: {"partition": str(ctx.p), "seed": rep.seed, "samples": rep.samples,
+                 "checked": dict(sorted(rep.checked.items())),
+                 "failures": dict(sorted(rep.failures.items())), "ok": rep.ok},
+        lambda: ["partition %s: bracket axioms on %d samples (seed %d)" % (
+            ctx.p, rep.samples, rep.seed)]
+        + ["  %s: %d checked, %d failed" % (name, n, rep.failures.get(name, 0))
+           for name, n in sorted(rep.checked.items())])
 
 
 # The sweep's checks in row order, each with the runner that decides it.
@@ -323,14 +328,15 @@ def _run_sweep(ctx: Context) -> Report:
         rep = run(command, ctx)
         row[check] = rep.ok
         if not rep.ok:
-            witnesses[check] = rep.data
+            witnesses[check] = rep.json()
+    seconds = time.perf_counter() - start
     row["ok"] = not witnesses
     if witnesses:
         row["witnesses"] = witnesses
     marks = " ".join("%s=%s" % (check, {True: "ok", False: "FAIL"}.get(row.get(check), "-"))
                      for check in SWEEP_CHECKS)
-    line = "%-12s %s  (%.2fs)" % (ctx.p, marks, time.perf_counter() - start)
-    return Report("sweep", row["ok"], row, [line])
+    return Report("sweep", row["ok"], lambda: dict(row),
+                  lambda: ["%-12s %s  (%.2fs)" % (ctx.p, marks, seconds)])
 
 
 RUNNERS: dict[str, Callable[[Context], Report]] = {
@@ -349,35 +355,29 @@ RUNNERS: dict[str, Callable[[Context], Report]] = {
 
 
 def run(command: str, ctx: Context) -> Report:
-    """Run one command on the context's partition under the N-entry rule.
-
-    The report fails if any table the runner read has other than N entries;
-    where its `data` has an "ok" key, that key agrees with the verdict.
-    """
+    """Run one command on the context's partition under the N-entry rule:
+    the report fails if any table the runner read has other than N entries."""
     start = len(ctx.read)
     rep = RUNNERS[command](ctx)
     rep.ok = rep.ok and all(len(t) == ctx.p.N for t in ctx.read[start:])
-    if "ok" in rep.data:
-        rep.data["ok"] = rep.ok
     return rep
 
 
 def dispatch(cfg: RunConfig) -> Report:
     """Run the command over every configured partition, one context each, and
-    merge the reports."""
+    merge the reports; the merged builders call each partition's."""
     parts = [run(cfg.command, Context(p, cfg)) for p in cfg.partitions]
     if len(parts) == 1:
         return parts[0]
     ok = all(r.ok for r in parts)
-    data = {"command": cfg.command, "ok": ok, "runs": [r.data for r in parts]}
-    lines = []
-    for r in parts:
-        lines.extend(r.lines)
-    lines.append("sweep over %d partitions: %s" % (len(parts), "pass" if ok else "FAIL"))
-    latex = None
-    if all(r.latex is not None for r in parts):
-        latex = "\n\\par\n".join(r.latex for r in parts)
-    return Report(cfg.command, ok, data, lines, latex)
+    latex = None if parts[0].latex is None else (
+        lambda: "\n\\par\n".join(r.latex() for r in parts))
+    return Report(
+        cfg.command, ok,
+        lambda: {"command": cfg.command, "ok": ok, "runs": [r.json() for r in parts]},
+        lambda: [line for r in parts for line in r.lines()]
+        + ["sweep over %d partitions: %s" % (len(parts), "pass" if ok else "FAIL")],
+        latex)
 
 
 # -- argument handling -----------------------------------------------------------
@@ -475,13 +475,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def render(report: Report, fmt: str, elapsed: float) -> str:
     if fmt == "json":
-        return json.dumps(report.data, indent=2, sort_keys=True)
+        return json.dumps(report.json(), indent=2, sort_keys=True)
     if fmt == "latex":
-        return report.latex or ""
-    lines = list(report.lines)
-    lines.append("%s: %s  [%.2fs]" % (report.command,
-                                      "pass" if report.ok else "FAIL", elapsed))
-    return "\n".join(lines)
+        return report.latex() if report.latex else ""
+    return "\n".join(report.lines() + ["%s: %s  [%.2fs]" % (
+        report.command, "pass" if report.ok else "FAIL", elapsed)])
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -238,14 +238,18 @@ def test_c11_serialization_round_trips_and_determinism():
             lp = lambda_bracket(p, a, b)
             assert lambdapoly_from_json(lambdapoly_to_json(lp)) == lp
 
-    # identical configurations render byte-identical JSON reports
+    # identical configurations render byte-identical JSON reports, and one
+    # report renders the same twice in each of its formats
     for cfg in [RunConfig("verify-center", [Partition.of(1, 2)], fmt="json"),
                 RunConfig("pva-axioms", [Partition.of(1, 2)], seed=3,
                           fmt="json", samples=20),
                 RunConfig("jacobian", [Partition.of(2, 2)], seed=1, fmt="json"),
-                RunConfig("generators", list(all_partitions(4)), fmt="json")]:
-        one = render(dispatch(cfg), "json", 0.0)
-        two = render(dispatch(cfg), "json", 0.0)
-        assert one == two and one
+                RunConfig("generators", list(all_partitions(4)), fmt="json"),
+                RunConfig("sweep", [Partition.of(1, 2)], fmt="json")]:
+        rep = dispatch(cfg)
+        one = render(rep, "json", 0.0)
+        assert one == render(dispatch(cfg), "json", 0.0) and one
+        for fmt in ["json", "text"] + ["latex"] * (rep.latex is not None):
+            assert render(rep, fmt, 0.0) == render(rep, fmt, 0.0), (cfg.command, fmt)
     print("PASS criterion 11: JSON round-trips hold on all emitted objects "
           "and seeded reports are byte-identical")

@@ -1,7 +1,9 @@
 import ast
+import hashlib
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -279,6 +281,20 @@ def test_sweep_builds_each_table_once(capsys, monkeypatch):
     assert calls == {"w_generators": 1, "miura_generators": 1, "ss_vectors": 1}
 
 
+def test_sweep_renders_only_failed_checks(capsys, monkeypatch):
+    # a row keeps only the verdict of a check that passed, so it never
+    # serializes the generator table or a Miura image
+    code, out = run(capsys, "sweep", "-p", "1,2", "--format", "json")
+    assert code == 0
+
+    def unused(*args):
+        raise AssertionError("a passing sweep check was rendered")
+
+    monkeypatch.setattr(cli.sz, "generator_table_to_json", unused)
+    monkeypatch.setattr(cli.sz, "diffpoly_to_json", unused)
+    assert run(capsys, "sweep", "-p", "1,2", "--format", "json") == (0, out)
+
+
 def test_miura_mismatch_carries_expected_entry(capsys, monkeypatch):
     p = Partition.of(1, 2)
     table = miura_generators(p)
@@ -291,6 +307,14 @@ def test_miura_mismatch_carries_expected_entry(capsys, monkeypatch):
     assert diffpoly_from_json(entries["w[1][0]"]["expected"]) == wrong
     assert diffpoly_from_json(entries["w[1][0]"]["image"]) == table.entries[(1, 0)]
     assert "expected" not in entries["w[1][1]"]
+    # the failed check of a sweep row is rendered in full under `witnesses`
+    code, out = run(capsys, "sweep", "-p", "1,2", "--format", "json")
+    assert code == 1
+    row = json.loads(out)
+    assert row["miura"] is False
+    entry = row["witnesses"]["miura"]["entries"]["w[1][0]"]
+    assert diffpoly_from_json(entry["expected"]) == wrong
+    assert diffpoly_from_json(entry["image"]) == table.entries[(1, 0)]
 
 
 def test_verify_iso_failure_carries_difference(capsys, monkeypatch):
@@ -363,3 +387,71 @@ def test_closed_stdout_exits_with_the_verdict(runner, code, argv):
     proc.stderr.close()
     assert proc.wait(timeout=120) == code
     assert err == b""
+
+
+# sha256 of stdout, with the text timings "(...s)" and "[...s]" masked, for
+# small runs of every command in each format it has.  These pin the text and
+# LaTeX bytes, which no other test compares whole.  A deliberate output change
+# updates the digests here and says so in CHANGES.md.
+OUTPUT_DIGESTS = {
+    "basis --max-N 4 --format text":
+        "999dbe7b37a7d408bf0164a93f4667730fe0a1bbe6d10c1679d9e6f779dc1cae",
+    "basis --max-N 4 --format json":
+        "8cc44935946dac71f321f92a00c7d060c1bb9ba8b8858bc44f2525bc6ac661c6",
+    "basis --max-N 4 --format latex":
+        "2a9bd2fcf3d18f76ab2ddff436c994eacdcb17430ff34590e8fdb0cb110ed966",
+    "generators --max-N 4 --format text":
+        "29ba81c1addd5aa32784fcd12aa5386654b2e8149164f68bbcc3fc854860212f",
+    "generators --max-N 4 --format json":
+        "9ebf67b594ccd1baac59b90c037b971b884770b7f726db097d347c6dab332737",
+    "generators --max-N 4 --format latex":
+        "f826464f0b1b65a681107f573f6fbb7de33673b438a56ae0d251bd03401b945e",
+    "miura --max-N 4 --format text":
+        "aee26551a42cdcce68fe852565a807f70c5482544968e47774838b67b9d34ec4",
+    "miura --max-N 4 --format json":
+        "bfcd14373f424682174a497b202e2835f20038ceb36edf18c57e71ad5eaaee53",
+    "miura --max-N 4 --format latex":
+        "396093501a7346cbc4567aa3f3777286fc557324162e2fa2a3ea05eb309b0c97",
+    "jacobian --max-N 4 --format text":
+        "5cb7be60ba5713cf88c334eb29adb4eb9cbcc029a69e43ad5883389e2416ccbb",
+    "jacobian --max-N 4 --format json":
+        "d0a7c15ba6b9d71e21e87f2924f220e27c30d8a0b95f8ebfa6b942148406962e",
+    "jacobian --max-N 4 --format latex":
+        "31897fb3285a711628eb99a286fb6b896abdc457567ee469b936643a035e52c1",
+    "ss-vectors --max-N 4 --format text":
+        "945f943d55d6fe7d2f8a1314257876b60f4b927d0911ceb6eb415247385da4a9",
+    "ss-vectors --max-N 4 --format json":
+        "dae31f14c1cfa73b615cc28791d960e400e1291b08a22c178e20042deb4748d6",
+    "ss-vectors --max-N 4 --format latex":
+        "9bf9b44d21ddbbf7a0f73b81d951900a864a3a593108111c3745bc870784637b",
+    "check-membership -p 1,1,2 --format text":
+        "6c252237c9f5e153cc651a39d18e8c78c488c8f01c008c8cbb4ae8b26c4d6fea",
+    "check-membership -p 1,1,2 --format json":
+        "f493848734941dff72a8e0c063d73ce5bede1227a42ad97d70c76f73659c10ba",
+    "verify-center -p 1,1,2 --format text":
+        "32748d52e1a335fb5182d957fe139ba3988143389762923a8e50a8f605e5e64e",
+    "verify-center -p 1,1,2 --format json":
+        "3b79b374630f18a1ae1cb7c9125de6f30aca0f58b894ce89f020384c39e5a96a",
+    "verify-iso -p 1,1,2 --format text":
+        "82c86d6016bbd2fac47379bbc4730aa3ac66ab517490f95aa2e24039b9b4b1e5",
+    "verify-iso -p 1,1,2 --format json":
+        "299bdb01bb4226c0dd4e7e2f3f9134088abe09f23643a8bd0bb38624ac66a7cb",
+    "verify-commute -p 1,1,2 --format text":
+        "a1696fd5c8ac76806c15eddabb353c0d633f0b2776eb684958f4741ffdd8f922",
+    "verify-commute -p 1,1,2 --format json":
+        "3c9493cfbb8f40e383eb8a59eaaf95e45f0eb7721707e34dddc11e5dded077d6",
+    "sweep --max-N 5 --format text":
+        "af0094f3c03e8f5ec1e55099e785dfb84ab9b60ca97e4109a48d75ffa8311125",
+    "sweep --max-N 5 --format json":
+        "dbdd163b1570d7771895c76b4259354a975067d6b740e6be542a36be1645ede9",
+}
+
+
+def test_outputs_match_recorded_digests(capsys):
+    changed = []
+    for argv, digest in OUTPUT_DIGESTS.items():
+        code, out = run(capsys, *argv.split())
+        out = re.sub(r"([(\[])\d+\.\d+s([)\]])", r"\1s\2", out)
+        if code != 0 or hashlib.sha256(out.encode()).hexdigest() != digest:
+            changed.append(argv)
+    assert not changed
