@@ -398,9 +398,18 @@ def center_check(v: VacuumVector) -> CenterCheck:
     (0) Chains of adjacent E[i,i+-1,r] give every off-diagonal element, as
         [E[i,j,r], E[j,l,s]] = E[i,l,r+s] and the shift windows compose.
         Brackets of off-diagonal elements span [a, a], and C completes a(0).
-    (1) Once a(0) annihilates v, {x : x(1) v = 0} is ad-a-stable.  It holds
-        every E[i,i,0], hence [E[i,i,0], E[i,j,r]] = E[i,j,r], hence [a, a],
-        and with C all of a.
+    (1) Once a(0) annihilates v, I = {x : x(1) v = 0} is an ideal of a, as
+        [y, x](1) = [y(0), x(1)].  C holds E[i,i,0] for the first block i
+        of each part size s.  Let tau_s be the sum of the E[j,j,0]-
+        coefficients over the blocks j of size s.  A basis bracket has a
+        shift-0 diagonal part only as [E[i,l,0], E[l,i,0]] = E[i,i,0] -
+        E[l,l,0] with lam_i = lam_l, so tau_s vanishes on [a, a]; it also
+        vanishes on the elements of C before E[i,i,0], which sit on
+        earlier blocks, of other sizes, but tau_s(E[i,i,0]) = 1.  For
+        lam_l = lam_i, [E[l,i,0], E[i,i,0]] = E[l,i,0] and [E[i,l,0],
+        E[l,i,0]] = E[i,i,0] - E[l,l,0], so I holds every E[l,l,0], hence
+        every [E[l,l,0], E[l,j,r]] = E[l,j,r], hence [a, a], and with C all
+        of a.
     (m >= 2) [a(1), a(m-1)] = [a, a](m), and C(m) completes a(m).
     Modes above the depth of v kill it for degree reasons.
     """
@@ -415,21 +424,24 @@ def center_check(v: VacuumVector) -> CenterCheck:
     return CenterCheck(True)
 
 
+# Per partition, the mode-0 set and C of _generating_scan, each found once:
+# C by exact elimination.  Bounded by the number of partitions met.
+_SCAN_SETS: dict[Partition, tuple[tuple[BasisElt, ...], tuple[BasisElt, ...]]] = {}
+
+
 def _generating_scan(p: Partition, depth: int) -> list[tuple[BasisElt, int]]:
     """The modes x(m) that center_check scans for 0 <= m <= depth, m-major.
 
-    m = 0: the adjacent off-diagonal E[i,i+-1,r], then C; m = 1: the
-    idempotents E[i,i,0], then the rest of C; m >= 2: C alone, where C is
-    derived_complement(p).
+    m = 0: the adjacent off-diagonal E[i,i+-1,r], then C; m >= 1: C alone,
+    where C is derived_complement(p).  Each call returns a fresh list.
     """
-    basis = centralizer_basis(p)
-    comp = derived_complement(p)
-    adjacent = [x for x in basis if abs(x.i - x.j) == 1]
-    idempotents = [x for x in basis if x.i == x.j and x.r == 0]
-    scan = [(x, 0) for x in adjacent + comp]
-    if depth >= 1:
-        scan += [(x, 1) for x in idempotents + [x for x in comp if x.r]]  # C is diagonal
-    return scan + [(x, m) for m in range(2, depth + 1) for x in comp]
+    sets = _SCAN_SETS.get(p)
+    if sets is None:
+        comp = tuple(derived_complement(p))
+        adjacent = tuple(x for x in centralizer_basis(p) if abs(x.i - x.j) == 1)
+        sets = _SCAN_SETS[p] = (adjacent + comp, comp)
+    mode0, comp = sets
+    return [(x, 0) for x in mode0] + [(x, m) for m in range(1, depth + 1) for x in comp]
 
 
 def _full_scan(v: VacuumVector) -> CenterCheck:

@@ -11,7 +11,7 @@ from wcent import (BasisElt, DiffPoly, DiffVar, LoopMode, Partition,
                    normal_order, ss_matrix, ss_vectors, upper_basis,
                    w_correspondence, w_generators)
 from wcent import affine
-from wcent.centralizer import add_into, bracket, critical_form
+from wcent.centralizer import add_into, bracket, critical_form, derived_complement
 
 
 def E(i, j, r):
@@ -293,10 +293,13 @@ def _differential_inputs(p, rng):
 
 def test_center_check_matches_full_scan():
     # The generating-set scan against the full scan it replaces, kept as
-    # the oracle: same verdict, same witness mode and image.
+    # the oracle: same verdict, same witness mode and image.  The partitions
+    # of 5 with a repeated part are where mode 1 scans the fewest elements
+    # per block.
     rng = random.Random(10)
     seen = set()
-    for p in all_partitions(4):
+    repeated = [p for p in all_partitions(5) if p.N == 5 and len(set(p.parts)) < p.n]
+    for p in all_partitions(4) + repeated:
         for v in _differential_inputs(p, rng):
             got, want = center_check(v), affine._full_scan(v)
             assert got.ok == want.ok, (str(p), v)
@@ -307,6 +310,30 @@ def test_center_check_matches_full_scan():
             assert (x, m) == (wx, wm) and img == wimg, (str(p), v)
             seen.add("mode %d" % m)
     assert {"pass", "mode 0", "mode 1"} <= seen, seen
+
+
+def _generating_scan_oracle(p, depth):
+    """The generating scan rebuilt from its definition on every call."""
+    comp = derived_complement(p)
+    adjacent = [x for x in centralizer_basis(p) if abs(x.i - x.j) == 1]
+    return [(x, 0) for x in adjacent + comp] + \
+        [(x, m) for m in range(1, depth + 1) for x in comp]
+
+
+def test_generating_scan_memo_matches_recomputation(monkeypatch):
+    # The per-partition memo against a memo-free recomputation, from an
+    # empty memo, in a shuffled call order and then in reverse.
+    monkeypatch.setattr(affine, "_SCAN_SETS", {})
+    calls = [(p, d) for p in all_partitions(6) for d in range(4)]
+    random.Random(20).shuffle(calls)
+    for p, d in calls + calls[::-1]:
+        assert affine._generating_scan(p, d) == _generating_scan_oracle(p, d), (str(p), d)
+    # Each call returns a fresh list: mutating one leaves the next intact.
+    p = Partition.of(1, 1, 2)
+    scan = affine._generating_scan(p, 2)
+    scan.reverse()
+    scan.pop()
+    assert affine._generating_scan(p, 2) == _generating_scan_oracle(p, 2)
 
 
 def test_center_check_falls_back_to_the_first_witness():

@@ -193,17 +193,22 @@ def _closure(p, gens, by) -> _Span:
     return span
 
 
-@pytest.mark.parametrize("p", all_partitions(6), ids=str)
+@pytest.mark.parametrize("p", all_partitions(9), ids=str)
 def test_center_scan_sets_generate(p):
     # The per-mode sets of the centre check's generating scan, checked
-    # exactly: the mode-0 set generates the Lie algebra, the mode-1 set
-    # generates it as an ideal, and C completes [a, a] to a.
+    # exactly: the mode-0 set generates the Lie algebra, every mode m >= 1
+    # scans C alone, C generates the algebra as an ideal, and C completes
+    # [a, a] to a.
     basis = centralizer_basis(p)
     scan = _generating_scan(p, 2)
     sets = [[x for x, m in scan if m == k] for k in range(3)]
     comp = derived_complement(p)
-    assert sets[2] == comp
+    assert sets[1] == sets[2] == comp
     assert all(len(set(s)) == len(s) for s in sets)
+    # The lemma behind mode 1: the shift-0 elements of C are E[i,i,0] for
+    # the first block i of each part size.
+    first = [i for i in range(1, p.n + 1) if i == 1 or p.part(i - 1) < p.part(i)]
+    assert [x for x in comp if x.r == 0] == [E(i, i, 0) for i in first]
     assert len(_closure(p, sets[0], sets[0]).rows) == len(basis)
     assert len(_closure(p, sets[1], basis).rows) == len(basis)
     derived = _Span()
