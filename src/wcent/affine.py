@@ -22,12 +22,13 @@ the projected Segal-Sugawara vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import factorial
+from math import factorial, prod
 from operator import itemgetter
 from typing import Iterable, Optional
 
 from .centralizer import (BasisElt, Partition, Rat, Sparse, add_into, bracket,
-                          centralizer_basis, critical_form, derived_complement)
+                          centralizer_basis, critical_form, derived_complement,
+                          group_runs)
 from .cdet import (DiffOp, GeneratorTable, applied_column_determinant, basis_u_series,
                    diagonal_entry, miura_image, w_generators, window_table)
 from .diffpoly import DiffPoly
@@ -82,17 +83,6 @@ class LoopMode(tuple):
 PBWMono = tuple
 
 
-def _group(word: PBWMono) -> tuple:
-    """The word as (mode, exponent) pairs, one per run of a repeated mode."""
-    out = []
-    for mode in word:
-        if out and out[-1][0] == mode:
-            out[-1] = (mode, out[-1][1] + 1)
-        else:
-            out.append((mode, 1))
-    return tuple(out)
-
-
 def _printing_order(item) -> list:
     """Sort key of items(): each (mode, exponent) pair as (i, j, r, m, exponent)."""
     return [(mode.i, mode.j, mode.r, mode.m, e) for mode, e in item[0]]
@@ -138,14 +128,20 @@ def _normal_insert(p: Partition, seq: tuple[LoopMode, ...], coeff: Rat):
 
 
 def _negative_modes(p: Partition, modes: Iterable) -> tuple[LoopMode, ...]:
-    """The modes as a tuple of LoopModes, each of p with m <= -1."""
-    modes = tuple(mode if isinstance(mode, LoopMode) else LoopMode(*mode)
-                  for mode in modes)
+    """The modes as a tuple of LoopModes, each of p with m <= -1.  A mode
+    given otherwise must be four integers (i, j, r, m)."""
+    out = []
     for mode in modes:
+        if not isinstance(mode, LoopMode):
+            if not (isinstance(mode, (list, tuple)) and len(mode) == 4 and
+                    type(mode[0]) is type(mode[1]) is type(mode[2]) is type(mode[3]) is int):
+                raise ValueError("loop mode %r is not four integers (i, j, r, m)" % (mode,))
+            mode = LoopMode(*mode)
         if mode.m > -1:
             raise ValueError("non-negative mode %s on the vacuum" % mode.text())
         p.check_valid(mode.base)
-    return modes
+        out.append(mode)
+    return tuple(out)
 
 
 def _pbw_mono(p: Partition, word) -> PBWMono:
@@ -242,7 +238,7 @@ class VacuumVector(Sparse):
         exponent) pairs and sorted by that grouping read as (i, j, r, m,
         exponent) per pair: the form and order the printers and the JSON
         read.  That is field order, not the PBW order of the stored modes."""
-        return sorted(((_group(word), c) for word, c in self.terms.items()),
+        return sorted(((group_runs(word), c) for word, c in self.terms.items()),
                       key=_printing_order)
 
     def __eq__(self, other) -> bool:
@@ -480,12 +476,9 @@ def loop_realization(poly: DiffPoly, p: Partition) -> VacuumVector:
         raise ValueError("loop realization is defined on the diagonal sector")
     acc: dict[PBWMono, Rat] = {}
     for mono, c in poly.terms.items():
-        coeff = c
-        modes = []
-        for v, e in mono:
-            coeff *= factorial(v.s) ** e
-            modes.extend([LoopMode(v.i, v.j, v.r, -v.s - 1)] * e)
-        add_into(acc, _normal_insert(p, tuple(modes), coeff))
+        add_into(acc, _normal_insert(p, tuple(LoopMode(v.i, v.j, v.r, -v.s - 1)
+                                              for v in mono),
+                                     c * prod(factorial(v.s) for v in mono)))
     return VacuumVector._raw(p, acc)
 
 

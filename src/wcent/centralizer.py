@@ -12,7 +12,8 @@ a complement of the derived algebra, the two invariant symmetric bilinear
 forms used downstream (the trace form and the critical-level form), and the
 triangular decomposition by the sign of j - i.  It also holds the package's
 sparse core over Q: add_into, sum_by_key, the base class Sparse of every
-sparse element type, and the exact elimination echelon_insert.
+sparse element type, the grouping group_runs of a word for printing, and
+the exact elimination echelon_insert.
 """
 
 from __future__ import annotations
@@ -142,7 +143,9 @@ class Sparse:
 
     def text(self) -> str:
         """The items() in order as c*x*y^e, for items() keys that are tuples
-        of (factor, exponent) pairs whose factors have a text()."""
+        of (factor, exponent) pairs whose factors have a text(): the keys
+        that DiffPoly.items() and VacuumVector.items() make with group_runs
+        from their stored words."""
         bits = []
         for mono, c in self.items():
             factors = [str(c)] if c != 1 or not mono else []
@@ -152,6 +155,19 @@ class Sparse:
 
     def __repr__(self) -> str:
         return "%s(%s)" % (self.__class__.__name__, self.text())
+
+
+def group_runs(word: tuple) -> tuple:
+    """A sorted word as (factor, exponent) pairs, one per run of equal
+    factors: the printing form of the monomial keys of DiffPoly and
+    VacuumVector, which store one factor per occurrence."""
+    out = []
+    for x in word:
+        if out and out[-1][0] == x:
+            out[-1] = (x, out[-1][1] + 1)
+        else:
+            out.append((x, 1))
+    return tuple(out)
 
 
 class BasisElt(NamedTuple):

@@ -2,16 +2,19 @@
 
 Commutative polynomials with exact rational coefficients in variables
 E[i,j,r][s], where s counts applications of the derivation d, which sends
-E[i,j,r][s] to E[i,j,r][s+1].  Terms are kept in a canonical sorted form,
-so equal polynomials have identical representations.
+E[i,j,r][s] to E[i,j,r][s+1].  A monomial is keyed by the sorted word of its
+factors, one DiffVar per occurrence, as a PBW word is; only DiffPoly.items()
+groups a word into (variable, exponent) pairs, for printing.  So equal
+polynomials have identical representations.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from .centralizer import BasisElt, LieMap, Rat, Sparse, add_into
+from .centralizer import BasisElt, LieMap, Rat, Sparse, add_into, group_runs
 
 
 class DiffVar(NamedTuple):
@@ -41,89 +44,68 @@ class DiffVar(NamedTuple):
         return "E[%d,%d,%d][%d]" % (self.i, self.j, self.r, self.s)
 
 
-# A monomial key is a tuple of (DiffVar, exponent) pairs sorted by variable.
+# A monomial key is a word: the tuple of its DiffVar factors in sorted order,
+# a repeated variable once per factor.  A commutative monomial is a multiset
+# of variables, so its sorted tuple is a unique key; the product of two
+# monomials is their multiset union, whose key is the sorted concatenation.
 Mono = tuple
 
 
 def mono_degree(mono: Mono) -> int:
     """Derivation degree: E[i,j,r][s] has degree s."""
-    return sum(v.s * e for v, e in mono)
+    return sum(v.s for v in mono)
 
 
-def _normalize_mono(mono) -> Mono:
-    if isinstance(mono, dict):
-        items = mono.items()
-    else:
-        items = mono
-    acc: dict[DiffVar, int] = {}
-    for v, e in items:
-        if not isinstance(v, DiffVar):
-            v = DiffVar(*v)
+def _word(pairs) -> Mono:
+    """The word of a monomial given as (DiffVar, exponent) pairs: each
+    variable repeated exponent times, sorted.  A variable may appear in more
+    than one pair; its exponents add."""
+    out: list = []
+    for v, e in pairs:
         if e < 0 or v.s < 0:
             raise ValueError("bad monomial factor %s^%d" % (v.text(), e))
-        if e:
-            acc[v] = acc.get(v, 0) + e
-    return tuple(sorted(acc.items()))
-
-
-def _merge_mono(m1: Mono, m2: Mono) -> Mono:
-    """Product of two canonical monomials (linear merge of sorted factor lists)."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    while i < n1 and j < n2:
-        v1, e1 = m1[i]
-        v2, e2 = m2[j]
-        if v1 == v2:
-            out.append((v1, e1 + e2))
-            i += 1
-            j += 1
-        elif v1 < v2:
-            out.append(m1[i])
-            i += 1
-        else:
-            out.append(m2[j])
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
+        out += [v] * e
+    out.sort()
     return tuple(out)
 
 
-# Each variable's derived factor ((v.shifted(), 1),), built once: without it
-# every derivation makes a new DiffVar for each factor it shifts, and the
-# monomials of derived polynomials hold that many copies of equal variables.
-# Bounded by the number of variables met.
-_SHIFTED: dict[DiffVar, Mono] = {}
+# Each variable's derived variable v.shifted(), built once: without it every
+# derivation makes a new DiffVar for each factor it shifts, and the monomials
+# of derived polynomials hold that many copies of equal variables.  Bounded
+# by the number of variables met.
+_SHIFTED: dict[DiffVar, DiffVar] = {}
 
 
 def _derive_terms(terms: dict):
-    """The terms of d(P) for P with the given terms, by Leibniz, unsummed."""
+    """The terms of d(P) for P with the given terms, by Leibniz, unsummed.
+
+    Soundness.  In d(v_1...v_k) = sum_i v_1...d(v_i)...v_k equal factors give
+    equal terms, so the first factor v of each run, times the run's length
+    mono.count(v), gives the same sum.  d(v) sorts after v (its s is one
+    more), so bisection inserts it after the run and the word stays sorted.
+    """
     for mono, c in terms.items():
-        for idx in range(len(mono)):
-            v, e = mono[idx]
-            rest = mono[:idx] + ((v, e - 1),) + mono[idx + 1:] if e > 1 \
-                else mono[:idx] + mono[idx + 1:]
-            factor = _SHIFTED.get(v)
-            if factor is None:
-                factor = _SHIFTED[v] = ((v.shifted(), 1),)
-            yield _merge_mono(rest, factor), c * e
+        for idx, v in enumerate(mono):
+            if idx and mono[idx - 1] == v:
+                continue
+            w = _SHIFTED.get(v)
+            if w is None:
+                w = _SHIFTED[v] = v.shifted()
+            k = bisect(mono, w, idx)
+            yield mono[:idx] + mono[idx + 1:k] + (w,) + mono[k:], c * mono.count(v)
 
 
 class DiffPoly(Sparse):
     """Differential polynomial in canonical sparse form: terms maps each
-    monomial to its coefficient.  Rationals coerce to constants in +, -, *
-    and ==."""
+    monomial's word to its coefficient.  Built from (monomial, coefficient)
+    pairs, each monomial given as (DiffVar, exponent) pairs.  Rationals
+    coerce to constants in +, -, * and ==."""
 
     __slots__ = ()
 
-    def __init__(self, terms=None):
-        items = terms.items() if isinstance(terms, dict) else terms
+    def __init__(self, terms=()):
         self.terms: dict[Mono, Rat] = add_into(
-            {}, ((_normalize_mono(mono), c) for mono, c in items or ()))
+            {}, ((_word(pairs), c) for pairs, c in terms))
 
     @classmethod
     def const(cls, c: Rat) -> "DiffPoly":
@@ -131,12 +113,12 @@ class DiffPoly(Sparse):
 
     @classmethod
     def var(cls, v: DiffVar) -> "DiffPoly":
-        return cls._raw({((v, 1),): 1})
+        return cls._raw({(v,): 1})
 
     @classmethod
     def from_lie(cls, elt: LieMap) -> "DiffPoly":
         """Embed a Lie algebra element at derivative order 0."""
-        return cls._raw({((DiffVar.of(e), 1),): c for e, c in elt.items()})
+        return cls._raw({(DiffVar.of(e),): c for e, c in elt.items()})
 
     # -- arithmetic ------------------------------------------------------
 
@@ -171,7 +153,7 @@ class DiffPoly(Sparse):
         if len(other.terms) == 1 and () in other.terms:
             return self.scale(other.terms[()])
         return DiffPoly._raw(add_into({}, (
-            (_merge_mono(m1, m2), c1 * c2)
+            (tuple(sorted(m1 + m2)), c1 * c2)
             for m1, c1 in self.terms.items()
             for m2, c2 in other.terms.items())))
 
@@ -192,12 +174,16 @@ class DiffPoly(Sparse):
 
     # -- structure -------------------------------------------------------
 
+    def items(self) -> list:
+        """The (monomial, coefficient) pairs, each word grouped into
+        (variable, exponent) pairs and sorted by that grouping: the form and
+        order the printers and the JSON read.  The runs of a sorted word give
+        its monomial's (variable, exponent) list sorted by variable, one list
+        per word."""
+        return sorted((group_runs(mono), c) for mono, c in self.terms.items())
+
     def variables(self) -> set[DiffVar]:
-        out: set[DiffVar] = set()
-        for mono in self.terms:
-            for v, _ in mono:
-                out.add(v)
-        return out
+        return {v for mono in self.terms for v in mono}
 
     def constant_term(self) -> Rat:
         return self.terms.get((), 0)
@@ -212,14 +198,18 @@ class DiffPoly(Sparse):
         return DiffPoly._raw(terms)
 
     def partials(self) -> dict[DiffVar, "DiffPoly"]:
-        """All nonzero partial derivatives in one pass."""
+        """All nonzero partial derivatives in one pass.
+
+        Soundness: d/dw (w^e rest) = e w^(e-1) rest, so each run of w gives
+        one term, the word without one w times the run's length mono.count(w).
+        Distinct words lose one w to distinct words, so no sum cancels.
+        """
         out: dict[DiffVar, dict] = {}
         for mono, c in self.terms.items():
-            for idx, (w, e) in enumerate(mono):
-                nm = mono[:idx] + ((w, e - 1),) + mono[idx + 1:] if e > 1 \
-                    else mono[:idx] + mono[idx + 1:]
-                d = out.setdefault(w, {})
-                d[nm] = d.get(nm, 0) + c * e
+            for idx, w in enumerate(mono):
+                if idx and mono[idx - 1] == w:
+                    continue
+                out.setdefault(w, {})[mono[:idx] + mono[idx + 1:]] = c * mono.count(w)
         return {v: DiffPoly._raw(t) for v, t in out.items()}
 
     def min_degree(self) -> int:
@@ -239,10 +229,10 @@ class DiffPoly(Sparse):
         total: Rat = 0
         for mono, c in self.terms.items():
             val = c
-            for v, e in mono:
+            for v in mono:
                 if v not in point:
                     raise ValueError("no assignment for variable %s" % v.text())
-                val = val * point[v] ** e
+                val = val * point[v]
             total += val
         return total
 
@@ -253,12 +243,12 @@ class DiffPoly(Sparse):
             for mono, c in self.terms.items():
                 coeff = c
                 kept = []
-                for v, e in mono:
+                for v in mono:
                     val = image(v)
                     if val is None:
-                        kept.append((v, e))
+                        kept.append(v)
                     elif val:
-                        coeff = coeff * val ** e
+                        coeff = coeff * val
                     else:
                         break  # the monomial maps to zero
                 else:

@@ -278,16 +278,11 @@ def random_diffpoly(p: Partition, rng: random.Random, max_terms: int = 2,
     """Small random polynomial in valid variables of the given partition."""
     pool = [DiffVar.of(e, s) for e in centralizer_basis(p) for s in range(max_s + 1)]
     chosen = rng.sample(pool, min(max_vars, len(pool)))
-    out = DiffPoly.zero()
+    terms = []
     for _ in range(rng.randint(1, max_terms)):
-        deg = rng.randint(1, max_degree)
-        mono: dict[DiffVar, int] = {}
-        for _ in range(deg):
-            v = rng.choice(chosen)
-            mono[v] = mono.get(v, 0) + 1
-        coeff = rng.choice([-3, -2, -1, 1, 2, 3])
-        out = out + DiffPoly([(tuple(sorted(mono.items())), coeff)])
-    return out
+        factors = [(rng.choice(chosen), 1) for _ in range(rng.randint(1, max_degree))]
+        terms.append((factors, rng.choice([-3, -2, -1, 1, 2, 3])))
+    return DiffPoly(terms)
 
 
 @dataclass

@@ -29,6 +29,8 @@ def rat_to_json(q: Rat) -> dict:
 
 def rat_from_json(obj: dict) -> Rat:
     num, den = int(obj["num"]), int(obj["den"])
+    if not den:
+        raise ValueError("rational %r has a zero denominator" % (obj,))
     return num if den == 1 else Fraction(num, den)
 
 

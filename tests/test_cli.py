@@ -455,3 +455,16 @@ def test_outputs_match_recorded_digests(capsys):
         if code != 0 or hashlib.sha256(out.encode()).hexdigest() != digest:
             changed.append(argv)
     assert not changed
+
+
+@pytest.mark.parametrize("command", sorted(cli.RUNNERS))
+def test_latex_commands_match_the_runners(command):
+    # --format latex is accepted exactly for LATEX_COMMANDS; a runner outside
+    # them with a LaTeX builder, or one inside without, would go unprinted or
+    # print an empty report with exit 0.
+    assert cli.LATEX_COMMANDS <= set(cli.RUNNERS)
+    args = cli.build_parser().parse_args([command, "-p", "1,2"])
+    report = cli.dispatch(cli.config_from_args(args))
+    assert (report.latex is not None) == (command in cli.LATEX_COMMANDS)
+    if report.latex is not None:
+        assert report.latex().strip()

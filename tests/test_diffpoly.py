@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wcent import DiffPoly, DiffVar
-from wcent.centralizer import add_into
-from wcent.diffpoly import _merge_mono, mono_degree
+from wcent.centralizer import Sparse, add_into
+from wcent.diffpoly import mono_degree
 
 
 def V(i, j, r, s=0):
@@ -60,7 +61,7 @@ def test_scalar_action(a, q):
 def _merge_product(a, b):
     """a * b term by term, as DiffPoly.__mul__ computes it when neither side
     is a constant."""
-    return DiffPoly._raw(add_into({}, ((_merge_mono(m1, m2), c1 * c2)
+    return DiffPoly._raw(add_into({}, ((tuple(sorted(m1 + m2)), c1 * c2)
                                        for m1, c1 in a.terms.items()
                                        for m2, c2 in b.terms.items())))
 
@@ -123,7 +124,7 @@ def test_min_degree_multiplicative(a, b):
 
 
 def test_grading_conventions():
-    m = ((V(1, 1, 0), 1), (V(2, 2, 1, s=2), 2))
+    m = (V(1, 1, 0), V(2, 2, 1, s=2), V(2, 2, 1, s=2))
     assert mono_degree(m) == 4
     p = DiffPoly.var(V(1, 1, 0)) * DiffPoly.var(V(2, 2, 0)) + \
         DiffPoly.var(V(2, 2, 0, s=1))
@@ -182,3 +183,179 @@ def test_monomials_are_canonically_sorted():
     assert ms == sorted(ms)
     assert ms[0][0][0] == V(1, 1, 0)
     assert ms[-1][0][0] == V(1, 1, 0, s=1)
+
+
+def test_constructor_rejects_bad_factors():
+    with pytest.raises(ValueError, match=r"E\[1,1,0\]\[0\]\^-1"):
+        DiffPoly([(((V(1, 1, 0), -1),), 1)])
+    with pytest.raises(ValueError, match=r"E\[1,1,0\]\[-1\]"):
+        DiffPoly([(((V(1, 1, 0, s=-1), 1),), 1)])
+    # a variable split over two pairs, or given exponent 0, is one monomial
+    assert DiffPoly([(((V(1, 1, 0), 1), (V(2, 2, 0), 0), (V(1, 1, 0), 2)), 1)]) == \
+        DiffPoly.var(V(1, 1, 0)) ** 3
+
+
+# -- the pair format, kept as a test oracle --------------------------------------
+# In the pair format a monomial is keyed by its (DiffVar, exponent) pairs
+# sorted by variable, the form DiffPoly.items() prints.  These routines do the
+# arithmetic in that format, as a reference for the word format; a _PairPoly
+# holds such keys, and Sparse.items() and Sparse.text() read them directly.
+
+
+def _normalize_mono(mono):
+    acc = {}
+    for v, e in mono:
+        if e < 0 or v.s < 0:
+            raise ValueError("bad monomial factor %s^%d" % (v.text(), e))
+        if e:
+            acc[v] = acc.get(v, 0) + e
+    return tuple(sorted(acc.items()))
+
+
+def _merge_mono(m1, m2):
+    """Product of two canonical monomials (linear merge of sorted factor lists)."""
+    out = []
+    i = j = 0
+    while i < len(m1) and j < len(m2):
+        (v1, e1), (v2, e2) = m1[i], m2[j]
+        if v1 == v2:
+            out.append((v1, e1 + e2))
+            i += 1
+            j += 1
+        elif v1 < v2:
+            out.append(m1[i])
+            i += 1
+        else:
+            out.append(m2[j])
+            j += 1
+    return tuple(out + list(m1[i:]) + list(m2[j:]))
+
+
+def _drop_one(mono, idx):
+    v, e = mono[idx]
+    return mono[:idx] + ((v, e - 1),) + mono[idx + 1:] if e > 1 else mono[:idx] + mono[idx + 1:]
+
+
+def _derive_terms(terms):
+    for mono, c in terms.items():
+        for idx, (v, e) in enumerate(mono):
+            yield _merge_mono(_drop_one(mono, idx), ((v.shifted(), 1),)), c * e
+
+
+def _partials(terms):
+    out = {}
+    for mono, c in terms.items():
+        for idx, (w, e) in enumerate(mono):
+            d = out.setdefault(w, {})
+            nm = _drop_one(mono, idx)
+            d[nm] = d.get(nm, 0) + c * e
+    return {v: _PairPoly._raw(t) for v, t in out.items()}
+
+
+class _PairPoly(Sparse):
+    __slots__ = ()
+
+    def __mul__(self, other):
+        return _PairPoly._raw(add_into({}, ((_merge_mono(m1, m2), c1 * c2)
+                                           for m1, c1 in self.terms.items()
+                                           for m2, c2 in other.terms.items())))
+
+    def derive(self, k):
+        terms = self.terms
+        for _ in range(k):
+            terms = add_into({}, _derive_terms(terms))
+        return _PairPoly._raw(terms)
+
+    def min_component(self):
+        d = min(sum(v.s * e for v, e in m) for m in self.terms)
+        return _PairPoly._raw({m: c for m, c in self.terms.items()
+                               if sum(v.s * e for v, e in m) == d})
+
+    def eval_at(self, point):
+        total = 0
+        for mono, c in self.terms.items():
+            for v, e in mono:
+                c = c * point[v] ** e
+            total += c
+        return total
+
+    def substitute_consts(self, image):
+        def images():
+            for mono, c in self.terms.items():
+                kept = []
+                for v, e in mono:
+                    val = image(v)
+                    if val is None:
+                        kept.append((v, e))
+                    else:
+                        c = c * val ** e
+                yield tuple(kept), c
+        return _PairPoly._raw(add_into({}, images()))
+
+
+ORACLE_POOL = VAR_POOL + [V(1, 1, 0, s=2), V(2, 1, 0, s=1)]
+
+
+def _random_terms(rng):
+    """Seeded (pairs, coefficient) terms: repeated variables with exponents
+    up to 3, split pairs, constants, and terms that cancel."""
+    terms = []
+    for _ in range(rng.randint(1, 5)):
+        pairs = [(rng.choice(ORACLE_POOL), rng.choice([1, 2, 2, 3, 3]))
+                 for _ in range(rng.randint(0, 3))]
+        c = rng.choice([-2, -1, 1, 3, Fraction(1, 2), Fraction(-5, 3)])
+        terms.append((tuple(pairs), c))
+        if rng.random() < 0.3:  # cancels: the same monomial, pairs in another order
+            terms.append((tuple(reversed(pairs)), -c))
+    if rng.random() < 0.5:
+        terms.append(((), rng.choice([1, -4, Fraction(2, 7)])))
+    return terms
+
+
+def _both(terms):
+    return DiffPoly(terms), _PairPoly._raw(add_into({}, ((_normalize_mono(m), c)
+                                                       for m, c in terms)))
+
+
+def _same(new, old):
+    assert new.items() == old.items()
+    assert new.text() == old.text()
+
+
+def _image(v):
+    # None keeps, 0 kills, anything else scales: three cases per factor
+    return [None, 0, 2, Fraction(-1, 3), None][(v.i + 2 * v.j + v.r + v.s) % 5]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_word_format_matches_pair_oracle(seed):
+    rng = random.Random(seed)
+    a, oa = _both(_random_terms(rng))
+    b, ob = _both(_random_terms(rng))
+    _same(a, oa)
+    _same(a * b, oa * ob)
+    for k in range(3):
+        _same(a.derive(k), oa.derive(k))
+    table, otable = a.partials(), _partials(oa.terms)
+    assert list(table) == list(otable)
+    for v in table:
+        _same(table[v], otable[v])
+    _same(a.substitute_consts(_image), oa.substitute_consts(_image))
+    point = {v: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+             for v in ORACLE_POOL + [v.shifted() for v in ORACLE_POOL]}
+    assert a.eval_at(point) == oa.eval_at(point)
+    assert (a * b).eval_at(point) == (oa * ob).eval_at(point)
+    if a:
+        _same(a.min_component(), oa.min_component())
+
+
+def test_pair_oracle_inputs_reach_every_case():
+    # the seeded inputs above hold repeated variables, constants and cancellation
+    squares = constants = cancelled = 0
+    for seed in range(40):
+        terms = _random_terms(random.Random(seed))
+        a, _ = _both(terms)
+        squares += any(e >= 2 for mono, _ in a.items() for _, e in mono)
+        constants += bool(a.constant_term())
+        cancelled += len(a) < len({_normalize_mono(m) for m, _ in terms})
+    assert squares >= 20 and constants >= 10 and cancelled >= 5

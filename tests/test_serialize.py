@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,28 @@ def test_rational_encoding():
     assert rat_from_json(rat_to_json(Fraction(10, 4))) == Fraction(5, 2)
     big = Fraction(10 ** 40 + 1, 3)
     assert rat_from_json(json.loads(json.dumps(rat_to_json(big)))) == big
+
+
+ONE = {"num": "1", "den": "1"}
+
+
+@pytest.mark.parametrize("mode", [[1, 1, 0], [1, 1, 0, -1, 2], [1, 1, 0, "-1"], 7])
+def test_malformed_mode_is_a_value_error(mode):
+    blob = {"partition": "1,1", "terms": [{"coeff": ONE, "modes": [[2, 1, 0, -1], mode]}]}
+    with pytest.raises(ValueError, match=r"loop mode %s is not" % re.escape(repr(mode))):
+        vacuum_from_json(blob)
+
+
+def test_malformed_rationals_and_monomials_are_value_errors():
+    with pytest.raises(ValueError, match=r"'den': '0'.*zero denominator"):
+        rat_from_json({"num": "3", "den": "0"})
+    with pytest.raises(ValueError, match=r"'den': '0'"):
+        vacuum_from_json({"partition": "1", "terms": [
+            {"coeff": {"num": "1", "den": "0"}, "modes": [[1, 1, 0, -1]]}]})
+    with pytest.raises(ValueError, match=r"E\[1,2,1\]\[0\]\^-2"):
+        diffpoly_from_json([{"coeff": ONE, "vars": [[1, 2, 1, 0, -2]]}])
+    with pytest.raises(ValueError, match=r"E\[1,2,1\]\[-1\]"):
+        diffpoly_from_json([{"coeff": ONE, "vars": [[1, 2, 1, -1, 1]]}])
 
 
 coeffs = st.one_of(st.integers(min_value=-9, max_value=9),
