@@ -28,9 +28,9 @@ tables, also fail unless their keys agree.  A failed entry carries what it was
 compared with: `miura` the expected Miura table entry, `verify-iso` the
 difference of the two sides.
 
-A subcommand accepts only the options it reads: --mode on `check-membership`
-and `sweep`, --seed on `jacobian`, `pva-axioms` and `sweep`, --samples on
-`pva-axioms`; any other use is a usage error.
+A subcommand accepts only the options it reads: --seed on `jacobian`,
+`pva-axioms` and `sweep`, --samples on `pva-axioms`; any other use is a usage
+error.
 
 Exit status: 0 all checks passed, 1 a verification failed, 2 usage error.
 """
@@ -52,7 +52,7 @@ from .cdet import (jacobian_independence, miura_generators, miura_image,
                    w_generators)
 from .centralizer import Partition, all_partitions, centralizer_basis
 from .diffpoly import DiffVar
-from .pva import MembershipMode, pva_axiom_suite, w_membership
+from .pva import pva_axiom_suite, w_membership
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -63,7 +63,6 @@ DEFAULT_CENTER_BOUND = 5
 DEFAULT_COMMUTE_BOUND = 4
 
 LATEX_COMMANDS = {"basis", "generators", "miura", "ss-vectors", "jacobian"}
-MODE_COMMANDS = {"check-membership", "sweep"}
 SEED_COMMANDS = {"jacobian", "pva-axioms", "sweep"}
 
 
@@ -71,7 +70,6 @@ SEED_COMMANDS = {"jacobian", "pva-axioms", "sweep"}
 class RunConfig:
     command: str
     partitions: list[Partition]
-    mode: MembershipMode = MembershipMode.FULL_BASIS
     seed: int = 0
     fmt: str = "text"
     samples: int = DEFAULT_SAMPLES
@@ -172,14 +170,13 @@ def _run_generators(ctx: Context) -> Report:
 
 
 def _run_check_membership(ctx: Context) -> Report:
-    mode = ctx.cfg.mode
-    results = {sz.table_key("w", k, r): w_membership(ctx.p, poly, mode)
+    results = {sz.table_key("w", k, r): w_membership(ctx.p, poly)
                for (k, r), poly in ctx.table(w_generators).ordered()}
     return _entry_report(
         "check-membership", ctx, results,
         lambda res: {"x": [res.witness_x.i, res.witness_x.j, res.witness_x.r],
                      "bracket": sz.lambdapoly_to_json(res.witness_bracket)},
-        "partition %s: membership (%s mode)" % (ctx.p, mode.value), mode=mode.value)
+        "partition %s: membership (full mode)" % ctx.p, mode="full")
 
 
 def _run_miura(ctx: Context) -> Report:
@@ -410,9 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sweep all partitions with at most N boxes")
         sp.add_argument("--max-n", type=int, metavar="LEN",
                         help="cap the number of parts during a sweep")
-        if name in MODE_COMMANDS:
-            sp.add_argument("--mode", choices=["generators", "full"], default="full",
-                            help="membership test set (default: full)")
         if name in SEED_COMMANDS:
             sp.add_argument("--seed", type=int, default=None,
                             help="seed for sampled checks (default: WCENT_SEED or 0)")
@@ -464,8 +458,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         if args.samples < 1:
             raise ValueError("--samples must be at least 1")
         cfg.samples = args.samples
-    if args.command in MODE_COMMANDS:
-        cfg.mode = MembershipMode(args.mode)
     if args.command == "sweep":
         if min(args.center_bound, args.commute_bound) < 0:
             raise ValueError("--center-bound and --commute-bound must be non-negative")

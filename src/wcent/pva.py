@@ -16,7 +16,8 @@ The lower and Cartan elements form a Lie subalgebra and the trace form is a
 constant, so the differential polynomials of the parabolic sector are closed
 under the bracket and pi fixes every bracket of two of them.  pi is applied
 in one place only: to the generator brackets {x_lam v} with x upper, inside
-the membership test.
+the membership test, which brackets with the superdiagonal E[i,i+1,t] to
+decide and with the whole upper basis only to name a failure's witness.
 """
 
 from __future__ import annotations
@@ -152,8 +153,7 @@ def project_lambda(p: Partition, lp: UPoly) -> UPoly:
 # -- membership and induced bracket -----------------------------------------
 
 
-class MembershipMode(Enum):
-    GENERATORS = "generators"
+class MembershipMode(Enum):  # w_membership's mode argument, which it does not read
     FULL_BASIS = "full"
 
 
@@ -164,24 +164,9 @@ class MembershipResult:
     witness_bracket: Optional[UPoly] = None
 
 
-def membership_test_set(p: Partition, mode: MembershipMode) -> list[BasisElt]:
-    """The upper elements x whose brackets pi({x_lam P}) w_membership scans:
-    every upper basis element (FULL_BASIS), or the superdiagonal E[i,i+1,t]
-    only (GENERATORS).
-
-    Soundness of GENERATORS, for a parabolic P: ker pi is the differential
-    ideal generated by the m - pi(m), m an upper variable.  For x and m
-    upper, (x|m) = 0 and [x, m] lies two or more blocks above the diagonal,
-    so pi{x_lam m} = 0; by the Leibniz rule pi{x_lam Q} = 0 whenever
-    pi(Q) = 0.  Hence, by the Jacobi identity
-    {[x,y]_{lam+mu} P} = {x_lam {y_mu P}} - {y_mu {x_lam P}}, the x with
-    pi{x_lam P} = 0 form a Lie subalgebra of the upper sector.  The
-    superdiagonal generates the upper sector, by induction on j - i:
-    [E[i,j-1,t], E[j-1,j,t']] = E[i,j,t+t'], and the sums t+t' over the
-    windows of (i, j-1) and (j-1, j) cover the window of (i, j).
-    """
-    if mode is MembershipMode.FULL_BASIS:
-        return upper_basis(p)
+def membership_test_set(p: Partition) -> list[BasisElt]:
+    """The superdiagonal E[i,i+1,t]: the upper elements whose projected
+    brackets decide w_membership."""
     return [BasisElt(i, i + 1, t)
             for i in range(1, p.n)
             for t in p.r_window(i, i + 1)]
@@ -198,8 +183,22 @@ def w_membership(p: Partition, poly: DiffPoly,
     """Test whether the projected bracket with the upper sector vanishes.
 
     The input is checked by its variables: any upper variable E[i,j,r][s]
-    with i < j raises ValueError.  Scans the test set in canonical order and
-    reports the first violation as (x, pi({x_lam poly})).
+    with i < j raises ValueError.  Scans membership_test_set(p); only if a
+    bracket there is nonzero, scans upper_basis(p) in canonical order and
+    reports the first violation as (x, pi({x_lam poly})).  mode is unread.
+
+    Soundness, for a parabolic P.  ker pi is the differential ideal
+    generated by the m - pi(m), m an upper variable.  For x and m upper,
+    (x|m) = 0 and [x, m] lies two or more blocks above the diagonal, so
+    pi{x_lam m} = 0; by the Leibniz rule pi{x_lam Q} = 0 whenever
+    pi(Q) = 0.  Hence, by the Jacobi identity
+    {[x,y]_{lam+mu} P} = {x_lam {y_mu P}} - {y_mu {x_lam P}}, the x with
+    pi{x_lam P} = 0 form a Lie subalgebra of the upper sector.  The
+    superdiagonal generates the upper sector, by induction on j - i:
+    [E[i,j-1,t], E[j-1,j,t']] = E[i,j,t+t'], and the sums t+t' over the
+    windows of (i, j-1) and (j-1, j) cover the window of (i, j).  So a
+    superdiagonal pass is a full pass, and a superdiagonal failure is a
+    violation in the upper basis, so the second scan finds a witness.
 
     The kernel projects only the commutators [x, y]; the partials of poly
     are taken once and used as they are.  This gives pi({x_lam poly})
@@ -212,11 +211,10 @@ def w_membership(p: Partition, poly: DiffPoly,
     """
     _require_parabolic(poly, "membership test")
     partials = _partials(poly)
-    for x in membership_test_set(p, mode):
-        img = _bracket_gen(p, x, partials, project=True)
-        if img:
-            return MembershipResult(False, x, img)
-    return MembershipResult(True)
+    if not any(_bracket_gen(p, x, partials, project=True) for x in membership_test_set(p)):
+        return MembershipResult(True)
+    images = ((x, _bracket_gen(p, x, partials, project=True)) for x in upper_basis(p))
+    return MembershipResult(False, *next((x, img) for x, img in images if img))
 
 
 def w_bracket(p: Partition, a: DiffPoly, b: DiffPoly,

@@ -4,18 +4,33 @@ JSON is canonical and deterministic: rationals are {"num", "den"} string
 pairs (safe beyond double precision), monomial lists are emitted in the
 canonical term order, and repeated mode factors are expanded so a consumer
 never needs the exponent convention.  Every *_to_json has a *_from_json
-inverse with parse(serialize(x)) == x.
+inverse with parse(serialize(x)) == x; a decoder raises ValueError naming
+the item on malformed input.
 """
 
 from __future__ import annotations
 
+import re
+import reprlib
 from fractions import Fraction
 from typing import Callable
 
 from .affine import LoopMode, VacuumVector
-from .cdet import GeneratorTable, UPoly
+from .cdet import GeneratorTable, UPoly, in_window
 from .centralizer import Partition, Rat, Sparse
 from .diffpoly import DiffPoly, DiffVar
+
+
+def _member(obj, key: str, kind: type = object):
+    """obj[key], which must be a kind; else ValueError naming obj, shortened."""
+    try:
+        val = obj[key]
+    except (KeyError, TypeError):
+        raise ValueError("%s has no %r" % (reprlib.repr(obj), key)) from None
+    if not isinstance(val, kind):
+        raise ValueError("%r of %s is not a %s" % (key, reprlib.repr(obj), kind.__name__))
+    return val
+
 
 # -- rationals -----------------------------------------------------------------
 
@@ -28,10 +43,12 @@ def rat_to_json(q: Rat) -> dict:
 
 
 def rat_from_json(obj: dict) -> Rat:
-    num, den = int(obj["num"]), int(obj["den"])
-    if not den:
-        raise ValueError("rational %r has a zero denominator" % (obj,))
-    return num if den == 1 else Fraction(num, den)
+    try:
+        num, den = int(obj["num"]), int(obj["den"])
+        return num if den == 1 else Fraction(num, den)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        raise ValueError('rational %r is not {"num", "den"} integers with a nonzero '
+                         'denominator' % (obj,)) from None
 
 
 # -- differential polynomials ---------------------------------------------------
@@ -48,11 +65,17 @@ def diffpoly_to_json(poly: DiffPoly) -> list:
 
 
 def diffpoly_from_json(obj: list) -> DiffPoly:
+    if not isinstance(obj, list):
+        raise ValueError("polynomial %s is not a list of terms" % reprlib.repr(obj))
     terms = []
     for t in obj:
-        mono = tuple((DiffVar(s, i, j, r), e)
-                     for i, j, r, s, e in t["vars"])
-        terms.append((mono, rat_from_json(t["coeff"])))
+        mono = []
+        for f in _member(t, "vars", list):
+            i, j, r, s, e = f if type(f) is list and len(f) == 5 else (None,) * 5
+            if not type(i) is type(j) is type(r) is type(s) is type(e) is int:
+                raise ValueError("variable %r is not five integers (i, j, r, s, e)" % (f,))
+            mono.append((DiffVar(s, i, j, r), e))
+        terms.append((mono, rat_from_json(_member(t, "coeff"))))
     return DiffPoly(terms)
 
 
@@ -62,7 +85,7 @@ def lambdapoly_to_json(lp: UPoly) -> dict:
 
 def lambdapoly_from_json(obj: dict) -> UPoly:
     return UPoly({int(k): diffpoly_from_json(v)
-                       for k, v in obj["lambda_powers"].items()})
+                       for k, v in _member(obj, "lambda_powers", dict).items()})
 
 
 # -- vacuum vectors -------------------------------------------------------------
@@ -79,8 +102,9 @@ def vacuum_to_json(v: VacuumVector) -> dict:
 
 
 def vacuum_from_json(obj: dict) -> VacuumVector:
-    return VacuumVector(Partition.parse(obj["partition"]),
-                        [(t["modes"], rat_from_json(t["coeff"])) for t in obj["terms"]])
+    return VacuumVector(Partition.parse(_member(obj, "partition", str)),
+                        [(_member(t, "modes", list), rat_from_json(_member(t, "coeff")))
+                         for t in _member(obj, "terms", list)])
 
 
 # -- generator tables ------------------------------------------------------------
@@ -91,9 +115,10 @@ def table_key(prefix: str, k: int, r: int) -> str:
 
 
 def parse_table_key(key: str) -> tuple[str, int, int]:
-    prefix, rest = key.split("[", 1)
-    k, r = rest.rstrip("]").split("][")
-    return prefix, int(k), int(r)
+    m = re.fullmatch(r"(\w+)\[(\d+)\]\[(\d+)\]", key)
+    if m is None:
+        raise ValueError("table key %r is not prefix[k][r]" % (key,))
+    return m.group(1), int(m.group(2)), int(m.group(3))
 
 
 def _table_json(t: GeneratorTable, prefix: str, encode: Callable) -> dict:
@@ -106,16 +131,22 @@ def _table_json(t: GeneratorTable, prefix: str, encode: Callable) -> dict:
     }
 
 
-def _table_from_json(obj: dict, decode: Callable) -> GeneratorTable:
-    def load(section: str) -> dict:
+def _table_from_json(obj: dict, prefix: str, decode: Callable) -> GeneratorTable:
+    """A key must read prefix[k][r] with 1 <= k <= n, and (k, r) must lie in
+    the window for "entries" and outside it for "out_of_window".  The callers
+    check that each entry is of the table's partition."""
+    p = Partition.parse(_member(obj, "partition", str))
+
+    def load(section: str, inside: bool) -> dict:
         out = {}
-        for key, val in obj[section].items():
-            _, k, r = parse_table_key(key)
+        for key, val in _member(obj, section, dict).items():
+            pre, k, r = parse_table_key(key)
+            if pre != prefix or not 1 <= k <= p.n or in_window(p, k, r) is not inside:
+                raise ValueError("%r is not a key of %r for partition %s" % (key, section, p))
             out[(k, r)] = decode(val)
         return out
 
-    return GeneratorTable(Partition.parse(obj["partition"]), load("entries"),
-                          load("out_of_window"))
+    return GeneratorTable(p, load("entries", True), load("out_of_window", False))
 
 
 def generator_table_to_json(t: GeneratorTable) -> dict:
@@ -123,7 +154,11 @@ def generator_table_to_json(t: GeneratorTable) -> dict:
 
 
 def generator_table_from_json(obj: dict) -> GeneratorTable:
-    return _table_from_json(obj, diffpoly_from_json)
+    t = _table_from_json(obj, "w", diffpoly_from_json)
+    polys = (*t.entries.values(), *t.out_of_window.values())
+    for v in set().union(*(q.variables() for q in polys)):
+        t.partition.check_valid(v.base)
+    return t
 
 
 def sugawara_table_to_json(t: GeneratorTable) -> dict:
@@ -131,7 +166,11 @@ def sugawara_table_to_json(t: GeneratorTable) -> dict:
 
 
 def sugawara_table_from_json(obj: dict) -> GeneratorTable:
-    return _table_from_json(obj, vacuum_from_json)
+    t = _table_from_json(obj, "phi", vacuum_from_json)
+    for v in (*t.entries.values(), *t.out_of_window.values()):
+        if v.partition != t.partition:
+            raise ValueError("vector of partition %s in a table of %s" % (v.partition, t.partition))
+    return t
 
 
 # -- LaTeX ----------------------------------------------------------------------

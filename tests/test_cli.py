@@ -74,7 +74,9 @@ def test_usage_errors(capsys):
                  ["basis", "-p", "1,2", "--samples", "5"],
                  ["verify-center", "-p", "1,1", "--mode", "generators"],
                  ["generators", "-p", "1,2", "--seed", "3"],
-                 ["sweep", "--max-N", "2", "--samples", "5"]):
+                 ["sweep", "--max-N", "2", "--samples", "5"],
+                 ["check-membership", "-p", "1,2", "--mode", "full"],
+                 ["sweep", "--max-N", "2", "--mode", "generators"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
@@ -140,11 +142,13 @@ def test_sweep_with_length_cap(capsys):
 
 
 def test_membership_modes(capsys):
-    for mode in ("generators", "full"):
-        code, out = run(capsys, "check-membership", "-p", "2,2", "--mode", mode,
-                        "--format", "json")
-        assert code == 0
-        assert json.loads(out)["mode"] == mode
+    # Membership has one path and no --mode; its reports still name it "full".
+    code, out = run(capsys, "check-membership", "-p", "2,2", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["mode"] == "full"
+    code, out = run(capsys, "check-membership", "-p", "1,1,2")
+    assert code == 0
+    assert out.startswith("partition 1,1,2: membership (full mode)\n")
 
 
 def test_ss_vectors_round_trip(capsys):

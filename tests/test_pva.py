@@ -4,7 +4,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wcent import (BasisElt, DiffPoly, DiffVar, MembershipMode, Partition,
@@ -13,6 +13,7 @@ from wcent import (BasisElt, DiffPoly, DiffVar, MembershipMode, Partition,
                    lambda_bracket_gen, loop_realization, miura_image,
                    parabolic_project, pva_axiom_suite, trace_form, upper_basis,
                    w_bracket, w_generators, w_membership)
+from wcent import pva
 from wcent.centralizer import add_into
 from wcent.pva import (LCoeffs, _bracket_gen, _partials, membership_test_set,
                        neg_lambda_substitute, project_lambda, random_diffpoly)
@@ -99,9 +100,9 @@ def test_membership_witness_matches_master_formula_oracle(p):
         project_lambda(p, _master_formula_oracle(p, var(res.witness_x), poly))
 
 
-def _membership_oracle(p, poly, mode):
-    """First x of the test set whose projected oracle bracket is nonzero."""
-    for x in membership_test_set(p, mode):
+def _membership_oracle(p, poly):
+    """First x of the upper basis whose projected oracle bracket is nonzero."""
+    for x in upper_basis(p):
         img = project_lambda(p, _master_formula_oracle(p, var(x), poly))
         if img:
             return x, img
@@ -125,24 +126,69 @@ def _parabolic_sample(p: Partition, rng: random.Random) -> DiffPoly:
     return parabolic_project(p, random_diffpoly(p, rng, max_terms=3, max_s=3))
 
 
-@given(st.sampled_from(SMALL_PARTITIONS), st.integers(0, 2**32 - 1))
-def test_projected_kernel_matches_projected_oracle(p, seed):
-    # The kernel projects only inside the membership test, on a parabolic
-    # input.  Both test sets must reach the same verdict (the soundness
-    # argument in membership_test_set's docstring).
-    rng = random.Random(seed)
-    poly = _parabolic_sample(p, rng)
-    mode = rng.choice(list(MembershipMode))
-    partials = _partials(poly)
-    for x in membership_test_set(p, mode):
-        assert _bracket_gen(p, x, partials, True) == \
-            project_lambda(p, _master_formula_oracle(p, var(x), poly))
-    res = w_membership(p, poly, mode)
-    witness = _membership_oracle(p, poly, mode)
+def _assert_membership_matches_oracle(p, poly):
+    """w_membership's verdict and witness are the full-basis oracle's; returns
+    the oracle's (x, bracket), or None for a member."""
+    res = w_membership(p, poly)
+    witness = _membership_oracle(p, poly)
     assert res.ok == (witness is None)
     if witness is not None:
         assert (res.witness_x, res.witness_bracket) == witness
-    assert {w_membership(p, poly, m).ok for m in MembershipMode} == {res.ok}
+    return witness
+
+
+@given(st.sampled_from(SMALL_PARTITIONS), st.integers(0, 2**32 - 1))
+@example(Partition.of(1, 1, 1, 1, 1), 5)  # the first witness is not superdiagonal
+@example(Partition.of(1, 2, 2), 5)  # a superdiagonal witness past the first block
+def test_projected_kernel_matches_projected_oracle(p, seed):
+    # The kernel projects only inside the membership test, on a parabolic
+    # input.  The superdiagonal decides, and the witness is still the first
+    # of the full upper basis (the soundness argument in w_membership's
+    # docstring).
+    rng = random.Random(seed)
+    poly = _parabolic_sample(p, rng)
+    partials = _partials(poly)
+    for x in upper_basis(p):
+        assert _bracket_gen(p, x, partials, True) == \
+            project_lambda(p, _master_formula_oracle(p, var(x), poly))
+    _assert_membership_matches_oracle(p, poly)
+
+
+def test_membership_samples_reach_every_case():
+    # Fixed seeds, so that each case is met on every run: members, failures
+    # whose first full-order witness is superdiagonal, failures whose witness
+    # is not (the rescan names it), and failures that the superdiagonal of
+    # the first block alone would miss.
+    kinds = {"member": 0, "superdiagonal": 0, "other": 0, "past block 1": 0}
+    for seed in range(10):
+        for p in SMALL_PARTITIONS:
+            poly = _parabolic_sample(p, random.Random(seed))
+            witness = _assert_membership_matches_oracle(p, poly)
+            if witness is None:
+                kinds["member"] += 1
+                continue
+            test_set = membership_test_set(p)
+            kinds["superdiagonal" if witness[0] in test_set else "other"] += 1
+            partials = _partials(poly)
+            if not any(_bracket_gen(p, x, partials, True) for x in test_set if x.i == 1):
+                kinds["past block 1"] += 1
+    assert all(kinds.values()), kinds
+
+
+@pytest.mark.parametrize("parts", [(1, 2), (1, 1, 2), (2, 3), (1, 1, 1, 2)], ids=str)
+def test_member_costs_one_kernel_call_per_superdiagonal_element(parts, monkeypatch):
+    p = Partition.of(*parts)
+    calls = []
+
+    def counting(p, x, partials, project=False):
+        calls.append(x)
+        return _bracket_gen(p, x, partials, project)
+
+    monkeypatch.setattr(pva, "_bracket_gen", counting)
+    for _, poly in w_generators(p).ordered():
+        calls.clear()
+        assert w_membership(p, poly).ok
+        assert calls == membership_test_set(p)
 
 
 # Largest len(a) * len(b) of a pair that one example brackets.  The bracket
@@ -197,7 +243,7 @@ def test_master_formula_matches_generator_expansion():
     rng = random.Random(7)
     for _ in range(25):
         b = random_diffpoly(p, rng)
-        for x in membership_test_set(p, MembershipMode.FULL_BASIS):
+        for x in upper_basis(p):
             assert lambda_bracket(p, DiffPoly.var(V(*x, s=0)), b) == \
                 lambda_bracket_gen(p, x, b)
 
@@ -240,11 +286,11 @@ def test_projection_default():
 
 @pytest.mark.parametrize("p", all_partitions(6), ids=str)
 def test_superdiagonal_generates_upper_sector(p):
-    # The premise of the GENERATORS test set: iterated brackets of the
+    # The premise of w_membership's test set: iterated brackets of the
     # superdiagonal reach every upper basis element.  A bracket of two upper
     # basis elements is one basis element up to sign, so closing the set of
     # elements under bracket spans the generated subalgebra.
-    found = set(membership_test_set(p, MembershipMode.GENERATORS))
+    found = set(membership_test_set(p))
     grown = True
     while grown:
         new = {e for x in found for y in found for e in bracket(p, x, y)} - found
@@ -257,8 +303,10 @@ def test_membership_of_generator_table():
     p = Partition.of(1, 2)
     t = w_generators(p)
     for _, poly in t.ordered():
-        for mode in MembershipMode:
-            assert w_membership(p, poly, mode).ok
+        assert w_membership(p, poly).ok
+        # the one mode is still accepted as a positional argument, and not read
+        assert w_membership(p, poly, MembershipMode.FULL_BASIS).ok
+    assert [m.value for m in MembershipMode] == ["full"]
 
 
 def test_membership_negative_control_witness():
@@ -270,8 +318,8 @@ def test_membership_negative_control_witness():
     assert res.witness_x == BasisElt(1, 2, 1)
     assert res.witness_bracket == \
         UPoly({0: vp(1, 1, 0) - vp(2, 2, 0), 1: DiffPoly.const(1)})
-    # the generator test set sees the same violation
-    assert not w_membership(p, bad, MembershipMode.GENERATORS).ok
+    # the superdiagonal sees the violation: here it is the whole upper basis
+    assert membership_test_set(p) == upper_basis(p) == [res.witness_x]
 
 
 def test_membership_rejects_upper_input():

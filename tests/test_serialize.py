@@ -59,6 +59,99 @@ def test_malformed_rationals_and_monomials_are_value_errors():
         diffpoly_from_json([{"coeff": ONE, "vars": [[1, 2, 1, -1, 1]]}])
 
 
+@pytest.mark.parametrize("var, match", [
+    ([1, 1, 0, "0", 1], r"variable \[1, 1, 0, '0', 1\] is not five integers"),
+    ([1, 1, 0, 0], r"variable \[1, 1, 0, 0\] is not five integers"),
+    (None, r"variable None is not five integers"),
+], ids=["string field", "four fields", "not a list"])
+def test_malformed_variable_is_a_value_error(var, match):
+    with pytest.raises(ValueError, match=match):
+        diffpoly_from_json([{"coeff": ONE, "vars": [[1, 1, 0, 0, 1], var]}])
+
+
+def _table_blob(p=Partition.of(1, 2)):
+    """The JSON of the generator table of p, as a fresh mutable object."""
+    return json.loads(json.dumps(generator_table_to_json(w_generators(p))))
+
+
+@pytest.mark.parametrize("decode, blob, match", [
+    (diffpoly_from_json, [{"vars": [[1, 1, 0, 0, 1]]}],
+     r"\{'vars': \[\[1, 1, 0, 0, 1\]\]\} has no 'coeff'"),
+    (diffpoly_from_json, [{"coeff": ONE, "vars": 5}], r"'vars' of \{.*\} is not a list"),
+    (diffpoly_from_json, {"coeff": ONE}, r"polynomial \{.*\} is not a list of terms"),
+    (vacuum_from_json, {"partition": "1", "terms": [{"coeff": ONE}]},
+     r"\{'coeff': .*\} has no 'modes'"),
+    (vacuum_from_json, {"partition": "1", "terms": [{"coeff": ONE, "modes": 5}]},
+     r"'modes' of \{.*\} is not a list"),
+    (vacuum_from_json, {"partition": 1, "terms": []}, r"'partition' of \{.*\} is not a str"),
+    (lambdapoly_from_json, {"powers": {}}, r"\{'powers': \{\}\} has no 'lambda_powers'"),
+    (rat_from_json, {"den": "1"}, r"rational \{'den': '1'\} is not"),
+    (generator_table_from_json,
+     {k: v for k, v in _table_blob().items() if k != "out_of_window"},
+     r"has no 'out_of_window'"),
+    (generator_table_from_json, {**_table_blob(), "entries": []},
+     r"'entries' of \{.*\} is not a dict"),
+    (generator_table_from_json, {**_table_blob(), "partition": [1, 2]},
+     r"'partition' of \{.*\} is not a str"),
+], ids=["term without coeff", "vars not a list", "polynomial not a list",
+        "term without modes", "modes not a list", "vector partition not a string",
+        "no lambda_powers", "rational without num", "table without out_of_window", "entries not an object",
+        "table partition not a string"])
+def test_malformed_members_are_value_errors(decode, blob, match):
+    with pytest.raises(ValueError, match=match):
+        decode(blob)
+
+
+def test_malformed_table_key_is_a_value_error():
+    blob = _table_blob()
+    blob["out_of_window"]["w1"] = blob["out_of_window"].pop("w[2][0]")
+    with pytest.raises(ValueError, match=r"table key 'w1' is not prefix\[k\]\[r\]"):
+        generator_table_from_json(blob)
+
+
+@pytest.mark.parametrize("section, old, new", [
+    ("entries", "w[1][0]", "w[9][0]"),          # k above n
+    ("entries", "w[1][0]", "w[0][0]"),          # k below 1
+    ("entries", "w[1][0]", "phi[1][0]"),        # the other side's prefix
+    ("entries", "w[1][0]", "w[1][5]"),          # outside the window
+    ("entries", "w[1][0]", "w[2][0]"),          # the out-of-window coefficient
+    ("out_of_window", "w[2][0]", "w[1][0]"),    # inside the window
+    ("out_of_window", "w[2][0]", "w[3][0]"),    # k above n
+    ("out_of_window", "w[2][0]", "phi[2][0]"),  # the other side's prefix
+])
+def test_generator_table_rejects_keys_outside_its_partition(section, old, new):
+    blob = _table_blob()
+    blob[section][new] = blob[section].pop(old)
+    with pytest.raises(ValueError, match=r"%s' is not a key of '%s' for partition 1,2"
+                       % (re.escape(new), section)):
+        generator_table_from_json(blob)
+
+
+@pytest.mark.parametrize("var, elt", [([7, 1, 0, 0, 1], "E[7,1,0]"),
+                                      ([2, 1, 1, 0, 1], "E[2,1,1]"),
+                                      ([1, 2, 0, 3, 2], "E[1,2,0]")],
+                         ids=["block above n", "shift outside window", "upper shift outside window"])
+def test_generator_table_rejects_variables_outside_its_partition(var, elt):
+    for section, key in (("entries", "w[2][1]"), ("out_of_window", "w[2][0]")):
+        blob = _table_blob()
+        blob[section][key][0]["vars"].append(var)
+        with pytest.raises(ValueError, match=r"%s is not a basis element for partition 1,2"
+                           % re.escape(elt)):
+            generator_table_from_json(blob)
+
+
+def test_sugawara_table_rejects_entries_outside_its_partition():
+    p = Partition.of(1, 2)
+    blob = json.loads(json.dumps(sugawara_table_to_json(ss_vectors(p))))
+    blob["entries"]["w[1][0]"] = blob["entries"].pop("phi[1][0]")
+    with pytest.raises(ValueError, match=r"'w\[1\]\[0\]' is not a key of 'entries'"):
+        sugawara_table_from_json(blob)
+    blob = json.loads(json.dumps(sugawara_table_to_json(ss_vectors(p))))
+    blob["entries"]["phi[1][0]"] = vacuum_to_json(ss_vectors(Partition.of(1, 1)).entries[(1, 0)])
+    with pytest.raises(ValueError, match=r"vector of partition 1,1 in a table of 1,2"):
+        sugawara_table_from_json(blob)
+
+
 coeffs = st.one_of(st.integers(min_value=-9, max_value=9),
                    st.fractions(min_value=-5, max_value=5, max_denominator=6))
 VAR_POOL = [V(1, 1, 0), V(2, 2, 1), V(2, 1, 0), V(1, 2, 1, s=1), V(2, 2, 0, s=3)]
