@@ -10,8 +10,11 @@ modes is
     [X(a), Y(b)] = [X, Y](a + b) + a * delta_{a,-b} <X, Y>,
 
 with the critical-level form as central charge; the central generator acts
-as 1 on the vacuum.  On top of the normal-ordering engine this module builds
-the translation operator, the action of nonnegative modes, the
+as 1 on the vacuum.  Each partition has one commutator table, filled on
+first use, that holds [X, Y](a + b) for each pair of modes met; both the
+straightening and the action of nonnegative modes read it, and call
+bracket only on a miss.  On top of the normal-ordering engine this module
+builds the translation operator, the action of nonnegative modes, the
 Segal-Sugawara vectors extracted from a full column determinant with the
 translation operator in the derivation slot, applied to the vacuum, a centre
 membership check, the Harish-Chandra projection onto diagonal modes, and the
@@ -88,26 +91,73 @@ def _printing_order(item) -> list:
     return [(mode.i, mode.j, mode.r, mode.m, e) for mode, e in item[0]]
 
 
-def _normal_insert(p: Partition, seq: tuple[LoopMode, ...], coeff: Rat):
-    """Rewrite a word of negative modes into PBW order.
+class _Commutators(dict):
+    """The commutator table of one partition p: maps a pair (a, y) of
+    LoopModes to the loop part [a, y](a.m + y.m) of their commutator, a
+    tuple with one (z(a.m + y.m), c) per term c z of bracket(p, a, y), or ()
+    when that bracket is zero.  The central part, nonzero only when
+    a.m = -y.m, is left to critical_form.  An entry is computed on first use
+    (by __missing__, through the module's bracket, so a tracer that rebinds
+    it counts each miss) and kept for the rest of the run.
 
-    Yields (PBW word, coefficient) pairs, unsummed; pass them to add_into.
+    Soundness.  bracket reads only the fields i, j, r of each factor and the
+    partition, which the table fixes; the key holds the whole of both modes,
+    so it fixes a.m + y.m and with it every pushed mode.  A value is a tuple
+    of immutable LoopModes and rationals, so no caller can change an entry.
+    """
+
+    __slots__ = ("p",)
+
+    def __init__(self, p: Partition):
+        super().__init__()
+        self.p = p
+
+    def __missing__(self, key: tuple[LoopMode, LoopMode]) -> tuple:
+        a, y = key
+        mm = -a[1] - y[1]  # a.m + y.m, read off the keys
+        val = self[key] = tuple((LoopMode(z.i, z.j, z.r, mm), c)
+                                for z, c in bracket(self.p, a, y).items())
+        return val
+
+
+# Per partition, its commutator table.  Bounded by the number of partitions
+# met and, within one, by the pairs of modes that cross.
+_COMMUTATORS: dict[Partition, _Commutators] = {}
+
+
+def _commutators(p: Partition) -> _Commutators:
+    """The commutator table of p, made on first use."""
+    table = _COMMUTATORS.get(p)
+    if table is None:
+        table = _COMMUTATORS[p] = _Commutators(p)
+    return table
+
+
+def _normal_insert(acc: dict, table: _Commutators, seq: tuple[LoopMode, ...],
+                   coeff: Rat) -> None:
+    """Add coeff * seq, a word of negative modes, into acc in PBW order.
+
+    table is the commutator table of the word's partition.  Each finished
+    word is added straight into acc under add_into's rule: no zero is
+    stored, and a key whose sum cancels is deleted.
 
     Soundness.  One insertion pass per word s, with coefficient c.  The list
     out holds s[:pos] sorted, and y = s[pos] moves left past each factor a
     of out with a > y, the nearest first.  With k the index of a, crossing
     it uses a y = y a + [a, y]: the reordered word keeps c, and for each term
-    z of [a, y] the word out[:k] z(a.m + y.m) out[k+1:] s[pos+1:] is pushed
-    with c times that term's coefficient.  So at every step c s equals
-    c out s[pos:] plus the pushed words, out stays sorted, and each
-    inversion of s is crossed exactly once.  No central term arises, as
-    a.m + y.m <= -2.  [a, y] is nonzero only if a.j = y.i or a.i = y.j (the
-    test _act uses), so a crossing that meets neither pushes nothing and
-    builds no map.  Each pushed word is one factor shorter than s, so the
-    stack empties.  The PBW normal form is unique, so the summed pairs equal
-    those of straightening by adjacent swaps; only the order of the yielded
-    pairs differs, and items() sorts.
+    (z, cz) of table[a, y] the word out[:k] z out[k+1:] s[pos+1:] is pushed
+    with c * cz.  So at every step c s equals c out s[pos:] plus the pushed
+    words, out stays sorted, and each inversion of s is crossed exactly
+    once.  No central term arises, as a.m + y.m <= -2.  [a, y] is nonzero
+    only if a.j = y.i or a.i = y.j (the test _act uses), so a crossing that
+    meets neither pushes nothing and is not looked up.  Each pushed word is
+    one factor shorter than s, so the stack empties.  The PBW normal form is
+    unique, so the summed words equal those of straightening by adjacent
+    swaps; only the order in which they reach acc differs, and items()
+    sorts.
     """
+    if not coeff:
+        return
     stack = [(seq, coeff)]
     while stack:
         s, c = stack.pop()
@@ -119,12 +169,23 @@ def _normal_insert(p: Partition, seq: tuple[LoopMode, ...], coeff: Rat):
                 a = out[k]
                 if a[3] != y[2] and a[2] != y[3]:  # a.j != y.i and a.i != y.j
                     continue  # [a, y] = 0
-                mm = -a[1] - y[1]  # a.m + y.m, read off the keys
-                for z, cz in bracket(p, a, y).items():
-                    stack.append((tuple(out[:k]) + (LoopMode(z.i, z.j, z.r, mm),)
-                                  + tuple(out[k + 1:]) + s[pos + 1:], c * cz))
+                terms = table[a, y]
+                if terms:
+                    rest = s[pos + 1:]
+                    for z, cz in terms:
+                        out[k] = z
+                        stack.append((tuple(out) + rest, c * cz))
+                    out[k] = a
             out.insert(k, y)
-        yield tuple(out), c
+        # add_into's invariant, inline: c is nonzero, so only a sum that
+        # cancels can reach zero, and then its key is deleted
+        word = tuple(out)
+        if word in acc:
+            c += acc[word]
+            if not c:
+                del acc[word]
+                continue
+        acc[word] = c
 
 
 def _negative_modes(p: Partition, modes: Iterable) -> tuple[LoopMode, ...]:
@@ -211,23 +272,26 @@ class VacuumVector(Sparse):
     def __mul__(self, other: "VacuumVector") -> "VacuumVector":
         """Normal-ordered product (concatenate words, then straighten)."""
         self._match(other)
+        table = _commutators(self.partition)
         acc: dict[PBWMono, Rat] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                add_into(acc, _normal_insert(self.partition, m1 + m2, c1 * c2))
+                _normal_insert(acc, table, m1 + m2, c1 * c2)
         return VacuumVector._raw(self.partition, acc)
 
     def derive(self, k: int = 1) -> "VacuumVector":
         """Translation operator: a derivation with X(m) -> -m X(m-1)."""
+        if k < 0:
+            raise ValueError("negative derivation order %d" % k)
+        table = _commutators(self.partition)
         out = self
         for _ in range(k):
             acc: dict[PBWMono, Rat] = {}
             for word, c in out.terms.items():
                 for idx, mode in enumerate(word):
                     nm = LoopMode(mode.i, mode.j, mode.r, mode.m - 1)
-                    add_into(acc, _normal_insert(out.partition,
-                                                 word[:idx] + (nm,) + word[idx + 1:],
-                                                 c * (-mode.m)))
+                    _normal_insert(acc, table, word[:idx] + (nm,) + word[idx + 1:],
+                                   c * (-mode.m))
             out = VacuumVector._raw(out.partition, acc)
         return out
 
@@ -269,8 +333,9 @@ def weights(word: PBWMono) -> dict[int, int]:
 
 def normal_order(p: Partition, modes: Iterable[LoopMode], coeff: Rat = 1) -> VacuumVector:
     """PBW normal form of a formal product of negative modes."""
-    modes = _negative_modes(p, modes)
-    return VacuumVector._raw(p, add_into({}, _normal_insert(p, modes, coeff)))
+    acc: dict[PBWMono, Rat] = {}
+    _normal_insert(acc, _commutators(p), _negative_modes(p, modes), coeff)
+    return VacuumVector._raw(p, acc)
 
 
 def act_mode(x: BasisElt, m: int, v: VacuumVector) -> VacuumVector:
@@ -284,52 +349,55 @@ def act_mode(x: BasisElt, m: int, v: VacuumVector) -> VacuumVector:
         raise ValueError("act_mode expects a non-negative mode")
     p = v.partition
     p.check_valid(x)
+    table = _commutators(p)
+    mode = LoopMode(x.i, x.j, x.r, m)
     acc: dict[PBWMono, Rat] = {}
     for word, c in v.terms.items():
-        _act(p, x, m, word, c, acc)
+        _act(table, mode, word, c, acc)
     return VacuumVector._raw(p, acc)
 
 
-def _act(p: Partition, x: BasisElt, m: int, seq: PBWMono,
-         coeff: Rat, acc: dict) -> None:
-    """Add coeff * x(m) seq|0> into acc, for m >= 0 and a PBW word seq.
+def _act(table: _Commutators, x: LoopMode, seq: PBWMono, coeff: Rat, acc: dict) -> None:
+    """Add coeff * x seq|0> into acc, for a mode x = x(m) with m >= 0 and a
+    PBW word seq; table is the commutator table of the partition.
 
     Soundness.  ad x(m) is a derivation and x(m)|0> = 0 for m >= 0, so for
     seq = y_1 ... y_k
 
         x(m) y_1 ... y_k|0> = sum_i y_1 ... y_{i-1} [x(m), y_i] y_{i+1} ... y_k|0>,
 
-    with [x(m), y(b)] = [x, y](m + b) + m delta_{m,-b} <x, y>.  For each
-    z(t) in [x, y](m + b): a negative mode is spliced in at position i and
+    with [x(m), y(b)] = [x, y](m + b) + m delta_{m,-b} <x, y>.  The table
+    holds the first part under the key (x, y), as it holds a crossing of
+    _normal_insert: bracket reads only i, j, r, and the key fixes m + b.
+    For each z(t) in it: a negative mode is spliced in at position i and
     that word is straightened once; a mode with t >= 0 acts on the suffix,
     itself a PBW word, by recursion, whose PBW words are straightened once
-    behind the prefix (with an empty prefix they are already in order).  The central term is
-    the word with y_i deleted, a subword of a PBW word and so already in
-    PBW order: it is added unstraightened.  bracket(x, y) is nonzero only if
-    x.j = y.i or x.i = y.j (the index test _normal_insert applies to each
-    crossing), and the central term needs y.m = -m, so a position meeting
-    neither is skipped without building the bracket.
+    behind the prefix (with an empty prefix they are already in order).
+    The central term is the word with y_i deleted, a subword of a PBW word
+    and so already in PBW order: it is added unstraightened.  bracket(x, y)
+    is nonzero only if x.j = y.i or x.i = y.j (the index test
+    _normal_insert applies to each crossing), and the central term needs
+    y.m = -m, so a position meeting neither is skipped without a lookup.
     """
-    xi, xj = x.i, x.j
+    m = -x[1]
+    xi, xj = x[2], x[3]
     for idx, y in enumerate(seq):
         central = y[1] == m  # y.m == -m; never for m = 0, as y.m <= -1
         if xj != y[2] and xi != y[3] and not central:  # y[2], y[3] = y.i, y.j
             continue  # [x(m), y] = 0
         head, rest = seq[:idx], seq[idx + 1:]
-        t = m - y[1]  # m + y.m
-        for z, cz in bracket(p, x, y).items():
-            if t < 0:
-                add_into(acc, _normal_insert(p, head + (LoopMode(z.i, z.j, z.r, t),) + rest,
-                                             coeff * cz))
+        for z, cz in table[x, y]:
+            if z[1] > 0:  # z.m < 0
+                _normal_insert(acc, table, head + (z,) + rest, coeff * cz)
             elif head:
                 sub: dict[PBWMono, Rat] = {}
-                _act(p, z, t, rest, coeff * cz, sub)
+                _act(table, z, rest, coeff * cz, sub)
                 for word, c in sub.items():
-                    add_into(acc, _normal_insert(p, head + word, c))
+                    _normal_insert(acc, table, head + word, c)
             else:
-                _act(p, z, t, rest, coeff * cz, acc)
+                _act(table, z, rest, coeff * cz, acc)
         if central:
-            q = critical_form(p, x, y)
+            q = critical_form(table.p, x, y)
             if q:
                 add_into(acc, ((head + rest, coeff * m * q),))
 
@@ -474,11 +542,11 @@ def loop_realization(poly: DiffPoly, p: Partition) -> VacuumVector:
     """
     if any(v.i != v.j for v in poly.variables()):
         raise ValueError("loop realization is defined on the diagonal sector")
+    table = _commutators(p)
     acc: dict[PBWMono, Rat] = {}
     for mono, c in poly.terms.items():
-        add_into(acc, _normal_insert(p, tuple(LoopMode(v.i, v.j, v.r, -v.s - 1)
-                                              for v in mono),
-                                     c * prod(factorial(v.s) for v in mono)))
+        _normal_insert(acc, table, tuple(LoopMode(v.i, v.j, v.r, -v.s - 1) for v in mono),
+                       c * prod(factorial(v.s) for v in mono))
     return VacuumVector._raw(p, acc)
 
 

@@ -95,10 +95,14 @@ class UPoly(Sparse):
 
     def derive(self, k: int = 1) -> "UPoly":
         """Coefficient-wise derivation; the formal symbol is constant."""
+        if k < 0:
+            raise ValueError("negative derivation order %d" % k)
         return self.map_coeffs(lambda c: c.derive(k))
 
     def shift(self, times: int = 1) -> "UPoly":
         """Apply (symbol + d) the given number of times."""
+        if times < 0:
+            raise ValueError("negative shift count %d" % times)
         return UPoly._raw(dict(_shift(self.terms, times)))
 
     def map_coeffs(self, fn) -> "UPoly":

@@ -192,6 +192,8 @@ class DiffPoly(Sparse):
 
     def derive(self, k: int = 1) -> "DiffPoly":
         """Apply the derivation k times (Leibniz over each monomial)."""
+        if k < 0:
+            raise ValueError("negative derivation order %d" % k)
         terms = self.terms
         for _ in range(k):
             terms = add_into({}, _derive_terms(terms))

@@ -13,11 +13,11 @@ from __future__ import annotations
 import re
 import reprlib
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Optional
 
-from .affine import LoopMode, VacuumVector
+from .affine import LoopMode, VacuumVector, _negative_modes
 from .cdet import GeneratorTable, UPoly, in_window
-from .centralizer import Partition, Rat, Sparse
+from .centralizer import Partition, Rat, Sparse, add_into
 from .diffpoly import DiffPoly, DiffVar
 
 
@@ -64,19 +64,45 @@ def diffpoly_to_json(poly: DiffPoly) -> list:
     return out
 
 
+def _diffpoly_decoder(p: Optional[Partition] = None) -> Callable[[list], DiffPoly]:
+    """A decoder of polynomials that builds and checks each distinct variable
+    once, for all the polynomials it decodes: s >= 0 and, given p, a basis
+    element of p.  Each word is built sorted, so no DiffPoly renormalises it.
+    """
+    known: dict[tuple, DiffVar] = {}
+
+    def terms(obj: list):
+        for t in obj:
+            word: list = []
+            for f in _member(t, "vars", list):
+                i, j, r, s, e = f if type(f) is list and len(f) == 5 else (None,) * 5
+                # before the lookup: as a key, True and 1.0 equal 1
+                if not type(i) is type(j) is type(r) is type(s) is type(e) is int:
+                    raise ValueError("variable %r is not five integers (i, j, r, s, e)" % (f,))
+                v = known.get((i, j, r, s))
+                if v is None:
+                    v = DiffVar(s, i, j, r)
+                    if s < 0:
+                        raise ValueError("bad monomial factor %s^%d" % (v.text(), e))
+                    if p is not None:
+                        p.check_valid(v.base)
+                    known[i, j, r, s] = v
+                if e < 0:
+                    raise ValueError("bad monomial factor %s^%d" % (v.text(), e))
+                word += [v] * e
+            word.sort()
+            yield tuple(word), rat_from_json(_member(t, "coeff"))
+
+    def decode(obj: list) -> DiffPoly:
+        if not isinstance(obj, list):
+            raise ValueError("polynomial %s is not a list of terms" % reprlib.repr(obj))
+        return DiffPoly._raw(add_into({}, terms(obj)))
+
+    return decode
+
+
 def diffpoly_from_json(obj: list) -> DiffPoly:
-    if not isinstance(obj, list):
-        raise ValueError("polynomial %s is not a list of terms" % reprlib.repr(obj))
-    terms = []
-    for t in obj:
-        mono = []
-        for f in _member(t, "vars", list):
-            i, j, r, s, e = f if type(f) is list and len(f) == 5 else (None,) * 5
-            if not type(i) is type(j) is type(r) is type(s) is type(e) is int:
-                raise ValueError("variable %r is not five integers (i, j, r, s, e)" % (f,))
-            mono.append((DiffVar(s, i, j, r), e))
-        terms.append((mono, rat_from_json(_member(t, "coeff"))))
-    return DiffPoly(terms)
+    return _diffpoly_decoder()(obj)
 
 
 def lambdapoly_to_json(lp: UPoly) -> dict:
@@ -101,10 +127,41 @@ def vacuum_to_json(v: VacuumVector) -> dict:
     return {"partition": str(v.partition), "terms": terms}
 
 
+def _vacuum_decoder(p: Partition) -> Callable[[dict], VacuumVector]:
+    """A decoder of vectors of partition p (another partition raises
+    ValueError) that builds and checks each distinct mode once, for all the
+    vectors it decodes.  Each word is checked for PBW order and kept as it
+    is, so no VacuumVector renormalises it."""
+    known: dict[tuple, LoopMode] = {}
+
+    def terms(obj: dict):
+        for t in _member(obj, "terms", list):
+            word = []
+            for f in _member(t, "modes", list):
+                # before the lookup: as a key, True and 1.0 equal 1
+                if not (isinstance(f, (list, tuple)) and len(f) == 4 and
+                        type(f[0]) is type(f[1]) is type(f[2]) is type(f[3]) is int):
+                    raise ValueError("loop mode %r is not four integers (i, j, r, m)" % (f,))
+                key = tuple(f)
+                mode = known.get(key)
+                if mode is None:
+                    mode = known[key] = _negative_modes(p, (f,))[0]
+                word.append(mode)
+            if any(b < a for a, b in zip(word, word[1:])):
+                raise ValueError("monomial factors not in PBW order")
+            yield tuple(word), rat_from_json(_member(t, "coeff"))
+
+    def decode(obj: dict) -> VacuumVector:
+        q = Partition.parse(_member(obj, "partition", str))
+        if q != p:
+            raise ValueError("vector of partition %s in a table of %s" % (q, p))
+        return VacuumVector._raw(p, add_into({}, terms(obj)))
+
+    return decode
+
+
 def vacuum_from_json(obj: dict) -> VacuumVector:
-    return VacuumVector(Partition.parse(_member(obj, "partition", str)),
-                        [(_member(t, "modes", list), rat_from_json(_member(t, "coeff")))
-                         for t in _member(obj, "terms", list)])
+    return _vacuum_decoder(Partition.parse(_member(obj, "partition", str)))(obj)
 
 
 # -- generator tables ------------------------------------------------------------
@@ -131,11 +188,13 @@ def _table_json(t: GeneratorTable, prefix: str, encode: Callable) -> dict:
     }
 
 
-def _table_from_json(obj: dict, prefix: str, decode: Callable) -> GeneratorTable:
+def _table_from_json(obj: dict, prefix: str, decoder: Callable) -> GeneratorTable:
     """A key must read prefix[k][r] with 1 <= k <= n, and (k, r) must lie in
-    the window for "entries" and outside it for "out_of_window".  The callers
-    check that each entry is of the table's partition."""
+    the window for "entries" and outside it for "out_of_window".  Every entry
+    is decoded by the one decoder(p) of the table's partition p, which checks
+    that the entry belongs to p."""
     p = Partition.parse(_member(obj, "partition", str))
+    decode = decoder(p)
 
     def load(section: str, inside: bool) -> dict:
         out = {}
@@ -154,11 +213,7 @@ def generator_table_to_json(t: GeneratorTable) -> dict:
 
 
 def generator_table_from_json(obj: dict) -> GeneratorTable:
-    t = _table_from_json(obj, "w", diffpoly_from_json)
-    polys = (*t.entries.values(), *t.out_of_window.values())
-    for v in set().union(*(q.variables() for q in polys)):
-        t.partition.check_valid(v.base)
-    return t
+    return _table_from_json(obj, "w", _diffpoly_decoder)
 
 
 def sugawara_table_to_json(t: GeneratorTable) -> dict:
@@ -166,11 +221,7 @@ def sugawara_table_to_json(t: GeneratorTable) -> dict:
 
 
 def sugawara_table_from_json(obj: dict) -> GeneratorTable:
-    t = _table_from_json(obj, "phi", vacuum_from_json)
-    for v in (*t.entries.values(), *t.out_of_window.values()):
-        if v.partition != t.partition:
-            raise ValueError("vector of partition %s in a table of %s" % (v.partition, t.partition))
-    return t
+    return _table_from_json(obj, "phi", _vacuum_decoder)
 
 
 # -- LaTeX ----------------------------------------------------------------------

@@ -336,6 +336,68 @@ def test_generating_scan_memo_matches_recomputation(monkeypatch):
     assert affine._generating_scan(p, 2) == _generating_scan_oracle(p, 2)
 
 
+def _table_inputs(p, rng):
+    """Three seeded vectors of p, each the normal form of a word of one to
+    three factors at modes -1..-3."""
+    basis = centralizer_basis(p)
+    return [normal_order(p, [M(*rng.choice(basis), -rng.randint(1, 3))
+                             for _ in range(rng.randint(1, 3))], rng.choice((-1, 1, 2)))
+            for _ in range(3)]
+
+
+def test_commutator_tables_match_bracket(monkeypatch):
+    # The per-partition tables, filled from an empty memo over every
+    # partition with N <= 5 in a shuffled order and then in reverse (so the
+    # second pass reads filled tables): products and actions equal the
+    # oracles', and every entry is bracket's map with each mode built afresh.
+    monkeypatch.setattr(affine, "_COMMUTATORS", {})
+    parts = all_partitions(5)
+    random.Random(23).shuffle(parts)
+    for p in parts + parts[::-1]:
+        rng = random.Random(str(p))
+        u, v, w = _table_inputs(p, rng)
+        assert u * v == _oracle_mul(u, v) and v * u == _oracle_mul(v, u), str(p)
+        assert w.derive() == _oracle_derive(w), str(p)
+        for x in centralizer_basis(p):
+            for m in range(3):
+                assert act_mode(x, m, u * v) == _oracle_act_mode(x, m, u * v), (str(p), x, m)
+    assert set(affine._COMMUTATORS) == set(parts)
+    kinds = set()
+    for p, table in affine._COMMUTATORS.items():
+        assert table.p == p
+        for (a, y), terms in table.items():
+            assert type(terms) is tuple
+            assert dict(terms) == {M(z.i, z.j, z.r, a.m + y.m): c
+                                   for z, c in bracket(p, a, y).items()}, (str(p), a, y)
+            kinds.add(("act" if a.m >= 0 else "insert", bool(terms)))
+    # crossings and actions, with and without a commutator (a truncated one
+    # where a block has size > 1)
+    assert kinds == {("act", True), ("act", False), ("insert", True), ("insert", False)}
+
+
+def test_repeated_products_call_no_bracket(monkeypatch):
+    # Once the table holds a product's crossings, repeating the product, or
+    # an action, looks every commutator up and calls bracket 0 times.
+    p = Partition.of(1, 1, 2)
+    monkeypatch.setattr(affine, "_COMMUTATORS", {})
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bracket(*args)
+
+    monkeypatch.setattr(affine, "bracket", counted)
+    t = ss_vectors(p).entries
+    a, b = t[(3, 1)], t[(2, 1)]
+    x = E(3, 1, 0)
+    calls.clear()
+    first = (a * b, b * a, act_mode(x, 1, a), act_mode(x, 0, b), a.derive())
+    assert calls
+    calls.clear()
+    assert (a * b, b * a, act_mode(x, 1, a), act_mode(x, 0, b), a.derive()) == first
+    assert not calls
+
+
 def test_center_check_falls_back_to_the_first_witness():
     # The generating scan meets E[2,1,0](0) first, but the reported witness
     # is the first in (m, basis) order.
@@ -360,6 +422,14 @@ def test_hc_project():
     assert hc_project(diag) == diag
     with pytest.raises(ValueError):
         hc_project(single(P11, 2, 1, 0, -1))
+
+
+def test_negative_translation_order_is_a_value_error():
+    v = single(P11, 2, 1, 0, -1)
+    for u in (v, VacuumVector.vacuum(P11), VacuumVector.vacuum(P11, 0)):
+        with pytest.raises(ValueError, match="negative derivation order -1"):
+            u.derive(-1)
+    assert v.derive(0) == v
 
 
 def test_weights():

@@ -83,6 +83,15 @@ def test_upoly_preserves_factor_order():
     assert a.derive().coeff(0) == vp(1, 1, 0, s=1)
 
 
+def test_upoly_negative_order_is_a_value_error():
+    for a in (UPoly({0: vp(1, 1, 0)}), UPoly()):
+        with pytest.raises(ValueError, match="negative derivation order -1"):
+            a.derive(-1)
+        with pytest.raises(ValueError, match="negative shift count -1"):
+            a.shift(-1)
+        assert a.derive(0) == a.shift(0) == a
+
+
 # -- reference products ----------------------------------------------------
 # Oracle for the operator products: UPoly.__mul__ and DiffOp.__mul__ as they
 # were before each coefficient was summed once, adding every product into the

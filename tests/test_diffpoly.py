@@ -195,6 +195,14 @@ def test_constructor_rejects_bad_factors():
         DiffPoly.var(V(1, 1, 0)) ** 3
 
 
+def test_negative_derivation_order_is_a_value_error():
+    x = DiffPoly.var(V(1, 1, 0))
+    for poly in (x, DiffPoly.zero(), DiffPoly.const(3)):
+        with pytest.raises(ValueError, match="negative derivation order -2"):
+            poly.derive(-2)
+    assert x.derive(0) == x
+
+
 # -- the pair format, kept as a test oracle --------------------------------------
 # In the pair format a monomial is keyed by its (DiffVar, exponent) pairs
 # sorted by variable, the form DiffPoly.items() prints.  These routines do the

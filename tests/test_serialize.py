@@ -152,6 +152,31 @@ def test_sugawara_table_rejects_entries_outside_its_partition():
         sugawara_table_from_json(blob)
 
 
+@pytest.mark.parametrize("bad", [[1, 1, 0, 0, True], [1.0, 1, 0, 0, 1], [1, True, 0, 0, 1]])
+def test_generator_table_checks_the_type_of_every_factor(bad):
+    # The decoder builds E[1,1,0][0] once, from the first entry; an equal
+    # factor of another type later in the table still raises, though as a
+    # tuple key it equals the one already built.
+    blob = _table_blob()
+    assert blob["entries"]["w[1][0]"][0]["vars"] == [[1, 1, 0, 0, 1]]
+    blob["entries"]["w[2][1]"][0]["vars"].append(bad)
+    with pytest.raises(ValueError, match=r"variable %s is not five integers"
+                       % re.escape(repr(bad))):
+        generator_table_from_json(blob)
+
+
+@pytest.mark.parametrize("bad", [[True, 1, 0, -1], [1.0, 1, 0, -1], [1, 1, False, -1]])
+def test_sugawara_table_checks_the_type_of_every_mode(bad):
+    # As above, for the mode E[1,1,0](-1) of the first vector.
+    p = Partition.of(1, 2)
+    blob = json.loads(json.dumps(sugawara_table_to_json(ss_vectors(p))))
+    assert blob["entries"]["phi[1][0]"]["terms"][0]["modes"] == [[1, 1, 0, -1]]
+    blob["entries"]["phi[2][1]"]["terms"][0]["modes"].insert(1, bad)
+    with pytest.raises(ValueError, match=r"loop mode %s is not four integers"
+                       % re.escape(repr(bad))):
+        sugawara_table_from_json(blob)
+
+
 coeffs = st.one_of(st.integers(min_value=-9, max_value=9),
                    st.fractions(min_value=-5, max_value=5, max_denominator=6))
 VAR_POOL = [V(1, 1, 0), V(2, 2, 1), V(2, 1, 0), V(1, 2, 1, s=1), V(2, 2, 0, s=3)]
