@@ -30,8 +30,8 @@ from operator import itemgetter
 from typing import Iterable, Optional
 
 from .centralizer import (BasisElt, Partition, Rat, Sparse, add_into, bracket,
-                          centralizer_basis, critical_form, derived_complement,
-                          group_runs)
+                          centralizer_basis, centre_basis, critical_form,
+                          derived_complement, group_runs)
 from .cdet import (DiffOp, GeneratorTable, applied_column_determinant, basis_u_series,
                    diagonal_entry, miura_image, w_generators, window_table)
 from .diffpoly import DiffPoly
@@ -458,13 +458,23 @@ def center_check(v: VacuumVector) -> CenterCheck:
     Soundness.  The annihilator of v is a subspace of a[t], closed under
     brackets, and [x(a), y(b)] = [x, y](a + b) has no central term when
     a, b >= 0.  Let C be derived_complement(p), spanning a complement of
-    [a, a].
+    [a, a], C_0 its shift-0 elements, z the span of the central powers
+    e_r of centre_basis(p), and C' the elements of C that stay independent
+    modulo [a, a] + z, so that C' completes [a, a] + z to a.
+    (z) Every e_r(m), m >= 0, kills every vector.  e_r is central, by the
+        truncation rule (centre_basis), and it is orthogonal to a under the
+        critical form: for r >= 1 because the form vanishes off shift 0,
+        and for r = 0 because it pairs a diagonal element only with
+        diagonal ones and <e_0, E[j,j,0]> = sum_i min(lam_i, lam_j) - w_j
+        = 0, the parts being in order.  So [e_r(m), y(b)] = 0 for every mode
+        y(b), and e_r(m) kills the vacuum.
     (0) Chains of adjacent E[i,i+-1,r] give every off-diagonal element, as
         [E[i,j,r], E[j,l,s]] = E[i,l,r+s] and the shift windows compose.
-        Brackets of off-diagonal elements span [a, a], and C completes a(0).
+        Brackets of off-diagonal elements span [a, a]; z is killed by (z),
+        and C' completes a(0).
     (1) Once a(0) annihilates v, I = {x : x(1) v = 0} is an ideal of a, as
-        [y, x](1) = [y(0), x(1)].  C holds E[i,i,0] for the first block i
-        of each part size s.  Let tau_s be the sum of the E[j,j,0]-
+        [y, x](1) = [y(0), x(1)].  C_0 is E[i,i,0] for the first block i of
+        each part size s.  Let tau_s be the sum of the E[j,j,0]-
         coefficients over the blocks j of size s.  A basis bracket has a
         shift-0 diagonal part only as [E[i,l,0], E[l,i,0]] = E[i,i,0] -
         E[l,l,0] with lam_i = lam_l, so tau_s vanishes on [a, a]; it also
@@ -472,9 +482,9 @@ def center_check(v: VacuumVector) -> CenterCheck:
         earlier blocks, of other sizes, but tau_s(E[i,i,0]) = 1.  For
         lam_l = lam_i, [E[l,i,0], E[i,i,0]] = E[l,i,0] and [E[i,l,0],
         E[l,i,0]] = E[i,i,0] - E[l,l,0], so I holds every E[l,l,0], hence
-        every [E[l,l,0], E[l,j,r]] = E[l,j,r], hence [a, a], and with C all
-        of a.
-    (m >= 2) [a(1), a(m-1)] = [a, a](m), and C(m) completes a(m).
+        every [E[l,l,0], E[l,j,r]] = E[l,j,r], hence [a, a].  It holds z by
+        (z), and with C' all of a.
+    (m >= 2) [a(1), a(m-1)] = [a, a](m), and z(m) and C'(m) complete a(m).
     Modes above the depth of v kill it for degree reasons.
     """
     p = v.partition
@@ -488,24 +498,29 @@ def center_check(v: VacuumVector) -> CenterCheck:
     return CenterCheck(True)
 
 
-# Per partition, the mode-0 set and C of _generating_scan, each found once:
-# C by exact elimination.  Bounded by the number of partitions met.
-_SCAN_SETS: dict[Partition, tuple[tuple[BasisElt, ...], tuple[BasisElt, ...]]] = {}
+# Per partition, the mode-0, mode-1 and later sets of _generating_scan, each
+# found once by exact elimination.  Bounded by the number of partitions met.
+_SCAN_SETS: dict[Partition, tuple[tuple[BasisElt, ...], ...]] = {}
 
 
 def _generating_scan(p: Partition, depth: int) -> list[tuple[BasisElt, int]]:
     """The modes x(m) that center_check scans for 0 <= m <= depth, m-major.
 
-    m = 0: the adjacent off-diagonal E[i,i+-1,r], then C; m >= 1: C alone,
-    where C is derived_complement(p).  Each call returns a fresh list.
+    With C = derived_complement(p) and C' = derived_complement(p,
+    centre_basis(p)), the elements of C independent modulo [a, a] + z:
+    m = 0: the adjacent off-diagonal E[i,i+-1,r], then C'; m = 1: the
+    shift-0 elements of C and C', in C order; m >= 2: C' alone.  Each call
+    returns a fresh list.
     """
     sets = _SCAN_SETS.get(p)
     if sets is None:
-        comp = tuple(derived_complement(p))
+        rest = tuple(derived_complement(p, centre_basis(p)))
         adjacent = tuple(x for x in centralizer_basis(p) if abs(x.i - x.j) == 1)
-        sets = _SCAN_SETS[p] = (adjacent + comp, comp)
-    mode0, comp = sets
-    return [(x, 0) for x in mode0] + [(x, m) for m in range(1, depth + 1) for x in comp]
+        mode1 = tuple(x for x in derived_complement(p) if x.r == 0 or x in rest)
+        sets = _SCAN_SETS[p] = (adjacent + rest, mode1, rest)
+    mode0, mode1, rest = sets
+    return [(x, 0) for x in mode0] + [(x, m) for m in range(1, depth + 1)
+                                      for x in (mode1 if m == 1 else rest)]
 
 
 def _full_scan(v: VacuumVector) -> CenterCheck:

@@ -8,12 +8,13 @@ lam_1 <= ... <= lam_n has a centralizer spanned by elements E[i,j,r]
 
 This module enumerates the basis in a fixed canonical order, implements the
 commutator together with its truncation rule (E[i,j,r] = 0 once r >= lam_j),
-a complement of the derived algebra, the two invariant symmetric bilinear
-forms used downstream (the trace form and the critical-level form), and the
-triangular decomposition by the sign of j - i.  It also holds the package's
-sparse core over Q: add_into, sum_by_key, the base class Sparse of every
-sparse element type, the grouping group_runs of a word for printing, and
-the exact elimination echelon_insert.
+the central powers of the nilpotent, a complement of the derived algebra,
+the two invariant symmetric bilinear forms used downstream (the trace form
+and the critical-level form), and the triangular decomposition by the sign
+of j - i.  It also holds the package's sparse core over Q: add_into,
+sum_by_key, the base class Sparse of every sparse element type, the
+grouping group_runs of a word for printing, and the exact elimination
+echelon_insert.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 Rat = Union[int, Fraction]
 
@@ -329,14 +330,33 @@ def echelon_insert(rows: dict, vec: dict) -> Optional[tuple]:
     return pivot, c
 
 
-def derived_complement(p: Partition) -> list[BasisElt]:
-    """Diagonal basis elements, in basis order, spanning a complement of [a, a].
+def centre_basis(p: Partition) -> list[LieMap]:
+    """The powers e_r = sum over the blocks i with r < lam_i of E[i,i,r],
+    0 <= r < lam_n, of the nilpotent: central elements of a.
+
+    Soundness.  By bracket, [e_r, E[k,l,s]] is E[k,l,r+s] from the block
+    k (present when r < lam_k) minus E[k,l,r+s] from the block l, each only
+    when r + s < lam_l.  Then r < lam_l - s <= min(lam_k, lam_l), as s lies
+    in the window of (k, l), so both terms are present and cancel.
+    """
+    return [{BasisElt(i, i, r): 1 for i in range(1, p.n + 1) if r < p.part(i)}
+            for r in range(p.part(p.n))]
+
+
+def derived_complement(p: Partition, modulo: Iterable[LieMap] = ()) -> list[BasisElt]:
+    """Diagonal basis elements, in basis order, spanning a complement of
+    [a, a] + span(modulo), for diagonal elements modulo.
 
     Every off-diagonal E[i,j,r] equals [E[i,i,0], E[i,j,r]], so it lies in
     [a, a], and the only basis brackets with a diagonal part are
     [E[i,j,r], E[j,i,s]].  So [a, a] is the off-diagonal sector plus the span
-    of those diagonal parts.  The parts go into one echelon_insert basis;
-    each diagonal element outside the span so far is kept and joins it.
+    of those diagonal parts.  The parts and modulo go into one echelon_insert
+    basis; each diagonal element outside the span so far is kept and joins
+    it.  With modulo, the result is the elements of derived_complement(p), in
+    order, that stay independent modulo [a, a] + span(modulo): a diagonal
+    element is kept when it lies outside that space plus the span of the
+    diagonal elements before it, and modulo [a, a] those span what the
+    elements of derived_complement(p) before it span.
     """
     rows: dict = {}
     basis = centralizer_basis(p)
@@ -344,6 +364,8 @@ def derived_complement(p: Partition) -> list[BasisElt]:
         if a.i < a.j:
             for s in p.r_window(a.j, a.i):
                 echelon_insert(rows, bracket(p, a, BasisElt(a.j, a.i, s)))
+    for x in modulo:
+        echelon_insert(rows, x)
     return [e for e in basis if e.i == e.j and echelon_insert(rows, {e: 1})]
 
 

@@ -11,7 +11,8 @@ from wcent import (BasisElt, DiffPoly, DiffVar, LoopMode, Partition,
                    normal_order, ss_matrix, ss_vectors, upper_basis,
                    w_correspondence, w_generators)
 from wcent import affine
-from wcent.centralizer import add_into, bracket, critical_form, derived_complement
+from wcent.centralizer import (add_into, bracket, critical_form, derived_complement,
+                               echelon_insert)
 
 
 def E(i, j, r):
@@ -293,13 +294,13 @@ def _differential_inputs(p, rng):
 
 def test_center_check_matches_full_scan():
     # The generating-set scan against the full scan it replaces, kept as
-    # the oracle: same verdict, same witness mode and image.  The partitions
-    # of 5 with a repeated part are where mode 1 scans the fewest elements
-    # per block.
+    # the oracle: same verdict, same witness mode and image, on every
+    # partition with N <= 5.  Those of 5 with a repeated part are where
+    # mode 1 scans the fewest elements per block; those with a block of
+    # size >= 2 have central powers e_r of shift r >= 1.
     rng = random.Random(10)
     seen = set()
-    repeated = [p for p in all_partitions(5) if p.N == 5 and len(set(p.parts)) < p.n]
-    for p in all_partitions(4) + repeated:
+    for p in all_partitions(5):
         for v in _differential_inputs(p, rng):
             got, want = center_check(v), affine._full_scan(v)
             assert got.ok == want.ok, (str(p), v)
@@ -312,12 +313,42 @@ def test_center_check_matches_full_scan():
     assert {"pass", "mode 0", "mode 1"} <= seen, seen
 
 
+def test_central_powers_kill_every_vector():
+    # The lemma behind the scan modulo the centre, checked on seeded
+    # vectors: sum_i E[i,i,r](m) v = 0 for every central power e_r and
+    # 0 <= m <= depth + 1, though its single terms need not vanish.
+    rng = random.Random(24)
+    checks = nonzero_terms = 0
+    for p in all_partitions(5):
+        for v in list(_differential_inputs(p, rng)) + _table_inputs(p, rng):
+            for r in range(p.part(p.n)):
+                diagonal = [E(i, i, r) for i in range(1, p.n + 1) if r < p.part(i)]
+                for m in range(v.depth + 2):
+                    terms = [act_mode(x, m, v) for x in diagonal]
+                    assert not VacuumVector.sum(terms), (str(p), r, m, v)
+                    checks += 1
+                    nonzero_terms += any(terms)
+    # 2,205 checks, in 218 of which some single term is nonzero
+    assert checks >= 2000 and nonzero_terms >= 200, (checks, nonzero_terms)
+
+
 def _generating_scan_oracle(p, depth):
-    """The generating scan rebuilt from its definition on every call."""
+    """The generating scan rebuilt from its definition on every call: C' is
+    the elements of C, in order, that stay independent modulo [a, a] plus
+    the central powers e_r."""
+    basis = centralizer_basis(p)
     comp = derived_complement(p)
-    adjacent = [x for x in centralizer_basis(p) if abs(x.i - x.j) == 1]
-    return [(x, 0) for x in adjacent + comp] + \
-        [(x, m) for m in range(1, depth + 1) for x in comp]
+    rows = {}
+    for x in basis:
+        for y in basis:
+            echelon_insert(rows, bracket(p, x, y))
+    for r in range(p.part(p.n)):
+        echelon_insert(rows, {E(i, i, r): 1 for i in range(1, p.n + 1) if r < p.part(i)})
+    rest = [x for x in comp if echelon_insert(rows, {x: 1})]
+    adjacent = [x for x in basis if abs(x.i - x.j) == 1]
+    mode1 = [x for x in comp if x.r == 0 or x in rest]
+    return [(x, 0) for x in adjacent + rest] + \
+        [(x, m) for m in range(1, depth + 1) for x in (mode1 if m == 1 else rest)]
 
 
 def test_generating_scan_memo_matches_recomputation(monkeypatch):

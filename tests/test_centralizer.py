@@ -10,7 +10,8 @@ from wcent import (BasisElt, DiffOp, DiffPoly, DiffVar, LoopMode, Partition,
                    lower_basis, normal_order, parabolic_basis, parse_basis_elt,
                    trace_form, upper_basis)
 from wcent.affine import _generating_scan
-from wcent.centralizer import Sparse, add_into, derived_complement, form_on_elements
+from wcent.centralizer import (Sparse, add_into, centre_basis, derived_complement,
+                               form_on_elements)
 from wcent.pva import random_diffpoly
 
 
@@ -183,41 +184,84 @@ class _Span:
 
 
 def _closure(p, gens, by) -> _Span:
-    """Smallest subspace holding gens and stable under ad y for every y in by."""
+    """Smallest subspace holding the Lie maps gens and stable under ad y for
+    every Lie map y in by."""
     span = _Span()
-    queue = [{g: 1} for g in gens]
+    queue = list(gens)
     while queue:
         vec = queue.pop()
         if span.add(vec):
-            queue.extend(lie_bracket(p, {y: 1}, vec) for y in by)
+            queue.extend(lie_bracket(p, y, vec) for y in by)
     return span
+
+
+def _span_of(vecs) -> _Span:
+    span = _Span()
+    for vec in vecs:
+        span.add(vec)
+    return span
+
+
+def _maps(elts):
+    return [{x: 1} for x in elts]
+
+
+@pytest.mark.parametrize("p", all_partitions(9), ids=str)
+def test_centre_basis_is_central_and_critically_orthogonal(p):
+    # The lemma behind scanning modulo the centre: each power e_r of the
+    # nilpotent brackets to zero with every basis element, and the critical
+    # form pairs it to zero with every basis element.  The e_r are
+    # independent, and the centre has no other direction: the map
+    # x -> ([x, b])_b has rank dim a - lam_n.
+    basis = centralizer_basis(p)
+    z = centre_basis(p)
+    assert z == [{E(i, i, r): 1 for i in range(1, p.n + 1) if r < p.part(i)}
+                 for r in range(p.part(p.n))]
+    for e in z:
+        for b in basis:
+            assert lie_bracket(p, e, {b: 1}) == {}, (e, b)
+            assert form_on_elements(p, critical_form, e, {b: 1}) == 0, (e, b)
+    assert all(_span_of(z[:k]).add(e) for k, e in enumerate(z))  # independent
+    image = _Span()
+    for x in basis:
+        image.add({(b, y): c for b in basis for y, c in bracket(p, x, b).items()})
+    assert len(image.rows) == len(basis) - len(z)
 
 
 @pytest.mark.parametrize("p", all_partitions(9), ids=str)
 def test_center_scan_sets_generate(p):
     # The per-mode sets of the centre check's generating scan, checked
-    # exactly: the mode-0 set generates the Lie algebra, every mode m >= 1
-    # scans C alone, C generates the algebra as an ideal, and C completes
-    # [a, a] to a.
+    # exactly, with z the span of the central powers e_r: the mode-0 set
+    # and z generate the Lie algebra, the mode-1 set and z generate it as an
+    # ideal, every mode m >= 2 scans C' alone, and C' is the part of C that
+    # completes [a, a] + z to a.
     basis = centralizer_basis(p)
+    z = centre_basis(p)
     scan = _generating_scan(p, 2)
     sets = [[x for x, m in scan if m == k] for k in range(3)]
     comp = derived_complement(p)
-    assert sets[1] == sets[2] == comp
+    rest = sets[2]
     assert all(len(set(s)) == len(s) for s in sets)
+    assert rest == [x for x in comp if x in rest]  # C' is a subsequence of C
+    assert sets[1] == [x for x in comp if x.r == 0 or x in rest]
+    assert sets[0] == [x for x in basis if abs(x.i - x.j) == 1] + rest
     # The lemma behind mode 1: the shift-0 elements of C are E[i,i,0] for
     # the first block i of each part size.
     first = [i for i in range(1, p.n + 1) if i == 1 or p.part(i - 1) < p.part(i)]
     assert [x for x in comp if x.r == 0] == [E(i, i, 0) for i in first]
-    assert len(_closure(p, sets[0], sets[0]).rows) == len(basis)
-    assert len(_closure(p, sets[1], basis).rows) == len(basis)
-    derived = _Span()
-    for x, y in product(basis, repeat=2):
-        derived.add(bracket(p, x, y))
+    gens0 = _maps(sets[0]) + z
+    assert len(_closure(p, gens0, gens0).rows) == len(basis)
+    assert len(_closure(p, _maps(sets[1]) + z, _maps(basis)).rows) == len(basis)
+    brackets = [bracket(p, x, y) for x, y in product(basis, repeat=2)]
+    derived = _span_of(brackets)
     assert len(comp) == p.part(p.n)
     assert all(x.i == x.j for x in comp) and comp == sorted(comp)
     assert all(derived.add({x: 1}) for x in comp)  # independent modulo [a, a]
     assert len(derived.rows) == len(basis)
+    # C' is independent modulo [a, a] + z and completes it to a
+    modulo = _span_of(brackets + z)
+    assert all(modulo.add({x: 1}) for x in rest)
+    assert len(modulo.rows) == len(basis)
 
 
 def test_trace_form_oracles():

@@ -436,6 +436,13 @@ OUTPUT_DIGESTS = {
         "32748d52e1a335fb5182d957fe139ba3988143389762923a8e50a8f605e5e64e",
     "verify-center -p 1,1,2 --format json":
         "3b79b374630f18a1ae1cb7c9125de6f30aca0f58b894ce89f020384c39e5a96a",
+    # The centre check's scan modulo the centre: on 2,2,2 the central powers
+    # cover every direction of C outside [a, a]; on 1,2,3 two of the three
+    # elements of C are still scanned.
+    "verify-center -p 2,2,2 --format json":
+        "17c5fa898bc906d444990dd6fbd289ec1fe018ba9064fe2375125b3fb6c28b31",
+    "verify-center -p 1,2,3 --format json":
+        "59fb6b3acff9eb175b776c34b3b14ebd7626224d59cd3e953e51c7469016861f",
     "verify-iso -p 1,1,2 --format text":
         "82c86d6016bbd2fac47379bbc4730aa3ac66ab517490f95aa2e24039b9b4b1e5",
     "verify-iso -p 1,1,2 --format json":
