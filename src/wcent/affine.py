@@ -10,21 +10,23 @@ modes is
     [X(a), Y(b)] = [X, Y](a + b) + a * delta_{a,-b} <X, Y>,
 
 with the critical-level form as central charge; the central generator acts
-as 1 on the vacuum.  Each partition has one commutator table, filled on
-first use, that holds [X, Y](a + b) for each pair of modes met; both the
+as 1 on the vacuum.  The partition in use has one commutator table, filled
+on first use, that holds [X, Y](a + b) for each pair of modes met; both the
 straightening and the action of nonnegative modes read it, and call
-bracket only on a miss.  On top of the normal-ordering engine this module
-builds the translation operator, the action of nonnegative modes, the
-Segal-Sugawara vectors extracted from a full column determinant with the
-translation operator in the derivation slot, applied to the vacuum, a centre
-membership check, the Harish-Chandra projection onto diagonal modes, and the
-comparison map that matches Miura images of the W-algebra generators with
-the projected Segal-Sugawara vectors.
+bracket only on a miss; moving to another partition drops it.  On top of
+the normal-ordering engine this module builds the translation operator, the
+action of nonnegative modes, the Segal-Sugawara vectors extracted from a
+full column determinant with the translation operator in the derivation
+slot, applied to the vacuum, a centre membership check, the Harish-Chandra
+projection onto diagonal modes, and the comparison map that matches Miura
+images of the W-algebra generators with the projected Segal-Sugawara
+vectors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import factorial, prod
 from operator import itemgetter
 from typing import Iterable, Optional
@@ -98,7 +100,8 @@ class _Commutators(dict):
     when that bracket is zero.  The central part, nonzero only when
     a.m = -y.m, is left to critical_form.  An entry is computed on first use
     (by __missing__, through the module's bracket, so a tracer that rebinds
-    it counts each miss) and kept for the rest of the run.
+    it counts each miss) and kept as long as the table, which _commutators
+    holds only while its partition is in use.
 
     Soundness.  bracket reads only the fields i, j, r of each factor and the
     partition, which the table fixes; the key holds the whole of both modes,
@@ -120,17 +123,12 @@ class _Commutators(dict):
         return val
 
 
-# Per partition, its commutator table.  Bounded by the number of partitions
-# met and, within one, by the pairs of modes that cross.
-_COMMUTATORS: dict[Partition, _Commutators] = {}
-
-
+@lru_cache(maxsize=1)
 def _commutators(p: Partition) -> _Commutators:
-    """The commutator table of p, made on first use."""
-    table = _COMMUTATORS.get(p)
-    if table is None:
-        table = _COMMUTATORS[p] = _Commutators(p)
-    return table
+    """The commutator table of p.  Only the partition in use keeps its
+    table: a call for another partition drops it, and a later call for p
+    starts an empty one."""
+    return _Commutators(p)
 
 
 def _normal_insert(acc: dict, table: _Commutators, seq: tuple[LoopMode, ...],
@@ -498,27 +496,27 @@ def center_check(v: VacuumVector) -> CenterCheck:
     return CenterCheck(True)
 
 
-# Per partition, the mode-0, mode-1 and later sets of _generating_scan, each
-# found once by exact elimination.  Bounded by the number of partitions met.
-_SCAN_SETS: dict[Partition, tuple[tuple[BasisElt, ...], ...]] = {}
-
-
-def _generating_scan(p: Partition, depth: int) -> list[tuple[BasisElt, int]]:
-    """The modes x(m) that center_check scans for 0 <= m <= depth, m-major.
+@lru_cache(maxsize=1)
+def _scan_sets(p: Partition) -> tuple[tuple[BasisElt, ...], ...]:
+    """The mode-0, mode-1 and later sets of _generating_scan, found by exact
+    elimination.  Only the partition in use keeps its sets, as in
+    _commutators.
 
     With C = derived_complement(p) and C' = derived_complement(p,
     centre_basis(p)), the elements of C independent modulo [a, a] + z:
     m = 0: the adjacent off-diagonal E[i,i+-1,r], then C'; m = 1: the
-    shift-0 elements of C and C', in C order; m >= 2: C' alone.  Each call
-    returns a fresh list.
+    shift-0 elements of C and C', in C order; m >= 2: C' alone.
     """
-    sets = _SCAN_SETS.get(p)
-    if sets is None:
-        rest = tuple(derived_complement(p, centre_basis(p)))
-        adjacent = tuple(x for x in centralizer_basis(p) if abs(x.i - x.j) == 1)
-        mode1 = tuple(x for x in derived_complement(p) if x.r == 0 or x in rest)
-        sets = _SCAN_SETS[p] = (adjacent + rest, mode1, rest)
-    mode0, mode1, rest = sets
+    rest = tuple(derived_complement(p, centre_basis(p)))
+    adjacent = tuple(x for x in centralizer_basis(p) if abs(x.i - x.j) == 1)
+    mode1 = tuple(x for x in derived_complement(p) if x.r == 0 or x in rest)
+    return adjacent + rest, mode1, rest
+
+
+def _generating_scan(p: Partition, depth: int) -> list[tuple[BasisElt, int]]:
+    """The modes x(m) that center_check scans for 0 <= m <= depth, m-major,
+    from the sets of _scan_sets(p).  Each call returns a fresh list."""
+    mode0, mode1, rest = _scan_sets(p)
     return [(x, 0) for x in mode0] + [(x, m) for m in range(1, depth + 1)
                                       for x in (mode1 if m == 1 else rest)]
 

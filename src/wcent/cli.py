@@ -82,8 +82,10 @@ class Report:
     """One command's outcome: the verdict `ok`, decided by the runner, and
     builders that render it on demand: `data` (the JSON payload, witnesses of
     failed checks included), `lines` (text) and `latex` (None for a command
-    without LaTeX).  A builder reads no table and builds afresh on each call.
-    Timings appear only in the text, never in `data`.
+    without LaTeX).  A builder reads no table and builds afresh on each call;
+    it closes over what it prints (the partition and the results), never the
+    `Context`, so a finished partition's tables can be freed.  Timings appear
+    only in the text, never in `data`.
     """
 
     command: str
@@ -133,7 +135,7 @@ def _verdict_lines(title: str, verdicts: dict) -> list[str]:
                       for key in sorted(verdicts)]
 
 
-def _entry_report(command: str, ctx: Context, results: dict, witness: Callable,
+def _entry_report(command: str, p: Partition, results: dict, witness: Callable,
                   title: str, **extra) -> Report:
     """The report of a check judged entry by entry: `results` maps each table
     key to a result with `.ok`, and `witness(result)` renders a failed one."""
@@ -142,19 +144,20 @@ def _entry_report(command: str, ctx: Context, results: dict, witness: Callable,
     def data():
         entries = {key: {"pass": True} if res.ok else {"pass": False, "witness": witness(res)}
                    for key, res in results.items()}
-        return {"partition": str(ctx.p), **extra, "entries": entries, "ok": ok}
+        return {"partition": str(p), **extra, "entries": entries, "ok": ok}
 
     return Report(command, ok, data, lambda: _verdict_lines(
         title, {key: res.ok for key, res in results.items()}))
 
 
 def _run_basis(ctx: Context) -> Report:
-    basis = centralizer_basis(ctx.p)
+    p = ctx.p
+    basis = centralizer_basis(p)
     return Report(
         "basis", True,
-        lambda: {"partition": str(ctx.p), "dim": len(basis),
+        lambda: {"partition": str(p), "dim": len(basis),
                  "basis": [[e.i, e.j, e.r] for e in basis]},
-        lambda: ["partition %s: dim %d" % (ctx.p, len(basis))]
+        lambda: ["partition %s: dim %d" % (p, len(basis))]
         + ["  " + e.text() for e in basis],
         lambda: "\\begin{itemize}\n%s\n\\end{itemize}" % "\n".join(
             r"\item $%s$" % sz.latex_var(DiffVar.of(e)) for e in basis))
@@ -164,7 +167,7 @@ def _run_generators(ctx: Context) -> Report:
     t = ctx.table(w_generators)
     return Report(
         "generators", True, lambda: sz.generator_table_to_json(t),
-        lambda: ["partition %s: %d generators" % (ctx.p, len(t))]
+        lambda: ["partition %s: %d generators" % (t.partition, len(t))]
         + ["  w[%d][%d] = %s" % (k, r, poly.text()) for (k, r), poly in t.ordered()],
         lambda: sz.latex_table(t, "w"))
 
@@ -173,13 +176,14 @@ def _run_check_membership(ctx: Context) -> Report:
     results = {sz.table_key("w", k, r): w_membership(ctx.p, poly)
                for (k, r), poly in ctx.table(w_generators).ordered()}
     return _entry_report(
-        "check-membership", ctx, results,
+        "check-membership", ctx.p, results,
         lambda res: {"x": [res.witness_x.i, res.witness_x.j, res.witness_x.r],
                      "bracket": sz.lambdapoly_to_json(res.witness_bracket)},
         "partition %s: membership (full mode)" % ctx.p, mode="full")
 
 
 def _run_miura(ctx: Context) -> Report:
+    p = ctx.p
     wt = ctx.table(w_generators)
     mt = ctx.table(miura_generators)
     images = [(sz.table_key("w", k, r), miura_image(poly), mt.entries.get((k, r)))
@@ -194,13 +198,13 @@ def _run_miura(ctx: Context) -> Report:
             if img != expected:
                 entries[key]["expected"] = (None if expected is None
                                             else sz.diffpoly_to_json(expected))
-        out = {"partition": str(ctx.p), "entries": entries, "ok": ok}
+        out = {"partition": str(p), "entries": entries, "ok": ok}
         if unmatched:
             out["unmatched"] = [sz.table_key("w", k, r) for k, r in unmatched]
         return out
 
     def lines():
-        return ["partition %s: Miura images" % ctx.p] + [
+        return ["partition %s: Miura images" % p] + [
             "  %s -> %s%s" % (key, img.text(), "" if img == expected else
                               "  MISMATCH (expected %s)" % (
                                   "nothing" if expected is None else expected.text()))
@@ -210,12 +214,12 @@ def _run_miura(ctx: Context) -> Report:
 
 
 def _run_jacobian(ctx: Context) -> Report:
-    cert = jacobian_independence(ctx.p, seed=ctx.cfg.seed,
-                                 mt=ctx.table(miura_generators))
+    p = ctx.p
+    cert = jacobian_independence(p, seed=ctx.cfg.seed, mt=ctx.table(miura_generators))
     return Report(
         "jacobian", cert.ok,
         lambda: {
-            "partition": str(ctx.p),
+            "partition": str(p),
             "nonzero": cert.nonzero,
             "det": sz.rat_to_json(cert.det),
             "seed": cert.seed,
@@ -228,7 +232,7 @@ def _run_jacobian(ctx: Context) -> Report:
             "ok": cert.ok,
         },
         lambda: ["partition %s: Jacobian determinant %s at seed %d (%d attempt%s)%s" % (
-            ctx.p, cert.det, cert.seed, cert.attempts, "s" if cert.attempts != 1 else "",
+            p, cert.det, cert.seed, cert.attempts, "s" if cert.attempts != 1 else "",
             "" if cert.symbolic_det is None else
             "; symbolic check %s" % ("nonzero" if cert.symbolic_nonzero else "ZERO"))],
         lambda: r"\det J = %s" % sz.latex_rat(cert.det) + (
@@ -240,7 +244,7 @@ def _run_ss_vectors(ctx: Context) -> Report:
     t = ctx.table(ss_vectors)
     return Report(
         "ss-vectors", True, lambda: sz.sugawara_table_to_json(t),
-        lambda: ["partition %s: %d vectors" % (ctx.p, len(t))]
+        lambda: ["partition %s: %d vectors" % (t.partition, len(t))]
         + ["  phi[%d][%d] = %s" % (k, r, v.text()) for (k, r), v in t.ordered()],
         lambda: sz.latex_table(t, r"\phi"))
 
@@ -253,7 +257,7 @@ def _run_verify_center(ctx: Context) -> Report:
         x, m, img = res.witness
         return {"x": [x.i, x.j, x.r], "m": m, "image": sz.vacuum_to_json(img)}
 
-    return _entry_report("verify-center", ctx, results, witness,
+    return _entry_report("verify-center", ctx.p, results, witness,
                          "partition %s: centre check" % ctx.p)
 
 
@@ -267,42 +271,44 @@ def _run_verify_iso(ctx: Context) -> Report:
             entries[name] = {"match": rep.matches[key], "translation": rep.translation_ok[key]}
             if key in rep.differences:
                 entries[name]["difference"] = sz.vacuum_to_json(rep.differences[key])
-        out = {"partition": str(ctx.p), "entries": entries, "ok": rep.ok}
+        out = {"partition": str(rep.partition), "entries": entries, "ok": rep.ok}
         if rep.unmatched:
             out["unmatched"] = [sz.table_key("phi", k, r) for k, r in rep.unmatched]
         return out
 
     return Report("verify-iso", rep.ok, data, lambda: _verdict_lines(
-        "partition %s: Miura/Sugawara correspondence" % ctx.p,
+        "partition %s: Miura/Sugawara correspondence" % rep.partition,
         {name: rep.matches[key] and rep.translation_ok[key] for name, key in keys.items()}))
 
 
 def _run_verify_commute(ctx: Context) -> Report:
+    p = ctx.p
     t = ctx.table(ss_vectors)
     commutators = ((ka, kb, a * b - b * a)
                    for (ka, a), (kb, b) in combinations(t.ordered(), 2))
     failed = next(((ka, kb, c) for ka, kb, c in commutators if c), None)
-    head = "partition %s: pairwise commutativity of %d vectors" % (ctx.p, len(t))
+    head = "partition %s: pairwise commutativity of %d vectors" % (p, len(t))
     if failed is None:
-        return Report("verify-commute", True, lambda: {"partition": str(ctx.p), "ok": True},
+        return Report("verify-commute", True, lambda: {"partition": str(p), "ok": True},
                       lambda: [head])
     ka, kb, c = failed
     pair = [sz.table_key("phi", *ka), sz.table_key("phi", *kb)]
     return Report("verify-commute", False,
-                  lambda: {"partition": str(ctx.p), "ok": False,
+                  lambda: {"partition": str(p), "ok": False,
                            "witness": {"pair": pair, "commutator": sz.vacuum_to_json(c)}},
                   lambda: [head, "  [%s, %s] = %s" % (pair[0], pair[1], c.text())])
 
 
 def _run_pva_axioms(ctx: Context) -> Report:
-    rep = pva_axiom_suite(ctx.p, seed=ctx.cfg.seed, samples=ctx.cfg.samples)
+    p = ctx.p
+    rep = pva_axiom_suite(p, seed=ctx.cfg.seed, samples=ctx.cfg.samples)
     return Report(
         "pva-axioms", rep.ok,
-        lambda: {"partition": str(ctx.p), "seed": rep.seed, "samples": rep.samples,
+        lambda: {"partition": str(p), "seed": rep.seed, "samples": rep.samples,
                  "checked": dict(sorted(rep.checked.items())),
                  "failures": dict(sorted(rep.failures.items())), "ok": rep.ok},
         lambda: ["partition %s: bracket axioms on %d samples (seed %d)" % (
-            ctx.p, rep.samples, rep.seed)]
+            p, rep.samples, rep.seed)]
         + ["  %s: %d checked, %d failed" % (name, n, rep.failures.get(name, 0))
            for name, n in sorted(rep.checked.items())])
 
@@ -314,13 +320,14 @@ SWEEP_CHECKS = {"census": "generators", "membership": "check-membership",
 
 
 def _run_sweep(ctx: Context) -> Report:
+    p = ctx.p
     bound = {"center": ctx.cfg.center_bound, "iso": ctx.cfg.center_bound,
              "commute": ctx.cfg.commute_bound}
-    row = {"partition": str(ctx.p), "N": ctx.p.N}
+    row = {"partition": str(p), "N": p.N}
     witnesses = {}
     start = time.perf_counter()
     for check, command in SWEEP_CHECKS.items():
-        if ctx.p.N > bound.get(check, ctx.p.N):
+        if p.N > bound.get(check, p.N):
             continue
         rep = run(command, ctx)
         row[check] = rep.ok
@@ -333,7 +340,7 @@ def _run_sweep(ctx: Context) -> Report:
     marks = " ".join("%s=%s" % (check, {True: "ok", False: "FAIL"}.get(row.get(check), "-"))
                      for check in SWEEP_CHECKS)
     return Report("sweep", row["ok"], lambda: dict(row),
-                  lambda: ["%-12s %s  (%.2fs)" % (ctx.p, marks, seconds)])
+                  lambda: ["%-12s %s  (%.2fs)" % (p, marks, seconds)])
 
 
 RUNNERS: dict[str, Callable[[Context], Report]] = {

@@ -43,12 +43,17 @@ def rat_to_json(q: Rat) -> dict:
 
 
 def rat_from_json(obj: dict) -> Rat:
+    """Both fields must be strings: int() would truncate a float and read a
+    boolean as 0 or 1."""
     try:
-        num, den = int(obj["num"]), int(obj["den"])
-        return num if den == 1 else Fraction(num, den)
+        num, den = obj["num"], obj["den"]
+        if type(num) is str and type(den) is str:
+            num, den = int(num), int(den)
+            return num if den == 1 else Fraction(num, den)
     except (KeyError, TypeError, ValueError, ZeroDivisionError):
-        raise ValueError('rational %r is not {"num", "den"} integers with a nonzero '
-                         'denominator' % (obj,)) from None
+        pass
+    raise ValueError('rational %r is not {"num", "den"} integer strings with a nonzero '
+                     'denominator' % (obj,))
 
 
 # -- differential polynomials ---------------------------------------------------
@@ -110,8 +115,18 @@ def lambdapoly_to_json(lp: UPoly) -> dict:
 
 
 def lambdapoly_from_json(obj: dict) -> UPoly:
-    return UPoly({int(k): diffpoly_from_json(v)
-                       for k, v in _member(obj, "lambda_powers", dict).items()})
+    """A key must be the canonical text of its power, so that no two keys
+    (such as "1" and "01") name the same one."""
+    powers = {}
+    for key, val in _member(obj, "lambda_powers", dict).items():
+        try:
+            k = int(key)
+        except (TypeError, ValueError):
+            k = None
+        if str(k) != key:
+            raise ValueError("lambda power %r is not an integer in canonical form" % (key,))
+        powers[k] = diffpoly_from_json(val)
+    return UPoly(powers)
 
 
 # -- vacuum vectors -------------------------------------------------------------
@@ -189,7 +204,8 @@ def _table_json(t: GeneratorTable, prefix: str, encode: Callable) -> dict:
 
 
 def _table_from_json(obj: dict, prefix: str, decoder: Callable) -> GeneratorTable:
-    """A key must read prefix[k][r] with 1 <= k <= n, and (k, r) must lie in
+    """A key must read prefix[k][r] with 1 <= k <= n, in the canonical text
+    of table_key, so that no two keys name one entry, and (k, r) must lie in
     the window for "entries" and outside it for "out_of_window".  Every entry
     is decoded by the one decoder(p) of the table's partition p, which checks
     that the entry belongs to p."""
@@ -200,7 +216,8 @@ def _table_from_json(obj: dict, prefix: str, decoder: Callable) -> GeneratorTabl
         out = {}
         for key, val in _member(obj, section, dict).items():
             pre, k, r = parse_table_key(key)
-            if pre != prefix or not 1 <= k <= p.n or in_window(p, k, r) is not inside:
+            if (table_key(pre, k, r) != key or pre != prefix or not 1 <= k <= p.n
+                    or in_window(p, k, r) is not inside):
                 raise ValueError("%r is not a key of %r for partition %s" % (key, section, p))
             out[(k, r)] = decode(val)
         return out

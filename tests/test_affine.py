@@ -351,10 +351,11 @@ def _generating_scan_oracle(p, depth):
         [(x, m) for m in range(1, depth + 1) for x in (mode1 if m == 1 else rest)]
 
 
-def test_generating_scan_memo_matches_recomputation(monkeypatch):
-    # The per-partition memo against a memo-free recomputation, from an
-    # empty memo, in a shuffled call order and then in reverse.
-    monkeypatch.setattr(affine, "_SCAN_SETS", {})
+def test_generating_scan_memo_matches_recomputation():
+    # The one-slot memo against a memo-free recomputation, from an empty
+    # memo, in a shuffled call order and then in reverse, so partitions
+    # interleave and each one's sets are dropped and found again.
+    affine._scan_sets.cache_clear()
     calls = [(p, d) for p in all_partitions(6) for d in range(4)]
     random.Random(20).shuffle(calls)
     for p, d in calls + calls[::-1]:
@@ -376,14 +377,16 @@ def _table_inputs(p, rng):
             for _ in range(3)]
 
 
-def test_commutator_tables_match_bracket(monkeypatch):
-    # The per-partition tables, filled from an empty memo over every
-    # partition with N <= 5 in a shuffled order and then in reverse (so the
-    # second pass reads filled tables): products and actions equal the
-    # oracles', and every entry is bracket's map with each mode built afresh.
-    monkeypatch.setattr(affine, "_COMMUTATORS", {})
+def test_commutator_tables_match_bracket():
+    # The one-slot memo, from empty, over every partition with N <= 5 in a
+    # shuffled order and then in reverse, so each partition's table is
+    # dropped when the next one starts and built again on its second visit:
+    # products and actions equal the oracles', and every entry of the table
+    # they filled is bracket's map with each mode built afresh.
+    affine._commutators.cache_clear()
     parts = all_partitions(5)
     random.Random(23).shuffle(parts)
+    kinds = set()
     for p in parts + parts[::-1]:
         rng = random.Random(str(p))
         u, v, w = _table_inputs(p, rng)
@@ -392,15 +395,16 @@ def test_commutator_tables_match_bracket(monkeypatch):
         for x in centralizer_basis(p):
             for m in range(3):
                 assert act_mode(x, m, u * v) == _oracle_act_mode(x, m, u * v), (str(p), x, m)
-    assert set(affine._COMMUTATORS) == set(parts)
-    kinds = set()
-    for p, table in affine._COMMUTATORS.items():
+        table = affine._commutators(p)
         assert table.p == p
         for (a, y), terms in table.items():
             assert type(terms) is tuple
             assert dict(terms) == {M(z.i, z.j, z.r, a.m + y.m): c
                                    for z, c in bracket(p, a, y).items()}, (str(p), a, y)
             kinds.add(("act" if a.m >= 0 else "insert", bool(terms)))
+    # One build per visit, except where the reversed order repeats the last
+    # partition and reads its filled table.
+    assert affine._commutators.cache_info().misses == 2 * len(parts) - 1
     # crossings and actions, with and without a commutator (a truncated one
     # where a block has size > 1)
     assert kinds == {("act", True), ("act", False), ("insert", True), ("insert", False)}
@@ -410,7 +414,7 @@ def test_repeated_products_call_no_bracket(monkeypatch):
     # Once the table holds a product's crossings, repeating the product, or
     # an action, looks every commutator up and calls bracket 0 times.
     p = Partition.of(1, 1, 2)
-    monkeypatch.setattr(affine, "_COMMUTATORS", {})
+    affine._commutators.cache_clear()
     calls = []
 
     def counted(*args):

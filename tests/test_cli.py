@@ -1,4 +1,5 @@
 import ast
+import gc
 import hashlib
 import importlib
 import json
@@ -6,15 +7,16 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 
 import pytest
 
 import wcent
 from wcent import (BasisElt, CenterCheck, GeneratorTable, Partition,
-                   VacuumVector, hc_project, loop_realization, miura_generators,
-                   miura_image, ss_vectors, w_generators)
-from wcent import cdet, cli
+                   VacuumVector, all_partitions, hc_project, loop_realization,
+                   miura_generators, miura_image, ss_vectors, w_generators)
+from wcent import affine, cdet, cli
 from wcent.serialize import (diffpoly_from_json, generator_table_from_json,
                              sugawara_table_from_json, vacuum_from_json)
 
@@ -283,6 +285,35 @@ def test_sweep_builds_each_table_once(capsys, monkeypatch):
     monkeypatch.setattr(cdet, "miura_generators", cli.miura_generators)
     assert run(capsys, "sweep", "-p", "1,2", "--format", "json")[0] == 0
     assert calls == {"w_generators": 1, "miura_generators": 1, "ss_vectors": 1}
+
+
+def test_centre_run_builds_each_partitions_state_once():
+    # A run finishes one partition before it starts the next, so the
+    # one-slot memos build each commutator table and each scan set once.
+    affine._commutators.cache_clear()
+    affine._scan_sets.cache_clear()
+    parts = all_partitions(5)
+    assert cli.dispatch(cli.RunConfig("verify-center", parts)).ok
+    assert affine._commutators.cache_info().misses == len(parts) == 18
+    assert affine._scan_sets.cache_info().misses == len(parts)
+
+
+@pytest.mark.parametrize("command", ["verify-center", "sweep"])
+def test_reports_free_finished_partitions_tables(monkeypatch, command):
+    # The reports close over what they print, not the Context, so once the
+    # run is over nothing holds the first partition's Sugawara table.
+    built = []
+
+    def recorded(q):
+        t = ss_vectors(q)
+        built.append(weakref.ref(t))
+        return t
+
+    monkeypatch.setattr(cli, "ss_vectors", recorded)
+    report = cli.dispatch(cli.RunConfig(command, [Partition.of(1, 1), Partition.of(1, 2)]))
+    gc.collect()
+    assert len(built) == 2 and built[0]() is None
+    assert report.ok and len(report.json()["runs"]) == 2
 
 
 def test_sweep_renders_only_failed_checks(capsys, monkeypatch):

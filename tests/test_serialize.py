@@ -40,6 +40,37 @@ def test_rational_encoding():
 ONE = {"num": "1", "den": "1"}
 
 
+@pytest.mark.parametrize("obj", [{"num": 1.5, "den": "1"}, {"num": "1", "den": 2.9},
+                                 {"num": True, "den": "1"}, {"num": "1", "den": True},
+                                 {"num": 1, "den": 1}],
+                         ids=["float num", "float den", "bool num", "bool den", "int fields"])
+def test_rational_fields_must_be_strings(obj):
+    # int() would truncate 1.5 to 1 and 2.9 to 2, and read True as 1
+    with pytest.raises(ValueError, match=r"rational %s is not .* integer strings"
+                       % re.escape(repr(obj))):
+        rat_from_json(obj)
+
+
+def test_keys_naming_one_item_twice_are_value_errors():
+    # Only the canonical text of a key is accepted, so a second spelling of
+    # a key can neither replace nor shadow the first.
+    p, q = diffpoly_to_json(vp(1, 1, 0)), diffpoly_to_json(vp(1, 1, 0, 1))
+    for key in ("01", "x", " 1", "+1"):
+        with pytest.raises(ValueError, match=r"lambda power %s is not an integer"
+                           % re.escape(repr(key))):
+            lambdapoly_from_json({"lambda_powers": {"1": p, key: q}})
+    for new in ("w[01][0]", "w[1][00]"):
+        blob = _table_blob()
+        blob["entries"][new] = blob["entries"]["w[1][0]"]
+        with pytest.raises(ValueError, match=r"%s' is not a key of 'entries' for partition 1,2"
+                           % re.escape(new)):
+            generator_table_from_json(blob)
+    blob = json.loads(json.dumps(sugawara_table_to_json(ss_vectors(Partition.of(1, 2)))))
+    blob["entries"]["phi[01][0]"] = blob["entries"]["phi[1][0]"]
+    with pytest.raises(ValueError, match=r"phi\[01\]\[0\]' is not a key of 'entries'"):
+        sugawara_table_from_json(blob)
+
+
 @pytest.mark.parametrize("mode", [[1, 1, 0], [1, 1, 0, -1, 2], [1, 1, 0, "-1"], 7])
 def test_malformed_mode_is_a_value_error(mode):
     blob = {"partition": "1,1", "terms": [{"coeff": ONE, "modes": [[2, 1, 0, -1], mode]}]}
