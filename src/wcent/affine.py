@@ -267,15 +267,20 @@ class VacuumVector(Sparse):
             items[0]._match(v)
         return super().sum(items)
 
-    def __mul__(self, other: "VacuumVector") -> "VacuumVector":
-        """Normal-ordered product (concatenate words, then straighten)."""
+    def mul_into(self, acc: dict, other: "VacuumVector", q: Rat = 1) -> dict:
+        """Add q * self * other into the word map acc under add_into's rule
+        and return acc: each product of words is their concatenation,
+        straightened by _normal_insert."""
         self._match(other)
         table = _commutators(self.partition)
-        acc: dict[PBWMono, Rat] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                _normal_insert(acc, table, m1 + m2, c1 * c2)
-        return VacuumVector._raw(self.partition, acc)
+                _normal_insert(acc, table, m1 + m2, c1 * c2 * q)
+        return acc
+
+    def __mul__(self, other: "VacuumVector") -> "VacuumVector":
+        """Normal-ordered product (concatenate words, then straighten)."""
+        return self._like(self.mul_into({}, other))
 
     def derive(self, k: int = 1) -> "VacuumVector":
         """Translation operator: a derivation with X(m) -> -m X(m-1)."""

@@ -33,8 +33,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Optional
 
-from .centralizer import (BasisElt, Partition, Rat, Sparse, add_into, echelon_insert,
-                          sum_by_key)
+from .centralizer import BasisElt, Partition, Rat, Sparse, add_into, echelon_insert
 from .diffpoly import DiffPoly, DiffVar
 
 
@@ -47,15 +46,21 @@ def _shift(coeffs: dict, times: int) -> dict:
     return coeffs
 
 
+def _ring_elements(like, maps: dict) -> dict:
+    """Each nonempty word map that mul_into filled, as an element of the ring
+    of like (any element of it; None when maps is empty)."""
+    return {key: like._like(terms) for key, terms in maps.items() if terms}
+
+
 class UPoly(Sparse):
     """Polynomial in one formal symbol with ring-element coefficients: the
     spectral variable u of the operator matrices, or lam in lambda-brackets.
     terms maps each power to its coefficient.
 
-    Coefficients may be any objects supporting +, *, scale(q), derive(k),
-    the n-ary classmethod sum(items) and truth testing; multiplication
-    preserves the left/right order of the coefficients, so noncommutative
-    coefficient rings are fine.
+    Coefficients may be any objects supporting +, *, mul_into, _like,
+    scale(q), derive(k) and truth testing; multiplication preserves the
+    left/right order of the coefficients, so noncommutative coefficient
+    rings are fine.
     """
 
     __slots__ = ()
@@ -79,9 +84,11 @@ class UPoly(Sparse):
         return self.terms.get(power)
 
     def __mul__(self, other: "UPoly") -> "UPoly":
-        return UPoly._raw(sum_by_key((k1 + k2, c1 * c2)
-                                     for k1, c1 in self.terms.items()
-                                     for k2, c2 in other.terms.items()))
+        acc: dict = {}  # power -> word map
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                c1.mul_into(acc.setdefault(k1 + k2, {}), c2)
+        return UPoly._raw(_ring_elements(next(iter(self.terms.values()), None), acc))
 
     def mul_poly(self, c) -> "UPoly":
         """Multiply every coefficient on the right by the ring element c."""
@@ -140,32 +147,28 @@ class DiffOp(Sparse):
             add_into(self.terms, items)
 
     def __mul__(self, other: "DiffOp") -> "DiffOp":
-        """Normal-ordered product; each coefficient of the result, keyed by
-        (x-power, D-power, spectral power), is summed once over its products."""
+        """Normal-ordered product; each coefficient product is added straight
+        into the word map of its (x-power, D-power) and spectral power."""
         top = max((b1 for _, b1 in self.terms), default=0)
-
-        def products():
-            for (a2, b2), f2 in other.terms.items():
-                derivs = [f2]  # the nonzero d^m F2 for m <= top, each computed once
-                while len(derivs) <= top:
-                    d = derivs[-1].derive()
-                    if not d:
-                        break
-                    derivs.append(d)
-                for (a1, b1), f1 in self.terms.items():
-                    # F1 x^a1 D^b1 F2 x^a2 D^b2
-                    #   = sum_m C(b1, m) F1 (d^m F2) x^(a1+a2) D^(b1-m+b2)
-                    for m, f2m in enumerate(derivs[:b1 + 1]):
-                        a, b, cm = a1 + a2, b1 - m + b2, comb(b1, m)
-                        for k1, c1 in f1.terms.items():
-                            for k2, c2 in f2m.terms.items():
-                                prod = c1 * c2
-                                yield (a, b, k1 + k2), prod if cm == 1 else prod.scale(cm)
-
-        terms: dict = {}
-        for (a, b, k), c in sum_by_key(products()).items():
-            terms.setdefault((a, b), {})[k] = c
-        return DiffOp._raw({key: UPoly._raw(coeffs) for key, coeffs in terms.items()})
+        acc: dict = {}  # (x-power, D-power) -> spectral power -> word map
+        for (a2, b2), f2 in other.terms.items():
+            derivs = [f2]  # the nonzero d^m F2 for m <= top, each computed once
+            while len(derivs) <= top:
+                d = derivs[-1].derive()
+                if not d:
+                    break
+                derivs.append(d)
+            for (a1, b1), f1 in self.terms.items():
+                # F1 x^a1 D^b1 F2 x^a2 D^b2
+                #   = sum_m C(b1, m) F1 (d^m F2) x^(a1+a2) D^(b1-m+b2)
+                for m, f2m in enumerate(derivs[:b1 + 1]):
+                    maps, cm = acc.setdefault((a1 + a2, b1 - m + b2), {}), comb(b1, m)
+                    for k1, c1 in f1.terms.items():
+                        for k2, c2 in f2m.terms.items():
+                            c1.mul_into(maps.setdefault(k1 + k2, {}), c2, cm)
+        like = next((c for f in self.terms.values() for c in f.terms.values()), None)
+        ops = {key: UPoly._raw(_ring_elements(like, maps)) for key, maps in acc.items()}
+        return DiffOp._raw({key: op for key, op in ops.items() if op})
 
     scale = UPoly.scale
 
@@ -221,8 +224,8 @@ def applied_column_determinant(rows: list[list[DiffOp]], one) -> dict[int, UPoly
     products of the later columns' entries over those rows, applied to 1.
     An entry term F x^a D^b u^k sends G x^c u^l to F d^b(G) x^(a+c) u^(k+l);
     placing row r in column c negates F once for each used row with a
-    smaller index than r.
-    Each target state is summed once per key with sum_by_key.
+    smaller index than r.  Each product is added straight into the word map
+    of its target state and key, with that sign as mul_into's q.
 
     Soundness.  The ring R with its derivation d is a module over the
     operators: F acts by left multiplication, D by d, x and u as central
@@ -241,21 +244,17 @@ def applied_column_determinant(rows: list[list[DiffOp]], one) -> dict[int, UPoly
     states: dict[frozenset, dict] = {frozenset(): {(0, 0): one}}
     for col in reversed(range(n)):
         entries = [(row, rows[row][col]) for row in range(n) if rows[row][col]]
-        negated: dict[int, DiffOp] = {}
-        groups: dict[frozenset, list] = {}
+        acc: dict[frozenset, dict] = {}  # target state -> key -> word map
         for used, vec in states.items():
             derivs: dict = {}  # (x-power, u-power) -> [G, dG, d^2 G, ...]
             for row, entry in entries:
                 if row in used:
                     continue
-                if sum(1 for u in used if u < row) % 2:
-                    if row not in negated:
-                        negated[row] = entry.scale(-1)
-                    entry = negated[row]
-                groups.setdefault(used | {row}, []).append(_apply(entry, vec, derivs))
+                sign = -1 if sum(1 for u in used if u < row) % 2 else 1
+                _apply(entry, vec, derivs, acc.setdefault(used | {row}, {}), sign)
         states = {}
-        for used, parts in groups.items():
-            vec = sum_by_key(item for part in parts for item in part)
+        for used, maps in acc.items():
+            vec = _ring_elements(one, maps)
             if vec:
                 states[used] = vec
         if not states:
@@ -267,9 +266,10 @@ def applied_column_determinant(rows: list[list[DiffOp]], one) -> dict[int, UPoly
     return {a: UPoly._raw(coeffs) for a, coeffs in out.items()}
 
 
-def _apply(entry: DiffOp, vec: dict, derivs: dict):
-    """The terms ((x-power, u-power), F d^b(G)) of entry applied to the state
-    vec, unsummed; derivs caches the derivatives of the state's elements."""
+def _apply(entry: DiffOp, vec: dict, derivs: dict, acc: dict, sign: int) -> None:
+    """Add sign times entry applied to the state vec into acc, a map
+    (x-power, u-power) -> word map, each term F d^b(G) through mul_into;
+    derivs caches the derivatives of the state's elements."""
     for (a, b), f in entry.terms.items():
         for (c, l), g in vec.items():
             if b:
@@ -280,7 +280,7 @@ def _apply(entry: DiffOp, vec: dict, derivs: dict):
                     continue  # d^b G = 0
                 g = ds[b]
             for k, fk in f.terms.items():
-                yield (a + c, k + l), fk * g
+                fk.mul_into(acc.setdefault((a + c, k + l), {}), g, sign)
 
 
 # -- the generator matrix and tables -----------------------------------------

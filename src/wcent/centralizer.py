@@ -11,10 +11,10 @@ commutator together with its truncation rule (E[i,j,r] = 0 once r >= lam_j),
 the central powers of the nilpotent, a complement of the derived algebra,
 the two invariant symmetric bilinear forms used downstream (the trace form
 and the critical-level form), and the triangular decomposition by the sign
-of j - i.  It also holds the package's sparse core over Q: add_into,
-sum_by_key, the base class Sparse of every sparse element type, the
-grouping group_runs of a word for printing, and the exact elimination
-echelon_insert.
+of j - i.  It also holds the package's sparse core over Q: add_into, the
+one accumulation rule that each ring's mul_into follows too, the base class
+Sparse of every sparse element type, the grouping group_runs of a word for
+printing, and the exact elimination echelon_insert.
 """
 
 from __future__ import annotations
@@ -45,34 +45,6 @@ def add_into(acc: dict, items) -> dict:
                 continue
         acc[key] = c
     return acc
-
-
-def sum_by_key(items) -> dict:
-    """Sum (key, ring element) pairs into a new sparse map, each key once.
-
-    Adding ring elements one by one into a map copies the growing sum on
-    every addition; this groups each key's nonzero elements first and adds
-    them with the ring's n-ary type(c).sum(elements) in one pass.  As with
-    add_into, no zero value is stored.
-    """
-    out: dict = {}
-    groups: dict = {}  # key -> its elements, for keys met more than once
-    for key, c in items:
-        if not c:
-            continue
-        if key not in out:
-            out[key] = c
-        elif key in groups:
-            groups[key].append(c)
-        else:
-            groups[key] = [out[key], c]
-    for key, cs in groups.items():
-        total = type(cs[0]).sum(cs)
-        if total:
-            out[key] = total
-        else:
-            del out[key]
-    return out
 
 
 class Sparse:
@@ -215,7 +187,8 @@ class Partition:
     @classmethod
     def parse(cls, text: str) -> "Partition":
         toks = [t.strip() for t in text.split(",")]
-        if not all(tok.isdigit() and tok for tok in toks):
+        # ASCII digits only: str.isdigit also admits "²" and "١"
+        if not all(tok.isascii() and tok.isdigit() for tok in toks):
             raise ValueError("cannot parse partition %r (expected e.g. '1,2,2')" % (text,))
         return cls(tuple(int(t) for t in toks))
 

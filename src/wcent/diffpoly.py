@@ -139,23 +139,20 @@ class DiffPoly(Sparse):
     def __rsub__(self, other):
         return (-self) + other
 
+    def mul_into(self, acc: dict, other: "DiffPoly", q: Rat = 1) -> dict:
+        """Add q * self * other into the word map acc under add_into's rule
+        and return acc.  A product word is the sorted concatenation; the
+        empty word of a constant leaves the other word as it is."""
+        return add_into(acc, ((tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2, c1 * c2 * q)
+                              for m1, c1 in self.terms.items()
+                              for m2, c2 in other.terms.items()))
+
     def __mul__(self, other):
         if not isinstance(other, DiffPoly):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            return self.scale(other)
-        if not self.terms or not other.terms:
-            return DiffPoly._raw({})
-        # a constant side {(): c}, such as the unit entries of the operator
-        # matrices, only scales the other side
-        if len(self.terms) == 1 and () in self.terms:
-            return other.scale(self.terms[()])
-        if len(other.terms) == 1 and () in other.terms:
-            return self.scale(other.terms[()])
-        return DiffPoly._raw(add_into({}, (
-            (tuple(sorted(m1 + m2)), c1 * c2)
-            for m1, c1 in self.terms.items()
-            for m2, c2 in other.terms.items())))
+            other = DiffPoly.const(other)
+        return DiffPoly._raw(self.mul_into({}, other))
 
     __rmul__ = __mul__
 

@@ -30,8 +30,7 @@ from typing import Optional
 
 from .cdet import UPoly, _shift
 from .centralizer import (BasisElt, Partition, Rat, add_into, bracket,
-                          centralizer_basis, sum_by_key, trace_form,
-                          upper_basis)
+                          centralizer_basis, trace_form, upper_basis)
 from .diffpoly import DiffPoly, DiffVar
 
 LCoeffs = dict  # lambda-power -> DiffPoly
@@ -61,7 +60,7 @@ def _bracket_gen(p: Partition, x: BasisElt, partials: Partials,
     """The kernel of lambda_bracket_gen on precomputed partials: {x_lam y}
     once per base element y, shifted on to each derivative order.  With
     project each commutator [x, y] is projected first (see w_membership)."""
-    products = []
+    acc: dict = {}  # lambda-power -> word map
     for base, orders in partials.items():
         gen: LCoeffs = {}
         br = bracket(p, x, base)
@@ -79,8 +78,9 @@ def _bracket_gen(p: Partition, x: BasisElt, partials: Partials,
         done = 0
         for s, pv in orders:
             gen, done = _shift(gen, s - done), s
-            products.extend((k, pv * q) for k, q in gen.items())
-    return UPoly._raw(sum_by_key(products))
+            for k, q in gen.items():
+                pv.mul_into(acc.setdefault(k, {}), q)
+    return UPoly._raw({k: DiffPoly._raw(t) for k, t in acc.items() if t})
 
 
 def lambda_bracket_gen(p: Partition, x: BasisElt, poly: DiffPoly) -> UPoly:
@@ -89,7 +89,7 @@ def lambda_bracket_gen(p: Partition, x: BasisElt, poly: DiffPoly) -> UPoly:
     On generators {x_lam y} = [x, y] + (x|y) lam.  Expansion by the right
     Leibniz rule and sesquilinearity:
     {x_lam P} = sum over variables v[s] of (dP/dv[s]) (lam+d)^s {x_lam v}.
-    Each lambda-coefficient is summed once over all its products.
+    Each product is added straight into one word map per lambda-power.
     """
     return _bracket_gen(p, x, _partials(poly))
 
@@ -117,14 +117,15 @@ def lambda_bracket(p: Partition, a: DiffPoly, b: DiffPoly) -> UPoly:
     kernel's own expansion, so it gives {u_mu b}.
     """
     partials_b = _partials(b)
-    products = []
+    acc: dict = {}  # lambda-power -> word map
     for base, orders in _partials(a).items():
         kernel = _bracket_gen(p, base, partials_b).terms  # {u_lam b}
         for s, fa in orders:
             right = _shift({0: fa.scale(-1) if s % 2 else fa}, s)
             for k, c in kernel.items():
-                products.extend((j, c * q) for j, q in _shift(right, k).items())
-    return UPoly._raw(sum_by_key(products))
+                for j, q in _shift(right, k).items():
+                    c.mul_into(acc.setdefault(j, {}), q)
+    return UPoly._raw({j: DiffPoly._raw(t) for j, t in acc.items() if t})
 
 
 # -- parabolic projection --------------------------------------------------

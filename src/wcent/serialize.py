@@ -43,17 +43,29 @@ def rat_to_json(q: Rat) -> dict:
 
 
 def rat_from_json(obj: dict) -> Rat:
-    """Both fields must be strings: int() would truncate a float and read a
-    boolean as 0 or 1."""
+    """Both fields must be the strings rat_to_json writes: int() would also
+    truncate a float, read a boolean as 0 or 1, and read "1_0", " +5 ", "-0"
+    or non-ASCII digits, so one value would have many spellings."""
     try:
         num, den = obj["num"], obj["den"]
         if type(num) is str and type(den) is str:
-            num, den = int(num), int(den)
-            return num if den == 1 else Fraction(num, den)
+            val = int(num) if den == "1" else Fraction(int(num), int(den))
+            if rat_to_json(val) == {"num": num, "den": den}:
+                return val
     except (KeyError, TypeError, ValueError, ZeroDivisionError):
         pass
     raise ValueError('rational %r is not {"num", "den"} integer strings with a nonzero '
                      'denominator' % (obj,))
+
+
+def _partition(obj: dict) -> Partition:
+    """obj's "partition", which must be the canonical text str(p), so that no
+    two texts (such as "1,2" and " 1, 02") name one partition."""
+    text = _member(obj, "partition", str)
+    p = Partition.parse(text)
+    if str(p) != text:
+        raise ValueError("partition %r is not in canonical form %r" % (text, str(p)))
+    return p
 
 
 # -- differential polynomials ---------------------------------------------------
@@ -167,7 +179,7 @@ def _vacuum_decoder(p: Partition) -> Callable[[dict], VacuumVector]:
             yield tuple(word), rat_from_json(_member(t, "coeff"))
 
     def decode(obj: dict) -> VacuumVector:
-        q = Partition.parse(_member(obj, "partition", str))
+        q = _partition(obj)
         if q != p:
             raise ValueError("vector of partition %s in a table of %s" % (q, p))
         return VacuumVector._raw(p, add_into({}, terms(obj)))
@@ -176,7 +188,7 @@ def _vacuum_decoder(p: Partition) -> Callable[[dict], VacuumVector]:
 
 
 def vacuum_from_json(obj: dict) -> VacuumVector:
-    return _vacuum_decoder(Partition.parse(_member(obj, "partition", str)))(obj)
+    return _vacuum_decoder(_partition(obj))(obj)
 
 
 # -- generator tables ------------------------------------------------------------
@@ -209,7 +221,7 @@ def _table_from_json(obj: dict, prefix: str, decoder: Callable) -> GeneratorTabl
     the window for "entries" and outside it for "out_of_window".  Every entry
     is decoded by the one decoder(p) of the table's partition p, which checks
     that the entry belongs to p."""
-    p = Partition.parse(_member(obj, "partition", str))
+    p = _partition(obj)
     decode = decoder(p)
 
     def load(section: str, inside: bool) -> dict:

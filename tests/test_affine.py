@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
@@ -744,3 +745,47 @@ def test_act_mode_matches_suffix_first_oracle(parts):
                 central += any(_cross_block_central(x, m, w) for w in v.terms)
                 chains += any(_chains_through_two(p, x, m, w) for w in v.terms)
     assert central and chains, (central, chains)
+
+
+def test_mul_into_matches_field_key_oracle():
+    # mul_into adds q * u * v, straightened, into a pre-filled word map.  The
+    # reference is the field-key straightening of the product; every other
+    # word of it is pre-filled at -q times its coefficient, so those keys
+    # cancel and must be deleted.
+    rng = random.Random(26)
+    seen = dict.fromkeys(("cancelled", "vacuum", "kept"), 0)
+    for p in (P12, Partition.of(1, 1, 1), Partition.of(2, 2)):
+        basis = centralizer_basis(p)
+
+        def vector():
+            return VacuumVector.sum([
+                normal_order(p, [M(*rng.choice(basis), -rng.randint(1, 2))
+                                 for _ in range(rng.randint(0, 2))],
+                             rng.choice([-2, 1, Fraction(1, 2)]))
+                for _ in range(rng.randint(1, 3))])
+
+        for _ in range(12):
+            u, v, w = vector(), vector(), vector()
+            prod = _oracle_mul(u, v).terms
+            cancel = dict(list(prod.items())[::2])
+            seen["vacuum"] += () in u.terms or () in v.terms
+            for q in (0, -1, 2, Fraction(-2, 3)):
+                acc = add_into(dict(w.terms), ((x, -q * c) for x, c in cancel.items()))
+                before = dict(acc)
+                want = add_into(dict(before), ((x, q * c) for x, c in prod.items()))
+                assert u.mul_into(acc, v, q) is acc
+                assert acc == want and all(acc.values())
+                gone = set(cancel) - set(w.terms)
+                if q:
+                    assert not gone & set(acc)
+                    seen["cancelled"] += bool(gone)
+                    seen["kept"] += bool(set(w.terms) & set(acc))
+                else:
+                    assert acc == before
+    assert all(n >= 5 for n in seen.values()), seen
+    # operands of two partitions raise before acc is touched, even at q = 0
+    acc = {(): 1}
+    for q in (1, 0):
+        with pytest.raises(ValueError, match="different partitions"):
+            single(P11, 1, 1, 0, -1).mul_into(acc, single(P12, 1, 1, 0, -1), q)
+        assert acc == {(): 1}

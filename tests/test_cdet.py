@@ -127,6 +127,44 @@ def _diffop_mul_oracle(self, other):
     return out
 
 
+@pytest.mark.parametrize("ring", ["DiffPoly", "VacuumVector"])
+def test_mul_into_per_power_matches_upoly_oracle(ring):
+    # UPoly.__mul__, DiffOp.__mul__, the applied column determinant and the
+    # lambda-bracket kernels add each coefficient product by mul_into into
+    # the word map of its power.  Against the oracle's add_into of whole
+    # products, over a pre-filled map whose every other power holds -q
+    # times the product's coefficient there, so those maps cancel to empty.
+    rng = random.Random(ring)
+    p = Partition.of(1, 2)
+    basis = centralizer_basis(p)
+
+    def coeff():
+        if ring == "DiffPoly":
+            return random_diffpoly(p, rng, max_s=2)
+        modes = [LoopMode.of(rng.choice(basis), -rng.randint(1, 2))
+                 for _ in range(rng.randint(0, 2))]
+        return normal_order(p, modes, rng.choice([-2, -1, 1, Fraction(1, 2)]))
+
+    def upoly():
+        return UPoly({rng.randint(0, 2): coeff() for _ in range(rng.randint(1, 3))})
+
+    emptied = 0
+    for _ in range(15):
+        f, g, h = upoly(), upoly(), upoly()
+        prod = _upoly_mul_oracle(f, g)
+        for q in (0, -1, 2, Fraction(-2, 3)):
+            pre = h + UPoly(dict(list(prod.terms.items())[::2])).scale(-q)
+            acc = {k: dict(c.terms) for k, c in pre.terms.items()}
+            for k1, c1 in f.terms.items():
+                for k2, c2 in g.terms.items():
+                    c1.mul_into(acc.setdefault(k1 + k2, {}), c2, q)
+            got = {k: t for k, t in acc.items() if t}
+            assert got == {k: c.terms for k, c in (pre + prod.scale(q)).terms.items()}
+            assert all(c for t in got.values() for c in t.values())
+            emptied += len(got) < len(acc)
+    assert emptied >= 5
+
+
 def random_op(p, rng):
     """A few terms F x^a D^b, F a spectral polynomial of random polynomials."""
     def coeff():

@@ -33,6 +33,16 @@ def test_partition_parse_rejects(text):
         Partition.parse(text)
 
 
+@pytest.mark.parametrize("text", ["\u0661,\u0662", "\u00b2", "1,\u0663"],
+                         ids=["arabic-indic digits", "superscript two", "one non-ascii part"])
+def test_partition_parse_takes_ascii_digits_only(text):
+    # str.isdigit admits these, and int() reads "١" as 1 but fails on "²"
+    with pytest.raises(ValueError,
+                       match=r"cannot parse partition .* \(expected e\.g\. '1,2,2'\)"):
+        Partition.parse(text)
+    assert Partition.parse(" 1, 2 ,2") == Partition.of(1, 2, 2)
+
+
 def test_basis_oracles():
     assert centralizer_basis(Partition.of(1)) == [E(1, 1, 0)]
     assert centralizer_basis(Partition.of(1, 2)) == [

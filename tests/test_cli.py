@@ -84,6 +84,13 @@ def test_usage_errors(capsys):
         assert exc.value.code == 2
 
 
+def test_non_ascii_partition_is_a_usage_error(capsys):
+    for text in ("\u0661,\u0662", "\u00b2"):
+        assert cli.main(["basis", "-p", text]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: cannot parse partition %r (expected e.g. '1,2,2')\n" % text
+
+
 def fake_check(v):
     return CenterCheck(False, (BasisElt(1, 1, 0), 0, VacuumVector.vacuum(v.partition)))
 

@@ -367,3 +367,32 @@ def test_pair_oracle_inputs_reach_every_case():
         constants += bool(a.constant_term())
         cancelled += len(a) < len({_normalize_mono(m) for m, _ in terms})
     assert squares >= 20 and constants >= 10 and cancelled >= 5
+
+
+def test_mul_into_matches_pair_oracle():
+    # mul_into adds q * a * b into a pre-filled word map.  The reference is
+    # the pair-format product; every other word of it is pre-filled at -q
+    # times its coefficient, so those keys cancel and must be deleted.
+    seen = dict.fromkeys(("cancelled", "constant side", "kept"), 0)
+    for seed in range(40):
+        rng = random.Random(seed)
+        a, oa = _both(_random_terms(rng))
+        b, ob = _both(_random_terms(rng))
+        c = DiffPoly(_random_terms(rng))
+        prod = DiffPoly((oa * ob).terms.items())  # the oracle's product, as words
+        cancel = dict(list(prod.terms.items())[::2])
+        seen["constant side"] += () in a.terms or () in b.terms
+        for q in (0, -1, 2, Fraction(-2, 3)):
+            acc = add_into(dict(c.terms), ((w, -q * v) for w, v in cancel.items()))
+            before = dict(acc)
+            want = add_into(dict(before), ((w, q * v) for w, v in prod.terms.items()))
+            assert a.mul_into(acc, b, q) is acc
+            assert acc == want and all(acc.values())
+            gone = set(cancel) - set(c.terms)
+            if q:
+                assert not gone & set(acc)
+                seen["cancelled"] += bool(gone)
+                seen["kept"] += bool(set(c.terms) & set(acc))
+            else:
+                assert acc == before
+    assert all(n >= 5 for n in seen.values()), seen

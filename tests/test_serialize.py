@@ -51,6 +51,34 @@ def test_rational_fields_must_be_strings(obj):
         rat_from_json(obj)
 
 
+@pytest.mark.parametrize("obj", [
+    {"num": "1_0", "den": "1"}, {"num": " +5 ", "den": "1"}, {"num": "\u0663", "den": "1"},
+    {"num": "2", "den": "-4"}, {"num": "2", "den": "4"}, {"num": "-0", "den": "1"},
+    {"num": "1", "den": "01"},
+], ids=["underscore", "spaces and plus", "arabic-indic digit", "negative den",
+        "unreduced", "minus zero", "leading zero den"])
+def test_rational_text_must_be_canonical(obj):
+    # int() reads each of these, but rat_to_json writes none of them, so a
+    # blob could spell one coefficient many ways
+    with pytest.raises(ValueError, match=r"rational %s is not" % re.escape(repr(obj))):
+        rat_from_json(obj)
+
+
+def test_decoders_require_canonical_partition_text():
+    # Partition.parse reads " 1, 02" as 1,2; a decoder takes only str(p)
+    p = Partition.of(1, 2)
+    for decode, blob in (
+            (generator_table_from_json, _table_blob(p)),
+            (sugawara_table_from_json, sugawara_table_to_json(ss_vectors(p))),
+            (vacuum_from_json, vacuum_to_json(ss_vectors(p).entries[(1, 0)]))):
+        blob = json.loads(json.dumps(blob))
+        assert decode(blob)
+        blob["partition"] = " 1, 02"
+        with pytest.raises(ValueError,
+                           match=r"partition ' 1, 02' is not in canonical form '1,2'"):
+            decode(blob)
+
+
 def test_keys_naming_one_item_twice_are_value_errors():
     # Only the canonical text of a key is accepted, so a second spelling of
     # a key can neither replace nor shadow the first.
