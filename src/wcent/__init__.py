@@ -13,14 +13,12 @@ from .affine import (CenterCheck, CorrespondenceReport, LoopMode, VacuumVector,
                      act_mode, center_check, hc_project, loop_realization,
                      normal_order, ss_matrix, ss_vectors, w_correspondence)
 from .cdet import (DiffOp, GeneratorTable, JacobianCertificate, UPoly,
-                   column_determinant, generator_window, in_window,
-                   jacobian_independence, miura_generators, miura_image,
-                   w_generator_matrix, w_generators)
+                   column_determinant, in_window, jacobian_independence,
+                   miura_generators, miura_image, w_generator_matrix,
+                   w_generators)
 from .centralizer import (BasisElt, Partition, all_partitions, bracket,
-                          cartan_basis, centralizer_basis, centralizer_dim,
-                          critical_form, lie_bracket, lower_basis,
-                          parabolic_basis, parse_basis_elt, trace_form,
-                          upper_basis)
+                          centralizer_basis, critical_form, lie_bracket,
+                          trace_form, upper_basis)
 from .diffpoly import DiffPoly, DiffVar
 from .pva import (AxiomSuiteReport, MembershipMode, MembershipResult,
                   generator_bracket, jacobi_defect, lambda_bracket,
@@ -33,14 +31,12 @@ __all__ = [
     "AxiomSuiteReport", "BasisElt", "CenterCheck", "CorrespondenceReport",
     "DiffOp", "DiffPoly", "DiffVar", "GeneratorTable", "JacobianCertificate",
     "LoopMode", "MembershipMode", "MembershipResult", "Partition", "UPoly",
-    "VacuumVector", "act_mode", "all_partitions", "bracket", "cartan_basis",
-    "center_check", "centralizer_basis", "centralizer_dim",
-    "column_determinant", "critical_form", "generator_bracket",
-    "generator_window", "hc_project", "in_window", "jacobi_defect",
+    "VacuumVector", "act_mode", "all_partitions", "bracket", "center_check",
+    "centralizer_basis", "column_determinant", "critical_form",
+    "generator_bracket", "hc_project", "in_window", "jacobi_defect",
     "jacobian_independence", "lambda_bracket", "lambda_bracket_gen",
-    "lie_bracket", "loop_realization", "lower_basis", "miura_generators",
-    "miura_image", "normal_order", "parabolic_basis", "parabolic_project",
-    "parse_basis_elt", "pva_axiom_suite", "ss_matrix", "ss_vectors",
-    "trace_form", "upper_basis", "w_bracket", "w_correspondence",
+    "lie_bracket", "loop_realization", "miura_generators", "miura_image",
+    "normal_order", "parabolic_project", "pva_axiom_suite", "ss_matrix",
+    "ss_vectors", "trace_form", "upper_basis", "w_bracket", "w_correspondence",
     "w_generator_matrix", "w_generators", "w_membership",
 ]

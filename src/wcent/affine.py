@@ -214,8 +214,8 @@ def _pbw_mono(p: Partition, word) -> PBWMono:
 class VacuumVector(Sparse):
     """PBW-normal-ordered element of the vacuum module (equivalently, of the
     enveloping algebra of the negative loop modes) of one partition: terms
-    maps each PBW word to its coefficient.  +, -, * and sum raise
-    ValueError on vectors of different partitions, and sum on no vectors."""
+    maps each PBW word to its coefficient.  +, - and * raise ValueError on
+    vectors of different partitions."""
 
     __slots__ = ("partition",)
 
@@ -258,14 +258,6 @@ class VacuumVector(Sparse):
     def __add__(self, other: "VacuumVector") -> "VacuumVector":
         self._match(other)
         return Sparse.__add__(self, other)
-
-    @classmethod
-    def sum(cls, items: list["VacuumVector"]) -> "VacuumVector":
-        if not items:
-            raise ValueError("an empty sum of vacuum vectors has no partition")
-        for v in items[1:]:
-            items[0]._match(v)
-        return super().sum(items)
 
     def mul_into(self, acc: dict, other: "VacuumVector", q: Rat = 1) -> dict:
         """Add q * self * other into the word map acc under add_into's rule

@@ -338,15 +338,6 @@ def tail_sum(p: Partition, k: int) -> int:
     return sum(p.parts[p.n - k:])
 
 
-def generator_window(p: Partition) -> list[tuple[int, int]]:
-    """Admissible index pairs (k, r): tail_sum(k-1) < r + k <= tail_sum(k)."""
-    out = []
-    for k in range(1, p.n + 1):
-        for r in range(tail_sum(p, k - 1) - k + 1, tail_sum(p, k) - k + 1):
-            out.append((k, r))
-    return out
-
-
 def in_window(p: Partition, k: int, r: int) -> bool:
     return tail_sum(p, k - 1) < r + k <= tail_sum(p, k)
 

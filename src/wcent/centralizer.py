@@ -10,8 +10,8 @@ This module enumerates the basis in a fixed canonical order, implements the
 commutator together with its truncation rule (E[i,j,r] = 0 once r >= lam_j),
 the central powers of the nilpotent, a complement of the derived algebra,
 the two invariant symmetric bilinear forms used downstream (the trace form
-and the critical-level form), and the triangular decomposition by the sign
-of j - i.  It also holds the package's sparse core over Q: add_into, the
+and the critical-level form), and the upper sector (i < j) of the triangular
+decomposition.  It also holds the package's sparse core over Q: add_into, the
 one accumulation rule that each ring's mul_into follows too, the base class
 Sparse of every sparse element type, the grouping group_runs of a word for
 printing, and the exact elimination echelon_insert.
@@ -19,7 +19,6 @@ printing, and the exact elimination echelon_insert.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Union
@@ -75,16 +74,6 @@ class Sparse:
 
     def __add__(self, other):
         return self._like(add_into(dict(self.terms), other.terms.items()))
-
-    @classmethod
-    def sum(cls, items: list):
-        """n-ary sum: copies the first summand once and adds the rest into it."""
-        if not items:
-            return cls._raw({})
-        acc = dict(items[0].terms)
-        for x in items[1:]:
-            add_into(acc, x.terms.items())
-        return items[0]._like(acc)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -154,16 +143,6 @@ class BasisElt(NamedTuple):
         return "E[%d,%d,%d]" % (self.i, self.j, self.r)
 
 
-_BASIS_RE = re.compile(r"E\[(\d+),(\d+),(\d+)\]")
-
-
-def parse_basis_elt(text: str) -> BasisElt:
-    m = _BASIS_RE.fullmatch(text.strip())
-    if m is None:
-        raise ValueError("cannot parse basis element %r (expected E[i,j,r])" % (text,))
-    return BasisElt(int(m.group(1)), int(m.group(2)), int(m.group(3)))
-
-
 @dataclass(frozen=True)
 class Partition:
     """Jordan type: a nondecreasing tuple of positive block sizes."""
@@ -175,7 +154,7 @@ class Partition:
             object.__setattr__(self, "parts", tuple(self.parts))
         if not self.parts:
             raise ValueError("partition must have at least one part")
-        if any(not isinstance(x, int) or x < 1 for x in self.parts):
+        if any(type(x) is not int or x < 1 for x in self.parts):
             raise ValueError("partition parts must be positive integers: %r" % (self.parts,))
         if any(a > b for a, b in zip(self.parts, self.parts[1:])):
             raise ValueError("partition parts must be nondecreasing: %r" % (self.parts,))
@@ -231,25 +210,8 @@ def centralizer_basis(p: Partition) -> list[BasisElt]:
             for r in p.r_window(i, j)]
 
 
-def centralizer_dim(p: Partition) -> int:
-    return sum(min(a, b) for a in p.parts for b in p.parts)
-
-
 def upper_basis(p: Partition) -> list[BasisElt]:
     return [e for e in centralizer_basis(p) if e.i < e.j]
-
-
-def lower_basis(p: Partition) -> list[BasisElt]:
-    return [e for e in centralizer_basis(p) if e.i > e.j]
-
-
-def cartan_basis(p: Partition) -> list[BasisElt]:
-    return [e for e in centralizer_basis(p) if e.i == e.j]
-
-
-def parabolic_basis(p: Partition) -> list[BasisElt]:
-    """Lower plus Cartan sectors."""
-    return [e for e in centralizer_basis(p) if e.i >= e.j]
 
 
 LieMap = dict  # BasisElt -> nonzero Rat: a Lie algebra element, sparse
@@ -381,11 +343,6 @@ def critical_form(p: Partition, a, b) -> Rat:
     if a.j == b.i and a.i == b.j and p.part(a.i) == p.part(a.j):
         return -_row_weight(p, a.i)
     return 0
-
-
-def form_on_elements(p: Partition, form, x: LieMap, y: LieMap) -> Rat:
-    """Bilinear extension of a form given on basis pairs."""
-    return sum(ca * cb * form(p, a, b) for a, ca in x.items() for b, cb in y.items())
 
 
 def all_partitions(max_sum: int, max_parts: int | None = None) -> list[Partition]:

@@ -182,9 +182,6 @@ class DiffPoly(Sparse):
     def variables(self) -> set[DiffVar]:
         return {v for mono in self.terms for v in mono}
 
-    def constant_term(self) -> Rat:
-        return self.terms.get((), 0)
-
     # -- calculus --------------------------------------------------------
 
     def derive(self, k: int = 1) -> "DiffPoly":
@@ -220,9 +217,6 @@ class DiffPoly(Sparse):
         """Homogeneous component of minimal derivation degree."""
         d = self.min_degree()
         return DiffPoly._raw({m: c for m, c in self.terms.items() if mono_degree(m) == d})
-
-    def is_homogeneous(self) -> bool:
-        return len({mono_degree(m) for m in self.terms}) <= 1
 
     def eval_at(self, point: dict[DiffVar, Rat]) -> Rat:
         total: Rat = 0

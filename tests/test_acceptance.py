@@ -10,6 +10,7 @@ import json
 import time
 from itertools import combinations, product
 
+from oracles import form_on_elements
 from wcent import (BasisElt, DiffPoly, DiffVar, MembershipMode,
                    Partition, UPoly, all_partitions,
                    bracket, centralizer_basis, critical_form,
@@ -18,7 +19,7 @@ from wcent import (BasisElt, DiffPoly, DiffVar, MembershipMode,
                    trace_form, w_correspondence, w_generators, w_membership)
 from wcent.affine import center_check
 from wcent.cdet import tail_sum
-from wcent.centralizer import add_into, form_on_elements
+from wcent.centralizer import add_into
 from wcent.cli import RunConfig, dispatch, render
 from wcent.pva import random_diffpoly
 from wcent.serialize import (diffpoly_from_json, diffpoly_to_json,

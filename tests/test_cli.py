@@ -396,6 +396,36 @@ def test_benchmark_traced_names_resolve():
             assert callable(getattr(owner, target, None)), target
 
 
+def test_benchmark_workload_names_resolve():
+    # perfbench/workloads.py reaches wcent only through module aliases
+    # (W.name, S.name) looked up at call time; resolve every such attribute
+    # chain, reading the aliases from its imports, without importing it.
+    with open(os.path.join(ROOT, "perfbench", "workloads.py")) as fh:
+        tree = ast.parse(fh.read())
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update((a.asname or a.name, a.name) for a in node.names
+                           if a.name.split(".")[0] == "wcent")
+        elif isinstance(node, ast.ImportFrom) and node.module == "wcent":
+            aliases.update((a.asname or a.name, "wcent." + a.name) for a in node.names)
+    assert set(aliases) == {"W", "S"}, aliases
+    chains = set()
+    for node in ast.walk(tree):
+        path = []
+        while isinstance(node, ast.Attribute):
+            path.append(node.attr)
+            node = node.value
+        if path and isinstance(node, ast.Name) and node.id in aliases:
+            chains.add((node.id,) + tuple(reversed(path)))
+    assert len(chains) >= 20, chains
+    for alias, *attrs in sorted(chains):
+        obj = importlib.import_module(aliases[alias])
+        for depth, attr in enumerate(attrs):
+            assert hasattr(obj, attr), ".".join([alias] + attrs[:depth + 1])
+            obj = getattr(obj, attr)
+
+
 def test_public_names_resolve():
     assert len(set(wcent.__all__)) == len(wcent.__all__)
     for name in wcent.__all__:

@@ -97,9 +97,9 @@ def test_derive_is_a_derivation(a, b):
 
 @given(polys)
 def test_derive_kills_constants(a):
-    assert DiffPoly.const(a.constant_term()).derive() == 0
+    assert DiffPoly.const(a.terms.get((), 0)).derive() == 0
     # the derivative never has a constant term
-    assert a.derive().constant_term() == 0
+    assert a.derive().terms.get((), 0) == 0
 
 
 @given(polys, polys)
@@ -107,8 +107,8 @@ def test_partials_match_partial(a, b):
     table = a.partials()
     assert set(table) == a.variables() and V(9, 9, 0) not in table
     # chain rule: d(a) = sum over variables v of (da/dv) * d(v)
-    assert a.derive() == DiffPoly.sum([pv * DiffPoly.var(v.shifted())
-                                       for v, pv in table.items()])
+    assert a.derive() == sum((pv * DiffPoly.var(v.shifted()) for v, pv in table.items()),
+                             DiffPoly.zero())
     # partial derivatives commute
     for v in list(a.variables())[:2]:
         for w in list(a.variables())[:2]:
@@ -128,14 +128,14 @@ def test_grading_conventions():
     assert mono_degree(m) == 4
     p = DiffPoly.var(V(1, 1, 0)) * DiffPoly.var(V(2, 2, 0)) + \
         DiffPoly.var(V(2, 2, 0, s=1))
-    assert not p.is_homogeneous()
+    assert len({mono_degree(m) for m in p.terms}) > 1
     assert p.min_component() == \
         DiffPoly.var(V(1, 1, 0)) * DiffPoly.var(V(2, 2, 0))
 
 
 @given(polys)
 def test_derive_shifts_degree_by_one(a):
-    if not a or a.constant_term():
+    if not a or a.terms.get((), 0):
         return
     da = a.derive()
     assert da.min_degree() == a.min_degree() + 1
@@ -364,7 +364,7 @@ def test_pair_oracle_inputs_reach_every_case():
         terms = _random_terms(random.Random(seed))
         a, _ = _both(terms)
         squares += any(e >= 2 for mono, _ in a.items() for _, e in mono)
-        constants += bool(a.constant_term())
+        constants += bool(a.terms.get((), 0))
         cancelled += len(a) < len({_normalize_mono(m) for m, _ in terms})
     assert squares >= 20 and constants >= 10 and cancelled >= 5
 
