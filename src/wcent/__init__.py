@@ -11,11 +11,10 @@ W-algebra generators.
 
 from .affine import (CenterCheck, CorrespondenceReport, LoopMode, VacuumVector,
                      act_mode, center_check, hc_project, loop_realization,
-                     normal_order, ss_matrix, ss_vectors, w_correspondence)
+                     normal_order, ss_vectors, w_correspondence)
 from .cdet import (DiffOp, GeneratorTable, JacobianCertificate, UPoly,
                    column_determinant, in_window, jacobian_independence,
-                   miura_generators, miura_image, w_generator_matrix,
-                   w_generators)
+                   miura_generators, miura_image, operator_matrix, w_generators)
 from .centralizer import (BasisElt, Partition, all_partitions, bracket,
                           centralizer_basis, critical_form, lie_bracket,
                           trace_form, upper_basis)
@@ -36,7 +35,7 @@ __all__ = [
     "generator_bracket", "hc_project", "in_window", "jacobi_defect",
     "jacobian_independence", "lambda_bracket", "lambda_bracket_gen",
     "lie_bracket", "loop_realization", "miura_generators", "miura_image",
-    "normal_order", "parabolic_project", "pva_axiom_suite", "ss_matrix",
+    "normal_order", "operator_matrix", "parabolic_project", "pva_axiom_suite",
     "ss_vectors", "trace_form", "upper_basis", "w_bracket", "w_correspondence",
-    "w_generator_matrix", "w_generators", "w_membership",
+    "w_generators", "w_membership",
 ]

@@ -15,12 +15,12 @@ on first use, that holds [X, Y](a + b) for each pair of modes met; both the
 straightening and the action of nonnegative modes read it, and call
 bracket only on a miss; moving to another partition drops it.  On top of
 the normal-ordering engine this module builds the translation operator, the
-action of nonnegative modes, the Segal-Sugawara vectors extracted from a
-full column determinant with the translation operator in the derivation
-slot, applied to the vacuum, a centre membership check, the Harish-Chandra
-projection onto diagonal modes, and the comparison map that matches Miura
-images of the W-algebra generators with the projected Segal-Sugawara
-vectors.
+action of nonnegative modes, the Segal-Sugawara vectors (ss_vectors: the
+operator matrix with the modes E[i,j,r](-1) as entries and the translation
+operator in the derivation slot), a centre membership check, the
+Harish-Chandra projection onto diagonal modes, and the comparison map that
+matches Miura images of the W-algebra generators with the projected
+Segal-Sugawara vectors.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ from typing import Iterable, Optional
 from .centralizer import (BasisElt, Partition, Rat, Sparse, add_into, bracket,
                           centralizer_basis, centre_basis, critical_form,
                           derived_complement, group_runs)
-from .cdet import (DiffOp, GeneratorTable, applied_column_determinant, basis_u_series,
-                   diagonal_entry, miura_image, w_generators, window_table)
+from .cdet import GeneratorTable, generator_table, miura_image, w_generators
 from .diffpoly import DiffPoly
 
 
@@ -400,33 +399,11 @@ def _act(table: _Commutators, x: LoopMode, seq: PBWMono, coeff: Rat, acc: dict) 
 # -- Segal-Sugawara vectors ----------------------------------------------------
 
 
-def ss_matrix(p: Partition) -> list[list[DiffOp]]:
-    """Full operator matrix with diagonal x + lam_i T + E_ii(z) and all
-    off-diagonal entries E_ij(z); coefficients are modes at t-power -1."""
-    n = p.n
-    one = VacuumVector.vacuum(p)
-
-    def lift(e: BasisElt) -> VacuumVector:
-        return VacuumVector.single(p, e, -1)
-
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            if j == i:
-                row.append(diagonal_entry(p, i, one, lift))
-            else:
-                row.append(DiffOp({(0, 0): basis_u_series(p, i, j, lift)}))
-        rows.append(row)
-    return rows
-
-
 def ss_vectors(p: Partition) -> GeneratorTable:
-    """Extract the vectors from the column determinant of the full matrix,
-    with the translation operator in the derivation slot, applied to the
-    vacuum."""
-    vacuum = VacuumVector.vacuum(p)
-    return window_table(p, applied_column_determinant(ss_matrix(p), vacuum), vacuum)
+    """The table of the operator matrix with each E[i,j,r] lifted to the
+    mode E[i,j,r](-1), the translation operator in the derivation slot."""
+    return generator_table(p, VacuumVector.vacuum(p),
+                           lambda e: VacuumVector.single(p, e, -1))
 
 
 # -- centre check and projections ----------------------------------------------

@@ -20,10 +20,12 @@ fewer products than n!.  The operator product DiffOp.__mul__ and the
 operator determinant column_determinant, a left-to-right sweep, stay as the
 reference the kernel is tested against.
 
-Also here: the generator matrix whose column determinant (applied to 1)
-yields the W-algebra generators, the Miura map onto the diagonal sector, and
-the Jacobian certificate of algebraic independence of the leading terms of
-the Miura images.
+Both sides read their tables off one matrix, operator_matrix, that differs
+only in the lift of each basis element into the coefficient ring: pi of the
+variable for the W-algebra generators, the diagonal variables only for their
+Miura images, the mode E[i,j,r](-1) for the Segal-Sugawara vectors
+(affine.ss_vectors).  Also here: the Miura map and the Jacobian certificate
+of algebraic independence of the leading terms of the Miura images.
 """
 
 from __future__ import annotations
@@ -283,52 +285,33 @@ def _apply(entry: DiffOp, vec: dict, derivs: dict, acc: dict, sign: int) -> None
                 fk.mul_into(acc.setdefault((a + c, k + l), {}), g, sign)
 
 
-# -- the generator matrix and tables -----------------------------------------
+# -- the operator matrix and its three tables --------------------------------
 
 
-def _lift_var(e: BasisElt) -> DiffPoly:
-    return DiffPoly.var(DiffVar.of(e))
+def parabolic_image(p: Partition, v: DiffVar) -> Optional[Rat]:
+    """pi on one variable: None (fixed) for a lower or Cartan variable, 1 for
+    the top superdiagonal E[i,i+1,lam_{i+1}-1][0], 0 for every other upper
+    variable and every derivative of an upper variable."""
+    if v.i >= v.j:
+        return None
+    return 1 if not v.s and v.j == v.i + 1 and v.r == p.part(v.j) - 1 else 0
 
 
-def basis_u_series(p: Partition, i: int, j: int,
-                   lift: Callable[[BasisElt], object] = _lift_var) -> UPoly:
-    """E_ij(u): the valid-window generating series sum_r lift(E[i,j,r]) u^r."""
-    return UPoly({r: lift(BasisElt(i, j, r)) for r in p.r_window(i, j)})
+def operator_matrix(p: Partition, one,
+                    lift: Callable[[BasisElt], object]) -> list[list[DiffOp]]:
+    """The n x n operator matrix x + lam_i D + E_ii(u) on the diagonal and
+    E_ij(u) off it, with E_ij(u) = sum over the window of lift(E[i,j,r]) u^r,
+    one the unit of the coefficient ring and lift the image of a basis
+    element in it; a lift to zero drops its term."""
+    def entry(i: int, j: int) -> DiffOp:
+        series = {r: c for r in p.r_window(i, j) if (c := lift(BasisElt(i, j, r)))}
+        terms = {(1, 0): UPoly._raw({0: one}),
+                 (0, 1): UPoly._raw({0: one.scale(p.part(i))})} if i == j else {}
+        if series:
+            terms[(0, 0)] = UPoly._raw(series)
+        return DiffOp._raw(terms)
 
-
-def diagonal_entry(p: Partition, i: int, one,
-                   lift: Callable[[BasisElt], object] = _lift_var) -> DiffOp:
-    """The diagonal operator entry x + lam_i D + E_ii(u), with one the unit
-    of the coefficient ring and lift the embedding of basis elements."""
-    return DiffOp({
-        (1, 0): UPoly({0: one}),
-        (0, 1): UPoly({0: one.scale(p.part(i))}),
-        (0, 0): basis_u_series(p, i, i, lift),
-    })
-
-
-def w_generator_matrix(p: Partition) -> list[list[DiffOp]]:
-    """Matrix whose column determinant produces the W-algebra generators.
-
-    Diagonal x + lam_i D + E_ii(u); superdiagonal u^(lam_{i+1}-1); lower
-    entries E_ij(u); zero above the superdiagonal.
-    """
-    n = p.n
-    one = DiffPoly.const(1)
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            if j == i:
-                row.append(diagonal_entry(p, i, one))
-            elif j == i + 1:
-                row.append(DiffOp({(0, 0): UPoly({p.part(j) - 1: one})}))
-            elif j < i:
-                row.append(DiffOp({(0, 0): basis_u_series(p, i, j)}))
-            else:
-                row.append(DiffOp.zero())
-        rows.append(row)
-    return rows
+    return [[entry(i, j) for j in range(1, p.n + 1)] for i in range(1, p.n + 1)]
 
 
 def tail_sum(p: Partition, k: int) -> int:
@@ -363,15 +346,16 @@ class GeneratorTable:
         return sorted(self.entries.items())
 
 
-def window_table(p: Partition, cp: dict[int, UPoly], one) -> GeneratorTable:
-    """The table of a column determinant applied to 1, given as the map
-    x-power -> u-polynomial of applied_column_determinant: entry (k, r) is
-    the u^r coefficient of the x^(n-k) coefficient, kept apart when (k, r)
-    is outside the window.
+def generator_table(p: Partition, one,
+                    lift: Callable[[BasisElt], object]) -> GeneratorTable:
+    """The table of operator_matrix(p, one, lift) applied to 1: entry (k, r)
+    is the u^r coefficient of the x^(n-k) coefficient, kept apart when
+    (k, r) is outside the window.
 
     Requires the x^n coefficient to be exactly the unit one.
     """
     n = p.n
+    cp = applied_column_determinant(operator_matrix(p, one, lift), one)
     top = cp.get(n)
     if top is None or top != UPoly({0: one}):
         raise ArithmeticError("leading x-coefficient is not 1")
@@ -383,13 +367,14 @@ def window_table(p: Partition, cp: dict[int, UPoly], one) -> GeneratorTable:
 
 
 def w_generators(p: Partition) -> GeneratorTable:
-    """Generators of the W-algebra from the column determinant.
+    """Generators of the W-algebra: the table of the operator matrix with
+    each variable lifted by pi (parabolic_image); exactly N entries."""
+    def lift(e: BasisElt) -> DiffPoly:
+        v = DiffVar.of(e)
+        img = parabolic_image(p, v)
+        return DiffPoly.var(v) if img is None else DiffPoly.const(img)
 
-    The x^(n-k) coefficient of cdet applied to 1 is a u-polynomial; its
-    admissible u-coefficients form the table (exactly N of them).
-    """
-    one = DiffPoly.const(1)
-    return window_table(p, applied_column_determinant(w_generator_matrix(p), one), one)
+    return generator_table(p, DiffPoly.const(1), lift)
 
 
 # -- Miura map ----------------------------------------------------------------
@@ -411,15 +396,19 @@ def miura_image(poly: DiffPoly) -> DiffPoly:
 
 
 def miura_generators(p: Partition) -> GeneratorTable:
-    """Images of the generators under the Miura map, computed directly from
-    the diagonal operator factors: the column determinant of the diagonal
-    matrix is their product in order, applied to 1 factor by factor from the
-    right."""
-    one = DiffPoly.const(1)
-    n = p.n
-    rows = [[diagonal_entry(p, i, one) if j == i else DiffOp.zero()
-             for j in range(1, n + 1)] for i in range(1, n + 1)]
-    return window_table(p, applied_column_determinant(rows, one), one)
+    """Images of the generators under the Miura map: the table of the
+    operator matrix that keeps the diagonal variables and lifts the rest to 0.
+
+    The Miura map is an algebra map commuting with d, so it may be applied
+    entry by entry; it kills the lower entries of the W-algebra's matrix,
+    leaving it upper triangular.  Every permutation but the identity takes
+    some entry below the diagonal, so only the diagonal product contributes
+    and the superdiagonal may be lifted to 0 as well.
+    """
+    def lift(e: BasisElt) -> DiffPoly:
+        return DiffPoly.var(DiffVar.of(e)) if e.i == e.j else DiffPoly.zero()
+
+    return generator_table(p, DiffPoly.const(1), lift)
 
 
 # -- Jacobian certificate ------------------------------------------------------

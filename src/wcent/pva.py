@@ -7,8 +7,9 @@ differential polynomials through the standard master formula, and one kernel,
 provides the parabolic projection pi, the W-algebra membership predicate, the
 induced bracket on members, and a seeded random checker for the PVA axioms.
 
-pi is one fixed map, the one the generator matrix is built for: it fixes
-every lower and Cartan variable E[i,j,r][s], i >= j, sends each top
+pi is one fixed map, the one the generator matrix is built for: its rule on
+one variable, cdet.parabolic_image, is also the lift of cdet.w_generators.
+It fixes every lower and Cartan variable E[i,j,r][s], i >= j, sends each top
 superdiagonal variable E[i,i+1,lam_{i+1}-1][0] to 1, and sends every other
 upper variable, and every derivative of an upper variable, to 0.
 
@@ -28,8 +29,8 @@ from enum import Enum
 from math import comb
 from typing import Optional
 
-from .cdet import UPoly, _shift
-from .centralizer import (BasisElt, Partition, Rat, add_into, bracket,
+from .cdet import UPoly, _ring_elements, _shift, parabolic_image
+from .centralizer import (BasisElt, Partition, add_into, bracket,
                           centralizer_basis, trace_form, upper_basis)
 from .diffpoly import DiffPoly, DiffVar
 
@@ -80,7 +81,7 @@ def _bracket_gen(p: Partition, x: BasisElt, partials: Partials,
             gen, done = _shift(gen, s - done), s
             for k, q in gen.items():
                 pv.mul_into(acc.setdefault(k, {}), q)
-    return UPoly._raw({k: DiffPoly._raw(t) for k, t in acc.items() if t})
+    return UPoly._raw(_ring_elements(DiffPoly, acc))
 
 
 def lambda_bracket_gen(p: Partition, x: BasisElt, poly: DiffPoly) -> UPoly:
@@ -125,26 +126,15 @@ def lambda_bracket(p: Partition, a: DiffPoly, b: DiffPoly) -> UPoly:
             for k, c in kernel.items():
                 for j, q in _shift(right, k).items():
                     c.mul_into(acc.setdefault(j, {}), q)
-    return UPoly._raw({j: DiffPoly._raw(t) for j, t in acc.items() if t})
+    return UPoly._raw(_ring_elements(DiffPoly, acc))
 
 
 # -- parabolic projection --------------------------------------------------
 
 
 def parabolic_project(p: Partition, poly: DiffPoly) -> DiffPoly:
-    """Differential-algebra projection pi onto the parabolic sector.
-
-    Fixes lower and diagonal variables; sends E[i,i+1,lam_{i+1}-1][0] to 1
-    and every other upper variable (or any derivative of an upper variable)
-    to zero.
-    """
-    def image(v: DiffVar) -> Optional[Rat]:
-        if v.i >= v.j:
-            return None
-        top = not v.s and v.j == v.i + 1 and v.r == p.part(v.j) - 1
-        return 1 if top else 0
-
-    return poly.substitute_consts(image)
+    """Differential-algebra projection pi onto the parabolic sector."""
+    return poly.substitute_consts(lambda v: parabolic_image(p, v))
 
 
 def project_lambda(p: Partition, lp: UPoly) -> UPoly:
@@ -294,7 +284,8 @@ class AxiomSuiteReport:
 
     @property
     def ok(self) -> bool:
-        return not any(self.failures.values())
+        """No failure, and at least one check made (samples < 1 checks nothing)."""
+        return bool(self.checked) and not any(self.failures.values())
 
 
 def pva_axiom_suite(p: Partition, seed: int = 0, samples: int = 100) -> AxiomSuiteReport:

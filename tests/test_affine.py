@@ -9,7 +9,7 @@ import pytest
 from wcent import (BasisElt, DiffPoly, DiffVar, LoopMode, Partition,
                    VacuumVector, act_mode, all_partitions, center_check,
                    centralizer_basis, hc_project, loop_realization,
-                   normal_order, ss_matrix, ss_vectors, upper_basis,
+                   normal_order, operator_matrix, ss_vectors, upper_basis,
                    w_correspondence, w_generators)
 from wcent import affine
 from wcent.centralizer import (add_into, bracket, critical_form, derived_complement,
@@ -211,7 +211,8 @@ def test_act_mode_beyond_depth_vanishes():
 
 
 def test_ss_matrix_shape():
-    rows = ss_matrix(P12)
+    rows = operator_matrix(P12, VacuumVector.vacuum(P12),
+                           lambda e: VacuumVector.single(P12, e, -1))
     assert len(rows) == 2 and len(rows[0]) == 2
     # off-diagonal entries carry no x or derivation part
     assert all(b == 0 for (a, b) in rows[0][1].terms) and \

@@ -10,14 +10,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import miura_matrix, ss_matrix, w_generator_matrix, window_table
 from wcent import (DiffOp, DiffPoly, DiffVar, LoopMode, Partition, UPoly, VacuumVector,
                    all_partitions, centralizer_basis,
                    column_determinant, in_window,
                    jacobian_independence, miura_generators, miura_image, normal_order,
-                   ss_matrix, ss_vectors, w_generator_matrix, w_generators)
-from wcent.cdet import (_scalar_det, applied_column_determinant, basis_u_series,
-                        diagonal_entry, fraction_det, jacobian_point, tail_sum,
-                        window_table)
+                   operator_matrix, ss_vectors, w_generators)
+from wcent import affine, cdet
+from wcent.cdet import (GeneratorTable, _scalar_det, applied_column_determinant,
+                        fraction_det, generator_table, jacobian_point, tail_sum)
 from wcent.centralizer import add_into
 from wcent.diffpoly import mono_degree
 from wcent.pva import random_diffpoly
@@ -185,12 +186,43 @@ def test_products_match_oracle_on_random_operators(p, seed):
             assert fa * fb == _upoly_mul_oracle(fa, fb)
 
 
+def table_lifts(p):
+    """The (one, lift) that each of the three tables passes to
+    generator_table on p, caught by standing in for generator_table."""
+    seen = {}
+
+    def catch(make):
+        def stand_in(q, one, lift):
+            seen[make] = (one, lift)
+            return GeneratorTable(q, {}, {})
+        return stand_in
+
+    with pytest.MonkeyPatch.context() as mp:
+        for make, module in ((w_generators, cdet), (miura_generators, cdet),
+                             (ss_vectors, affine)):
+            mp.setattr(module, "generator_table", catch(make))
+            make(p)
+    return seen
+
+
+def test_operator_matrix_matches_explicit_matrices():
+    # Entry by entry, each table's lift gives the matrix spelled out in
+    # oracles: pi of the variables, the diagonal factors alone, and the
+    # modes at t-power -1.
+    explicit = {w_generators: w_generator_matrix, miura_generators: miura_matrix,
+                ss_vectors: ss_matrix}
+    for N in range(1, 8):
+        for p in all_partitions(N):
+            for make, (one, lift) in table_lifts(p).items():
+                assert operator_matrix(p, one, lift) == explicit[make](p), (make.__name__, p)
+
+
 @pytest.mark.parametrize("parts", [(1, 1), (1, 2), (3,), (1, 1, 1), (1, 3)])
 def test_products_match_oracle_on_ss_matrix(parts):
     # VacuumVector coefficients: a noncommutative ring with the translation
     # operator as derivation.
     p = Partition.of(*parts)
-    rows = ss_matrix(p)
+    rows = operator_matrix(p, *table_lifts(p)[ss_vectors])
     entries = [e for row in rows for e in row if e]
     for e1 in entries:
         for e2 in entries:
@@ -206,7 +238,7 @@ def _operator_tables(p):
     column determinant, or the product of the diagonal factors for the Miura
     images), then keep its terms free of D."""
     vacuum = VacuumVector.vacuum(p)
-    diagonal = [diagonal_entry(p, i, ONE) for i in range(1, p.n + 1)]
+    diagonal = [row[i] for i, row in enumerate(miura_matrix(p))]
     return {
         w_generators: window_table(
             p, column_determinant(w_generator_matrix(p)).constant_part(), ONE),
@@ -264,7 +296,8 @@ def test_cdet_matches_permutation_expansion():
 
 def test_cdet_on_generator_matrix_matches_bruteforce():
     for parts in [(1, 2), (2, 2), (1, 1, 1)]:
-        rows = w_generator_matrix(Partition.of(*parts))
+        p = Partition.of(*parts)
+        rows = operator_matrix(p, *table_lifts(p)[w_generators])
         assert column_determinant(rows) == brute_force_cdet(rows)
 
 
@@ -399,19 +432,20 @@ def test_tail_sums():
 
 
 def test_extract_requires_monic_top():
+    # one = 2 makes the x^n coefficient 2^(n+1), not one
     p = Partition.of(1, 1)
-    rows = w_generator_matrix(p)
-    rows[0][0] = rows[0][0].scale(2)
+    _, lift = table_lifts(p)[w_generators]
     with pytest.raises(ArithmeticError):
-        window_table(p, applied_column_determinant(rows, ONE), ONE)
+        generator_table(p, DiffPoly.const(2), lift)
 
 
-def test_basis_u_series_windows():
+def test_operator_matrix_windows():
     p = Partition.of(1, 2)
-    up = basis_u_series(p, 2, 2)
+    rows = operator_matrix(p, ONE, lambda e: DiffPoly.var(DiffVar.of(e)))
+    up = rows[1][1].terms[(0, 0)]
     assert up.coeff(0) == vp(2, 2, 0) and up.coeff(1) == vp(2, 2, 1)
     assert up.coeff(2) is None
-    assert basis_u_series(p, 1, 2).coeff(0) is None
+    assert rows[0][1].terms[(0, 0)].coeff(0) is None
 
 
 def test_miura_image_kills_lower_sector():

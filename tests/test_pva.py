@@ -405,6 +405,13 @@ def test_axiom_suite_smoke(parts):
     assert all(n >= 10 for n in rep.checked.values())
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_axiom_suite_fails_when_nothing_is_checked(samples):
+    rep = pva_axiom_suite(Partition.of(1, 1), samples=samples)
+    assert rep.checked == {} and rep.failures == {}
+    assert not rep.ok
+
+
 def test_axiom_suite_is_seed_deterministic():
     p = Partition.of(1, 2)
     a = pva_axiom_suite(p, seed=5, samples=5)
