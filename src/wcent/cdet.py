@@ -70,10 +70,9 @@ class UPoly(Sparse):
     def __init__(self, coeffs=None):
         self.terms = {}
         if coeffs:
-            items = list(coeffs.items() if isinstance(coeffs, dict) else coeffs)
-            if any(k < 0 for k, _ in items):
+            if any(k < 0 for k in coeffs):
                 raise ValueError("negative power of the formal symbol")
-            add_into(self.terms, items)
+            add_into(self.terms, coeffs.items())
 
     # Read-only old name of terms: perfbench/workloads.py reads lp.coeffs,
     # and the benchmark stays unchanged so that its runs remain comparable.
@@ -91,10 +90,6 @@ class UPoly(Sparse):
             for k2, c2 in other.terms.items():
                 c1.mul_into(acc.setdefault(k1 + k2, {}), c2)
         return UPoly._raw(_ring_elements(next(iter(self.terms.values()), None), acc))
-
-    def mul_poly(self, c) -> "UPoly":
-        """Multiply every coefficient on the right by the ring element c."""
-        return self.map_coeffs(lambda a: a * c)
 
     def scale(self, q: Rat):
         """Coefficient-wise: each ring-element coefficient by its own scale."""
@@ -143,10 +138,9 @@ class DiffOp(Sparse):
     def __init__(self, terms=None):
         self.terms = {}
         if terms:
-            items = list(terms.items() if isinstance(terms, dict) else terms)
-            if any(a < 0 or b < 0 for (a, b), _ in items):
+            if any(a < 0 or b < 0 for a, b in terms):
                 raise ValueError("negative operator exponent")
-            add_into(self.terms, items)
+            add_into(self.terms, terms.items())
 
     def __mul__(self, other: "DiffOp") -> "DiffOp":
         """Normal-ordered product; each coefficient product is added straight
@@ -248,12 +242,11 @@ def applied_column_determinant(rows: list[list[DiffOp]], one) -> dict[int, UPoly
         entries = [(row, rows[row][col]) for row in range(n) if rows[row][col]]
         acc: dict[frozenset, dict] = {}  # target state -> key -> word map
         for used, vec in states.items():
-            derivs: dict = {}  # (x-power, u-power) -> [G, dG, d^2 G, ...]
             for row, entry in entries:
                 if row in used:
                     continue
                 sign = -1 if sum(1 for u in used if u < row) % 2 else 1
-                _apply(entry, vec, derivs, acc.setdefault(used | {row}, {}), sign)
+                _apply(entry, vec, acc.setdefault(used | {row}, {}), sign)
         states = {}
         for used, maps in acc.items():
             vec = _ring_elements(one, maps)
@@ -268,19 +261,14 @@ def applied_column_determinant(rows: list[list[DiffOp]], one) -> dict[int, UPoly
     return {a: UPoly._raw(coeffs) for a, coeffs in out.items()}
 
 
-def _apply(entry: DiffOp, vec: dict, derivs: dict, acc: dict, sign: int) -> None:
+def _apply(entry: DiffOp, vec: dict, acc: dict, sign: int) -> None:
     """Add sign times entry applied to the state vec into acc, a map
     (x-power, u-power) -> word map, each term F d^b(G) through mul_into;
-    derivs caches the derivatives of the state's elements."""
+    d^b(G) is not cached, as D sits only on the diagonal of operator_matrix."""
     for (a, b), f in entry.terms.items():
         for (c, l), g in vec.items():
-            if b:
-                ds = derivs.setdefault((c, l), [g])
-                while len(ds) <= b and ds[-1]:
-                    ds.append(ds[-1].derive())
-                if len(ds) <= b or not ds[b]:
-                    continue  # d^b G = 0
-                g = ds[b]
+            if b and not (g := g.derive(b)):
+                continue  # d^b G = 0
             for k, fk in f.terms.items():
                 fk.mul_into(acc.setdefault((a + c, k + l), {}), g, sign)
 

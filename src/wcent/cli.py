@@ -387,6 +387,16 @@ def dispatch(cfg: RunConfig) -> Report:
 # -- argument handling -----------------------------------------------------------
 
 
+def integer(text: str) -> int:
+    """An option's integer: ASCII digits after an optional minus sign, since
+    int() also reads other scripts' digits and underscores ("\u0663", "1_0").
+    The sign lets a negative value reach the option's own range message."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wcent",
@@ -410,24 +420,24 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("-p", "--partition", metavar="PARTS",
                         help="comma-separated nondecreasing parts, e.g. 1,2,2")
-        sp.add_argument("--max-N", type=int, metavar="N",
+        sp.add_argument("--max-N", type=integer, metavar="N",
                         help="sweep all partitions with at most N boxes")
-        sp.add_argument("--max-n", type=int, metavar="LEN",
+        sp.add_argument("--max-n", type=integer, metavar="LEN",
                         help="cap the number of parts during a sweep")
         if name in SEED_COMMANDS:
-            sp.add_argument("--seed", type=int, default=None,
-                            help="seed for sampled checks (default: WCENT_SEED or 0)")
+            sp.add_argument("--seed", type=integer, default=0,
+                            help="seed for sampled checks (default: %(default)s)")
         if name == "pva-axioms":
-            sp.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
+            sp.add_argument("--samples", type=integer, default=DEFAULT_SAMPLES,
                             help="sample count (default: %(default)s)")
         sp.add_argument("--format", dest="fmt", choices=["text", "json", "latex"],
                         default="text", help="report format (default: text)")
         if name == "sweep":
-            sp.add_argument("--center-bound", type=int, default=DEFAULT_CENTER_BOUND,
+            sp.add_argument("--center-bound", type=integer, default=DEFAULT_CENTER_BOUND,
                             metavar="N",
                             help="run the centre and iso checks for N up to this "
                                  "(default: %(default)s)")
-            sp.add_argument("--commute-bound", type=int, default=DEFAULT_COMMUTE_BOUND,
+            sp.add_argument("--commute-bound", type=integer, default=DEFAULT_COMMUTE_BOUND,
                             metavar="N",
                             help="run pairwise commutativity for N up to this "
                                  "(default: %(default)s)")
@@ -453,14 +463,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ValueError("latex format is not available for %s" % args.command)
     cfg = RunConfig(args.command, partitions, fmt=args.fmt)
     if args.command in SEED_COMMANDS:
-        seed = os.environ.get("WCENT_SEED", "0") if args.seed is None else args.seed
-        try:
-            cfg.seed = int(seed)
-        except ValueError:  # only the variable's text can fail: --seed is an int
-            raise ValueError("WCENT_SEED must be an integer, got %r" % (seed,)) from None
-        if cfg.seed < 0:
-            raise ValueError("seed must be non-negative" if args.seed is not None else
-                             "WCENT_SEED must be non-negative, got %d" % cfg.seed)
+        if args.seed < 0:
+            raise ValueError("seed must be non-negative")
+        cfg.seed = args.seed
     if args.command == "pva-axioms":
         if args.samples < 1:
             raise ValueError("--samples must be at least 1")
@@ -476,7 +481,7 @@ def render(report: Report, fmt: str, elapsed: float) -> str:
     if fmt == "json":
         return json.dumps(report.json(), indent=2, sort_keys=True)
     if fmt == "latex":
-        return report.latex() if report.latex else ""
+        return report.latex()
     return "\n".join(report.lines() + ["%s: %s  [%.2fs]" % (
         report.command, "pass" if report.ok else "FAIL", elapsed)])
 

@@ -220,7 +220,8 @@ def _table_from_json(obj: dict, prefix: str, decoder: Callable) -> GeneratorTabl
     of table_key, so that no two keys name one entry, and (k, r) must lie in
     the window for "entries" and outside it for "out_of_window".  Every entry
     is decoded by the one decoder(p) of the table's partition p, which checks
-    that the entry belongs to p."""
+    that the entry belongs to p.  No entry may be zero: no builder stores
+    one, and a zero entry would pass every check without checking anything."""
     p = _partition(obj)
     decode = decoder(p)
 
@@ -231,7 +232,10 @@ def _table_from_json(obj: dict, prefix: str, decoder: Callable) -> GeneratorTabl
             if (table_key(pre, k, r) != key or pre != prefix or not 1 <= k <= p.n
                     or in_window(p, k, r) is not inside):
                 raise ValueError("%r is not a key of %r for partition %s" % (key, section, p))
-            out[(k, r)] = decode(val)
+            entry = decode(val)
+            if not entry:
+                raise ValueError("%r in %r is zero" % (key, section))
+            out[(k, r)] = entry
         return out
 
     return GeneratorTable(p, load("entries", True), load("out_of_window", False))

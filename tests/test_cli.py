@@ -114,25 +114,38 @@ def test_json_reports_are_byte_identical(capsys):
     assert seeded[0] == seeded[1]
 
 
-def test_seed_sources(capsys, monkeypatch):
-    monkeypatch.setenv("WCENT_SEED", "7")
-    _, out = run(capsys, "jacobian", "-p", "1,2", "--format", "json")
-    assert json.loads(out)["seed"] == 7
+def test_seed_sources(capsys):
     _, out = run(capsys, "jacobian", "-p", "1,2", "--seed", "2", "--format", "json")
     assert json.loads(out)["seed"] == 2
-    monkeypatch.delenv("WCENT_SEED")
     _, out = run(capsys, "jacobian", "-p", "1,2", "--format", "json")
     assert json.loads(out)["seed"] == 0
-    monkeypatch.setenv("WCENT_SEED", "abc")
-    assert cli.main(["jacobian", "-p", "1"]) == 2
-    err = capsys.readouterr().err
-    assert "WCENT_SEED" in err and "'abc'" in err
-    monkeypatch.setenv("WCENT_SEED", "-3")
-    assert cli.main(["jacobian", "-p", "1"]) == 2
-    assert "WCENT_SEED must be non-negative, got -3" in capsys.readouterr().err
-    monkeypatch.delenv("WCENT_SEED")
     assert cli.main(["jacobian", "-p", "1", "--seed", "-3"]) == 2
     assert "error: seed must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["7", "abc"])
+def test_seed_ignores_the_environment(capsys, monkeypatch, value):
+    # --seed is the one source of the seed; no variable stands in for it.
+    monkeypatch.setenv("WCENT_SEED", value)
+    code, out = run(capsys, "jacobian", "-p", "1,2", "--format", "json")
+    assert code == 0 and json.loads(out)["seed"] == 0
+
+
+@pytest.mark.parametrize("text", ["\u0663", "1_0"])
+@pytest.mark.parametrize("argv", [["basis", "--max-N"],
+                                  ["basis", "--max-N", "3", "--max-n"],
+                                  ["jacobian", "-p", "1,2", "--seed"],
+                                  ["pva-axioms", "-p", "1,2", "--samples"],
+                                  ["sweep", "--max-N", "2", "--center-bound"],
+                                  ["sweep", "--max-N", "2", "--commute-bound"]],
+                         ids=lambda argv: argv[-1])
+def test_integer_options_read_ascii_digits_only(capsys, argv, text):
+    # int() alone reads both as numbers: 3 and 10
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + [text])
+    assert exc.value.code == 2
+    assert "argument %s: invalid integer value: %r" % (argv[-1], text) \
+        in capsys.readouterr().err
 
 
 def test_sweep_reports(capsys):

@@ -211,6 +211,22 @@ def test_sugawara_table_rejects_entries_outside_its_partition():
         sugawara_table_from_json(blob)
 
 
+@pytest.mark.parametrize("section, key", [("entries", "[1][0]"), ("out_of_window", "[2][0]")])
+@pytest.mark.parametrize("prefix", ["w", "phi"])
+def test_table_rejects_a_zero_entry(prefix, section, key):
+    # A zero entry keeps the table's length and passes any check of it.
+    p = Partition.of(1, 2)
+    if prefix == "w":
+        blob, decode, zero = _table_blob(p), generator_table_from_json, []
+    else:
+        blob = json.loads(json.dumps(sugawara_table_to_json(ss_vectors(p))))
+        decode, zero = sugawara_table_from_json, {"partition": "1,2", "terms": []}
+    blob[section][prefix + key] = zero
+    with pytest.raises(ValueError, match=r"'%s' in '%s' is zero"
+                       % (re.escape(prefix + key), section)):
+        decode(blob)
+
+
 @pytest.mark.parametrize("bad", [[1, 1, 0, 0, True], [1.0, 1, 0, 0, 1], [1, True, 0, 0, 1]])
 def test_generator_table_checks_the_type_of_every_factor(bad):
     # The decoder builds E[1,1,0][0] once, from the first entry; an equal
