@@ -33,7 +33,8 @@ from typing import Iterable, Optional
 
 from .centralizer import (BasisElt, Partition, Rat, Sparse, add_into, bracket,
                           centralizer_basis, centre_basis, critical_form,
-                          derived_complement, group_runs)
+                          derived_complement, group_runs, levi_raising,
+                          nilpotent_generators)
 from .cdet import GeneratorTable, generator_table, miura_image, w_generators
 from .diffpoly import DiffPoly
 
@@ -421,15 +422,18 @@ CENTER_SPOT_CHECKS = 3
 def center_check(v: VacuumVector) -> CenterCheck:
     """Whether every nonnegative mode annihilates v.
 
-    Scans the generating set of _generating_scan (m-major); if an element
-    of it fails, returns _full_scan(v), so the witness is still the first
-    nonzero x(m) v in (m, basis) order.  Then checks the degree bound at
-    depth + 1 on the first CENTER_SPOT_CHECKS basis elements, raising
-    ArithmeticError if one of them does not annihilate v.
+    Runs the weight test, then scans the generating set of _generating_scan
+    (m-major); if the test or an element of the set fails, returns
+    _full_scan(v), so the witness is still the first nonzero x(m) v in
+    (m, basis) order.  Then checks the degree bound at depth + 1 on the
+    first CENTER_SPOT_CHECKS basis elements, raising ArithmeticError if one
+    of them does not annihilate v.
 
     Soundness.  The annihilator of v is a subspace of a[t], closed under
     brackets, and [x(a), y(b)] = [x, y](a + b) has no central term when
-    a, b >= 0.  Let C be derived_complement(p), spanning a complement of
+    a, b >= 0.  Grade a by centralizer.degree, a = l + n, with l the
+    reductive part of degree 0 and n the nilpotent ideal of positive
+    degree.  Let C be derived_complement(p), spanning a complement of
     [a, a], C_0 its shift-0 elements, z the span of the central powers
     e_r of centre_basis(p), and C' the elements of C that stay independent
     modulo [a, a] + z, so that C' completes [a, a] + z to a.
@@ -440,10 +444,22 @@ def center_check(v: VacuumVector) -> CenterCheck:
         diagonal ones and <e_0, E[j,j,0]> = sum_i min(lam_i, lam_j) - w_j
         = 0, the parts being in order.  So [e_r(m), y(b)] = 0 for every mode
         y(b), and e_r(m) kills the vacuum.
-    (0) Chains of adjacent E[i,i+-1,r] give every off-diagonal element, as
-        [E[i,j,r], E[j,l,s]] = E[i,l,r+s] and the shift windows compose.
-        Brackets of off-diagonal elements span [a, a]; z is killed by (z),
-        and C' completes a(0).
+    (w) E[i,i,0](0) has no central term and [E[i,i,0], y] = (delta_{i,y.i}
+        - delta_{i,y.j}) y, so it multiplies each PBW word by its block-i
+        weight (weights).  Distinct words are independent, so every
+        E[i,i,0](0) kills v exactly when is_weight_zero() holds.
+    (hw) Mode 0 keeps the depth, so the words of depth at most that of v
+        span a finite-dimensional l(0)-module.  l is a sum of gl(m_s), whose
+        centres act by weights, so diagonally; by Weyl's theorem for the
+        semisimple part the module is a direct sum of irreducibles
+        (Humphreys, Introduction to Lie Algebras and Representation Theory,
+        1972).  The projections onto isotypic parts commute with l, so each
+        part of a weight-zero v killed by the raising operators of
+        levi_raising is a highest-weight vector of weight 0, hence lies in
+        a trivial module.  So all of l(0) kills v.
+    (S) Then the annihilator of v at mode 0 is a subalgebra that holds l
+        and, by (z), every e_r; with S = nilpotent_generators(p) it is all
+        of a (its docstring gives the argument).
     (1) Once a(0) annihilates v, I = {x : x(1) v = 0} is an ideal of a, as
         [y, x](1) = [y(0), x(1)].  C_0 is E[i,i,0] for the first block i of
         each part size s.  Let tau_s be the sum of the E[j,j,0]-
@@ -459,6 +475,8 @@ def center_check(v: VacuumVector) -> CenterCheck:
     (m >= 2) [a(1), a(m-1)] = [a, a](m), and z(m) and C'(m) complete a(m).
     Modes above the depth of v kill it for degree reasons.
     """
+    if not v.is_weight_zero():
+        return _full_scan(v)
     p = v.partition
     d = v.depth
     for x, m in _generating_scan(p, d):
@@ -478,13 +496,14 @@ def _scan_sets(p: Partition) -> tuple[tuple[BasisElt, ...], ...]:
 
     With C = derived_complement(p) and C' = derived_complement(p,
     centre_basis(p)), the elements of C independent modulo [a, a] + z:
-    m = 0: the adjacent off-diagonal E[i,i+-1,r], then C'; m = 1: the
-    shift-0 elements of C and C', in C order; m >= 2: C' alone.
+    m = 0: the raising operators of l (levi_raising), then S
+    (nilpotent_generators), the Cartan part of l being the weight test;
+    m = 1: the shift-0 elements of C and C', in C order; m >= 2: C' alone.
     """
     rest = tuple(derived_complement(p, centre_basis(p)))
-    adjacent = tuple(x for x in centralizer_basis(p) if abs(x.i - x.j) == 1)
+    mode0 = tuple(levi_raising(p) + nilpotent_generators(p))
     mode1 = tuple(x for x in derived_complement(p) if x.r == 0 or x in rest)
-    return adjacent + rest, mode1, rest
+    return mode0, mode1, rest
 
 
 def _generating_scan(p: Partition, depth: int) -> list[tuple[BasisElt, int]]:

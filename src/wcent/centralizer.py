@@ -249,8 +249,11 @@ def echelon_insert(rows: dict, vec: dict) -> Optional[tuple]:
     pivots of the rows inserted before it, so one pass in insertion order
     leaves vec zero at every pivot.  If a remainder is left, its least key
     becomes the pivot of a new row, the remainder divided by its value
-    there, and (pivot, value) is returned; otherwise vec lies in the span of
-    rows and None is returned.  vec is not modified.
+    there, and (pivot, value) is returned, the value as a Fraction;
+    otherwise vec lies in the span of rows and None is returned.  vec is
+    not modified.  A remainder whose pivot value is the int 1 or -1 is kept
+    as it is or negated, so integer rows stay integers; any other value,
+    a Fraction among them, divides the row.
     """
     vec = dict(vec)
     for pivot, row in rows.items():
@@ -260,7 +263,11 @@ def echelon_insert(rows: dict, vec: dict) -> Optional[tuple]:
     if not vec:
         return None
     pivot = min(vec)
-    c = Fraction(vec[pivot])
+    c = vec[pivot]
+    if type(c) is int and (c == 1 or c == -1):
+        rows[pivot] = vec if c == 1 else {e: -q for e, q in vec.items()}
+        return pivot, Fraction(c)
+    c = Fraction(c)
     rows[pivot] = {e: q / c for e, q in vec.items()}
     return pivot, c
 
@@ -302,6 +309,76 @@ def derived_complement(p: Partition, modulo: Iterable[LieMap] = ()) -> list[Basi
     for x in modulo:
         echelon_insert(rows, x)
     return [e for e in basis if e.i == e.j and echelon_insert(rows, {e: 1})]
+
+
+def degree(p: Partition, x) -> int:
+    """The degree 2r + lam_i - lam_j of E[i,j,r].
+
+    It is >= 0 on the basis: r >= 0, and r >= lam_j - lam_i when lam_i <
+    lam_j.  It adds under bracket, as [E[i,j,r], E[j,l,s]] = E[i,l,r+s].
+    Degree 0 is exactly E[i,j,0] with lam_i = lam_j: the subalgebra l, a
+    gl(m_s) for each part size s, m_s the number of parts equal to s, so l
+    is reductive.  The elements of positive degree span a nilpotent ideal
+    n, and a = l + n.  Like bracket, it reads only the fields i, j, r of x.
+    """
+    return 2 * x.r + p.part(x.i) - p.part(x.j)
+
+
+def levi_raising(p: Partition) -> list[BasisElt]:
+    """The raising operators E[i,i+1,0], lam_i = lam_{i+1}, of l: the simple
+    root vectors of each gl(m_s), the blocks of one size being adjacent."""
+    return [BasisElt(i, i + 1, 0) for i in range(1, p.n) if p.part(i) == p.part(i + 1)]
+
+
+def _nilpotent_candidates(p: Partition) -> list[BasisElt]:
+    """Basis elements of n whose l-span is n, in basis order.
+
+    For part sizes a != b, with i the first block of size a and j the last
+    of size b: E[i,j,r] for each r in the window of (i, j).  The E[k,l,r]
+    with lam_k = a and lam_l = b, at one r, form an irreducible l-module
+    (the vectors of size a tensor the covectors of size b), which
+    [E[k,i,0], [E[i,j,r], E[j,l,0]]] = E[k,l,r] reaches.  For each size s
+    and 1 <= r < s, with i the first block of size s: E[i,i,r].  The
+    E[k,l,r] with lam_k = lam_l = s form the adjoint module of gl(m_s),
+    trivial plus traceless parts, and E[i,i,r] has a nonzero component in
+    each part that is present, so its l-span is all of it.  These modules
+    exhaust n: r = 0 with lam_k = lam_l is l.
+    """
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    for i in range(1, p.n + 1):
+        first.setdefault(p.part(i), i)
+        last[p.part(i)] = i
+    out = []
+    for a, i in first.items():
+        for b, j in last.items():
+            if a != b:
+                out += [BasisElt(i, j, r) for r in p.r_window(i, j)]
+            else:
+                out += [BasisElt(i, i, r) for r in range(1, a)]
+    return sorted(out)
+
+
+def nilpotent_generators(p: Partition) -> list[BasisElt]:
+    """S: the candidates of _nilpotent_candidates, in basis order, that stay
+    independent modulo W = [n, n] + span(e_r, r >= 1), by one exact
+    elimination.
+
+    W is an l-submodule: n is an ideal, so [l, [n, n]] lies in [n, n], and
+    each e_r is central (centre_basis).  So U(l)S + W is an l-submodule; it
+    holds every candidate, as each one lies in span(S) + W, hence the
+    candidates' l-span n.  A subalgebra B of the nilpotent n with
+    B + [n, n] = n is n itself (Jacobson, Lie Algebras, 1962): so a
+    subalgebra that holds l, S and the e_r is a.
+    """
+    nil = [x for x in centralizer_basis(p) if degree(p, x)]
+    rows: dict = {}
+    for k, a in enumerate(nil):
+        for b in nil[k + 1:]:
+            echelon_insert(rows, bracket(p, a, b))
+    for e in centre_basis(p)[1:]:
+        echelon_insert(rows, e)
+    return [x for x in _nilpotent_candidates(p) if echelon_insert(rows, {x: 1})]
 
 
 def trace_form(p: Partition, a, b) -> Rat:

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 from .affine import LoopMode, VacuumVector, _negative_modes
 from .cdet import GeneratorTable, UPoly, in_window
-from .centralizer import Partition, Rat, Sparse, add_into
+from .centralizer import Partition, Rat, Sparse
 from .diffpoly import DiffPoly, DiffVar
 
 
@@ -81,10 +81,27 @@ def diffpoly_to_json(poly: DiffPoly) -> list:
     return out
 
 
+def _term_map(terms) -> dict:
+    """The map of (word, coefficient) pairs, each word a tuple of factors
+    with a text().  As the encoders write them, every coefficient must be
+    nonzero and every word must appear once; else ValueError naming the
+    word, so that no two lists of terms decode to one element."""
+    out: dict = {}
+    for word, c in terms:
+        if not c or word in out:
+            text = "*".join(x.text() for x in word) or "1"
+            raise ValueError(("monomial %s appears twice" if c else
+                              "the coefficient of monomial %s is zero") % text)
+        out[word] = c
+    return out
+
+
 def _diffpoly_decoder(p: Optional[Partition] = None) -> Callable[[list], DiffPoly]:
     """A decoder of polynomials that builds and checks each distinct variable
     once, for all the polynomials it decodes: s >= 0 and, given p, a basis
-    element of p.  Each word is built sorted, so no DiffPoly renormalises it.
+    element of p.  As diffpoly_to_json writes them, the variables of a term
+    must be strictly increasing, each with an exponent >= 1, so each word is
+    sorted as built and no DiffPoly renormalises it.
     """
     known: dict[tuple, DiffVar] = {}
 
@@ -104,16 +121,18 @@ def _diffpoly_decoder(p: Optional[Partition] = None) -> Callable[[list], DiffPol
                     if p is not None:
                         p.check_valid(v.base)
                     known[i, j, r, s] = v
-                if e < 0:
+                if e < 1:
                     raise ValueError("bad monomial factor %s^%d" % (v.text(), e))
+                if word and not word[-1] < v:
+                    raise ValueError("variable %s follows %s: the variables of a term "
+                                     "must be strictly increasing" % (v.text(), word[-1].text()))
                 word += [v] * e
-            word.sort()
             yield tuple(word), rat_from_json(_member(t, "coeff"))
 
     def decode(obj: list) -> DiffPoly:
         if not isinstance(obj, list):
             raise ValueError("polynomial %s is not a list of terms" % reprlib.repr(obj))
-        return DiffPoly._raw(add_into({}, terms(obj)))
+        return DiffPoly._raw(_term_map(terms(obj)))
 
     return decode
 
@@ -158,7 +177,8 @@ def _vacuum_decoder(p: Partition) -> Callable[[dict], VacuumVector]:
     """A decoder of vectors of partition p (another partition raises
     ValueError) that builds and checks each distinct mode once, for all the
     vectors it decodes.  Each word is checked for PBW order and kept as it
-    is, so no VacuumVector renormalises it."""
+    is, so no VacuumVector renormalises it; as in _term_map, no word may
+    repeat and no coefficient may be zero."""
     known: dict[tuple, LoopMode] = {}
 
     def terms(obj: dict):
@@ -182,7 +202,7 @@ def _vacuum_decoder(p: Partition) -> Callable[[dict], VacuumVector]:
         q = _partition(obj)
         if q != p:
             raise ValueError("vector of partition %s in a table of %s" % (q, p))
-        return VacuumVector._raw(p, add_into({}, terms(obj)))
+        return VacuumVector._raw(p, _term_map(terms(obj)))
 
     return decode
 

@@ -1,12 +1,32 @@
 """Reference routines that only the tests use, kept out of the package."""
 
+from fractions import Fraction
+
 from wcent import BasisElt, DiffOp, DiffPoly, DiffVar, UPoly, VacuumVector
 from wcent.cdet import GeneratorTable, in_window
+from wcent.centralizer import add_into
 
 
 def form_on_elements(p, form, x, y):
     """Bilinear extension of a form given on basis pairs to two Lie maps."""
     return sum(ca * cb * form(p, a, b) for a, ca in x.items() for b, cb in y.items())
+
+
+def echelon_insert(rows, vec):
+    """centralizer.echelon_insert as it was before it kept integer rows with
+    pivot value 1 or -1 as integers: every new row is divided by its pivot
+    value, taken as a Fraction."""
+    vec = dict(vec)
+    for pivot, row in rows.items():
+        c = vec.get(pivot)
+        if c:
+            add_into(vec, ((e, -c * q) for e, q in row.items()))
+    if not vec:
+        return None
+    pivot = min(vec)
+    c = Fraction(vec[pivot])
+    rows[pivot] = {e: q / c for e, q in vec.items()}
+    return pivot, c
 
 
 # -- the explicit operator matrices, built entry by entry ----------------------

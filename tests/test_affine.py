@@ -308,6 +308,67 @@ def test_center_check_matches_full_scan():
     assert {"pass", "mode 0", "mode 1"} <= seen, seen
 
 
+def _levi_invariants(p):
+    """Vectors of p that l(0) kills: for each part size s, the block trace
+    sum E[i,i,0](-1)|0> and the block Casimirs sum E[i,j,0](m) E[j,i,0](m)|0>,
+    m = -1, -2, over the blocks i, j of size s."""
+    out = []
+    for s in sorted(set(p.parts)):
+        blocks = [i for i in range(1, p.n + 1) if p.part(i) == s]
+        out.append(sum((single(p, i, i, 0, -1) for i in blocks[1:]),
+                       single(p, blocks[0], blocks[0], 0, -1)))
+        for m in (-1, -2):
+            casimir = [normal_order(p, [M(i, j, 0, m), M(j, i, 0, m)])
+                       for i in blocks for j in blocks]
+            out.append(sum(casimir[1:], casimir[0]))
+    return out
+
+
+def test_center_check_mode_zero_matches_full_scan():
+    # The weight test, l's raising operators and S against the full scan,
+    # on every partition with N <= 5: same verdict, witness mode and image.
+    # The inputs are the Segal-Sugawara vectors, each also plus a random
+    # word (mostly of nonzero weight) and plus a seeded multiple of an
+    # l-invariant vector, which l(0) kills, so that only an element of n
+    # can fail at mode 0; the invariants alone; and, per block of a
+    # repeated size, E[i,i,0](-1)|0>, of weight zero, which a raising
+    # operator fails.
+    rng = random.Random(30)
+    seen = {}
+    for p in all_partitions(5):
+        levi = [x for x in centralizer_basis(p) if x.r == 0 and p.part(x.i) == p.part(x.j)]
+        basis = centralizer_basis(p)
+        inputs = _levi_invariants(p)
+        for _, v in ss_vectors(p).ordered():
+            word = [LoopMode.of(rng.choice(basis), rng.choice((-1, -2)))
+                    for _ in range(rng.randint(1, 2))]
+            inputs += [v, v + normal_order(p, word, rng.choice((-1, 1, 2))),
+                       v + rng.choice(_levi_invariants(p)).scale(rng.choice((-2, 1, 3)))]
+        inputs += [single(p, i, i, 0, -1) for i in range(1, p.n + 1)
+                   if p.parts.count(p.part(i)) > 1]
+        for v in inputs:
+            got, want = center_check(v), affine._full_scan(v)
+            assert got.ok == want.ok, (str(p), v)
+            if want.ok:
+                kind = "pass"
+            else:
+                (x, m, img), (wx, wm, wimg) = got.witness, want.witness
+                assert (x, m) == (wx, wm) and img == wimg, (str(p), v)
+                if not v.is_weight_zero():
+                    kind = "nonzero weight"
+                elif any(act_mode(y, 0, v) for y in levi):
+                    kind = "fails in l"
+                elif m == 0:
+                    assert x not in levi
+                    kind = "fails only in n"
+                else:
+                    kind = "mode %d" % m
+            seen[kind] = seen.get(kind, 0) + 1
+    # 310 inputs: 138 pass, 31 of nonzero weight, 34 fail in l, 97 fail
+    # only in n, 10 at mode 1
+    assert {"pass", "nonzero weight", "fails in l", "fails only in n", "mode 1"} <= set(seen), seen
+
+
 def test_central_powers_kill_every_vector():
     # The lemma behind the scan modulo the centre, checked on seeded
     # vectors: sum_i E[i,i,r](m) v = 0 for every central power e_r and
@@ -328,21 +389,38 @@ def test_central_powers_kill_every_vector():
 
 
 def _generating_scan_oracle(p, depth):
-    """The generating scan rebuilt from its definition on every call: C' is
-    the elements of C, in order, that stay independent modulo [a, a] plus
-    the central powers e_r."""
+    """The generating scan rebuilt from its definition on every call: S is
+    the candidates, in order, that stay independent modulo [n, n] plus the
+    central powers e_r of shift r >= 1, n being the basis elements of
+    positive degree 2r + lam_i - lam_j; C' is the elements of C, in order,
+    that stay independent modulo [a, a] plus every e_r."""
     basis = centralizer_basis(p)
     comp = derived_complement(p)
+    central = [{E(i, i, r): 1 for i in range(1, p.n + 1) if r < p.part(i)}
+               for r in range(p.part(p.n))]
     rows = {}
     for x in basis:
         for y in basis:
             echelon_insert(rows, bracket(p, x, y))
-    for r in range(p.part(p.n)):
-        echelon_insert(rows, {E(i, i, r): 1 for i in range(1, p.n + 1) if r < p.part(i)})
+    for e in central:
+        echelon_insert(rows, e)
     rest = [x for x in comp if echelon_insert(rows, {x: 1})]
-    adjacent = [x for x in basis if abs(x.i - x.j) == 1]
+    nil = [x for x in basis if 2 * x.r + p.part(x.i) - p.part(x.j) > 0]
+    rows = {}
+    for x in nil:
+        for y in nil:
+            echelon_insert(rows, bracket(p, x, y))
+    for e in central[1:]:
+        echelon_insert(rows, e)
+    first = {s: min(i for i in range(1, p.n + 1) if p.part(i) == s) for s in p.parts}
+    last = {s: max(i for i in range(1, p.n + 1) if p.part(i) == s) for s in p.parts}
+    cands = sorted([E(first[a], last[b], r) for a in first for b in last if a != b
+                    for r in p.r_window(first[a], last[b])] +
+                   [E(first[s], first[s], r) for s in first for r in range(1, s)])
+    raising = [E(i, i + 1, 0) for i in range(1, p.n) if p.part(i) == p.part(i + 1)]
+    mode0 = raising + [x for x in cands if echelon_insert(rows, {x: 1})]
     mode1 = [x for x in comp if x.r == 0 or x in rest]
-    return [(x, 0) for x in adjacent + rest] + \
+    return [(x, 0) for x in mode0] + \
         [(x, m) for m in range(1, depth + 1) for x in (mode1 if m == 1 else rest)]
 
 
@@ -429,13 +507,23 @@ def test_repeated_products_call_no_bracket(monkeypatch):
 
 
 def test_center_check_falls_back_to_the_first_witness():
-    # The generating scan meets E[2,1,0](0) first, but the reported witness
+    # The generating scan meets E[2,3,0](0) first, but the reported witness
     # is the first in (m, basis) order.
     p = Partition.of(1, 1, 1)
-    v = single(p, 1, 3, 0, -1)
+    v = single(p, 3, 3, 0, -1)
+    assert v.is_weight_zero()
     first = next((x, m) for x, m in affine._generating_scan(p, v.depth)
                  if act_mode(x, m, v))
-    assert first == (E(2, 1, 0), 0)
+    assert first == (E(2, 3, 0), 0)
+    res = center_check(v)
+    assert not res.ok
+    x, m, img = res.witness
+    assert (x, m) == (E(1, 3, 0), 0)
+    assert img == single(p, 1, 3, 0, -1)
+    # A vector of nonzero weight fails the weight test, before any scan,
+    # and is scanned in full too.
+    v = single(p, 1, 3, 0, -1)
+    assert not v.is_weight_zero()
     res = center_check(v)
     assert not res.ok
     x, m, img = res.witness

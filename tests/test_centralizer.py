@@ -4,12 +4,15 @@ from itertools import product
 
 import pytest
 
+import oracles
 from oracles import form_on_elements
 from wcent import (BasisElt, DiffOp, DiffPoly, DiffVar, LoopMode, Partition,
                    UPoly, VacuumVector, all_partitions, bracket, centralizer_basis,
                    critical_form, lie_bracket, normal_order, trace_form, upper_basis)
 from wcent.affine import _generating_scan
-from wcent.centralizer import Sparse, add_into, centre_basis, derived_complement
+from wcent.centralizer import (Sparse, _nilpotent_candidates, add_into, centre_basis, degree,
+                               derived_complement, echelon_insert, levi_raising,
+                               nilpotent_generators)
 from wcent.pva import random_diffpoly
 
 
@@ -244,13 +247,19 @@ def test_centre_basis_is_central_and_critically_orthogonal(p):
     assert len(image.rows) == len(basis) - len(z)
 
 
+def _levi(p):
+    """The basis of l, the degree-0 part: E[i,j,0] with lam_i = lam_j."""
+    return [x for x in centralizer_basis(p) if x.r == 0 and p.part(x.i) == p.part(x.j)]
+
+
 @pytest.mark.parametrize("p", all_partitions(9), ids=str)
 def test_center_scan_sets_generate(p):
     # The per-mode sets of the centre check's generating scan, checked
-    # exactly, with z the span of the central powers e_r: the mode-0 set
-    # and z generate the Lie algebra, the mode-1 set and z generate it as an
-    # ideal, every mode m >= 2 scans C' alone, and C' is the part of C that
-    # completes [a, a] + z to a.
+    # exactly, with z the span of the central powers e_r and l the degree-0
+    # part: the mode-0 set is l's raising operators then S, and with l and
+    # z it generates the Lie algebra; the mode-1 set and z generate it as
+    # an ideal, every mode m >= 2 scans C' alone, and C' is the part of C
+    # that completes [a, a] + z to a.
     basis = centralizer_basis(p)
     z = centre_basis(p)
     scan = _generating_scan(p, 2)
@@ -260,12 +269,14 @@ def test_center_scan_sets_generate(p):
     assert all(len(set(s)) == len(s) for s in sets)
     assert rest == [x for x in comp if x in rest]  # C' is a subsequence of C
     assert sets[1] == [x for x in comp if x.r == 0 or x in rest]
-    assert sets[0] == [x for x in basis if abs(x.i - x.j) == 1] + rest
+    raising = [E(i, i + 1, 0) for i in range(1, p.n) if p.part(i) == p.part(i + 1)]
+    assert sets[0] == raising + nilpotent_generators(p)
     # The lemma behind mode 1: the shift-0 elements of C are E[i,i,0] for
     # the first block i of each part size.
     first = [i for i in range(1, p.n + 1) if i == 1 or p.part(i - 1) < p.part(i)]
     assert [x for x in comp if x.r == 0] == [E(i, i, 0) for i in first]
-    gens0 = _maps(sets[0]) + z
+    # l, the mode-0 set and z generate a: the closure of l, S and z
+    gens0 = _maps(_levi(p) + sets[0]) + z
     assert len(_closure(p, gens0, gens0).rows) == len(basis)
     assert len(_closure(p, _maps(sets[1]) + z, _maps(basis)).rows) == len(basis)
     brackets = [bracket(p, x, y) for x, y in product(basis, repeat=2)]
@@ -278,6 +289,80 @@ def test_center_scan_sets_generate(p):
     modulo = _span_of(brackets + z)
     assert all(modulo.add({x: 1}) for x in rest)
     assert len(modulo.rows) == len(basis)
+
+
+@pytest.mark.parametrize("p", all_partitions(9), ids=str)
+def test_degree_splits_a_into_levi_and_nilpotent_parts(p):
+    # The grading behind mode 0: degree is >= 0 and adds under bracket, its
+    # degree-0 part is l, and l's raising operators with their transposes
+    # and the E[i,i,0] generate l, a gl(m_s) for each part size s.
+    basis = centralizer_basis(p)
+    assert all(degree(p, x) >= 0 for x in basis)
+    for x, y in product(basis, repeat=2):
+        assert all(degree(p, e) == degree(p, x) + degree(p, y)
+                   for e in bracket(p, x, y)), (x, y)
+    levi = _levi(p)
+    assert levi == [x for x in basis if degree(p, x) == 0]
+    raising = levi_raising(p)
+    assert all(x in levi for x in raising)
+    gens = _maps(raising + [E(x.j, x.i, 0) for x in raising] +
+                 [E(i, i, 0) for i in range(1, p.n + 1)])
+    assert len(_closure(p, gens, gens).rows) == len(levi) == \
+        sum(p.parts.count(s) ** 2 for s in set(p.parts))
+
+
+@pytest.mark.parametrize("p", all_partitions(9), ids=str)
+def test_candidates_and_S_span_n_under_l(p):
+    # The lemma behind S: the candidates lie in n and their l-span is n;
+    # S is the candidates independent modulo W = [n, n] + span(e_r, r >= 1),
+    # W is l-stable, and the l-span of S and W is n.
+    nil = [x for x in centralizer_basis(p) if degree(p, x)]
+    levi = _maps(_levi(p))
+    cands = _nilpotent_candidates(p)
+    assert cands == sorted(set(cands)) and all(x in nil for x in cands)
+    assert len(_closure(p, _maps(cands), levi).rows) == len(nil)
+    w = [bracket(p, x, y) for x, y in product(nil, repeat=2)] + centre_basis(p)[1:]
+    span_w = _span_of(w)
+    assert all(not span_w.add(lie_bracket(p, y, x)) for y in levi for x in w)
+    # each candidate kept when it lies outside W plus the span of those before
+    S = nilpotent_generators(p)
+    assert S == [x for x in cands if span_w.add({x: 1})]
+    assert len(_closure(p, _maps(S) + w, levi).rows) == len(nil)
+
+
+@pytest.mark.parametrize("entries", [
+    [0, 0, 1, -1, 2, -3],
+    [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(1), Fraction(-1)],
+], ids=["int", "mixed"])
+def test_echelon_insert_matches_dividing_oracle(entries):
+    # Keeping a row with int pivot value 1 or -1 as integers against the
+    # routine that divides every row: the same pivots and pivot values
+    # (each a Fraction, of the same repr), rows equal entry by entry, on
+    # seeded sequences of sparse vectors with pivots of every value and
+    # rows that depend on the ones before.
+    rng = random.Random(len(entries))
+    kept = {"int": 0, "divided": 0, "dependent": 0}  # how each insertion ended
+    for _ in range(200):
+        rows, want_rows, seen = {}, {}, []
+        for _ in range(rng.randint(1, 8)):
+            if len(seen) >= 2 and rng.random() < 0.25:
+                a, b = rng.sample(seen, 2)
+                q = rng.choice(entries[2:])
+                vec = add_into({k: q * c for k, c in a.items()}, b.items())
+            else:
+                vec = {k: c for k in range(6) if (c := rng.choice(entries))}
+            seen.append(vec)
+            got = echelon_insert(rows, vec)
+            want = oracles.echelon_insert(want_rows, vec)
+            assert repr(got) == repr(want), (vec, got, want)
+            assert rows == want_rows
+            if got is None:
+                kept["dependent"] += 1
+            elif type(rows[got[0]][got[0]]) is int:
+                kept["int"] += 1
+            else:
+                kept["divided"] += 1
+    assert all(n >= 20 for n in kept.values()), kept
 
 
 def test_trace_form_oracles():

@@ -227,6 +227,53 @@ def test_table_rejects_a_zero_entry(prefix, section, key):
         decode(blob)
 
 
+TWO = {"num": "2", "den": "1"}
+ZERO = {"num": "0", "den": "1"}
+
+
+@pytest.mark.parametrize("terms, match", [
+    ([{"coeff": ZERO, "vars": [[1, 1, 0, 0, 1]]}],
+     r"coefficient of monomial E\[1,1,0\]\[0\] is zero"),
+    ([{"coeff": ONE, "vars": [[1, 1, 0, 0, 1]]}, {"coeff": TWO, "vars": [[1, 1, 0, 0, 1]]}],
+     r"monomial E\[1,1,0\]\[0\] appears twice"),
+    ([{"coeff": ONE, "vars": []}, {"coeff": ONE, "vars": []}], r"monomial 1 appears twice"),
+    ([{"coeff": ONE, "vars": [[1, 1, 0, 0, 0]]}], r"bad monomial factor E\[1,1,0\]\[0\]\^0"),
+    ([{"coeff": ONE, "vars": [[1, 1, 0, 0, 1], [1, 1, 0, 0, 1]]}],
+     r"variable E\[1,1,0\]\[0\] follows E\[1,1,0\]\[0\]"),
+    ([{"coeff": ONE, "vars": [[2, 2, 0, 0, 1], [1, 1, 0, 0, 1]]}],
+     r"variable E\[1,1,0\]\[0\] follows E\[2,2,0\]\[0\]"),
+    ([{"coeff": ONE, "vars": [[1, 1, 0, 1, 1], [1, 1, 0, 0, 2]]}],
+     r"variable E\[1,1,0\]\[0\] follows E\[1,1,0\]\[1\]"),
+], ids=["zero coefficient", "repeated monomial", "repeated constant", "exponent 0",
+        "split variable", "variables out of order", "derivatives out of order"])
+def test_diffpoly_spellings_must_be_canonical(terms, match):
+    # Each of these once decoded to a polynomial that diffpoly_to_json
+    # writes otherwise (or to nothing), so one polynomial had many spellings.
+    with pytest.raises(ValueError, match=match):
+        diffpoly_from_json(terms)
+    blob = _table_blob()
+    blob["entries"]["w[2][1]"] = terms
+    with pytest.raises(ValueError, match=match):
+        generator_table_from_json(blob)
+
+
+@pytest.mark.parametrize("terms, match", [
+    ([{"coeff": ZERO, "modes": [[2, 1, 0, -1]]}],
+     r"coefficient of monomial E\[2,1,0\]\(-1\) is zero"),
+    ([{"coeff": ONE, "modes": [[2, 1, 0, -1], [1, 1, 0, -1]]},
+      {"coeff": TWO, "modes": [[2, 1, 0, -1], [1, 1, 0, -1]]}],
+     r"monomial E\[2,1,0\]\(-1\)\*E\[1,1,0\]\(-1\) appears twice"),
+], ids=["zero coefficient", "repeated monomial"])
+def test_vacuum_spellings_must_be_canonical(terms, match):
+    with pytest.raises(ValueError, match=match):
+        vacuum_from_json({"partition": "1,1", "terms": terms})
+    p = Partition.of(1, 1)
+    blob = json.loads(json.dumps(sugawara_table_to_json(ss_vectors(p))))
+    blob["entries"]["phi[2][0]"]["terms"] = terms
+    with pytest.raises(ValueError, match=match):
+        sugawara_table_from_json(blob)
+
+
 @pytest.mark.parametrize("bad", [[1, 1, 0, 0, True], [1.0, 1, 0, 0, 1], [1, True, 0, 0, 1]])
 def test_generator_table_checks_the_type_of_every_factor(bad):
     # The decoder builds E[1,1,0][0] once, from the first entry; an equal
