@@ -425,9 +425,10 @@ def center_check(v: VacuumVector) -> CenterCheck:
     Runs the weight test, then scans the generating set of _generating_scan
     (m-major); if the test or an element of the set fails, returns
     _full_scan(v), so the witness is still the first nonzero x(m) v in
-    (m, basis) order.  Then checks the degree bound at depth + 1 on the
-    first CENTER_SPOT_CHECKS basis elements, raising ArithmeticError if one
-    of them does not annihilate v.
+    (m, basis) order, and raises ArithmeticError if that scan finds none.
+    Then checks the degree bound at depth + 1 on the first
+    CENTER_SPOT_CHECKS basis elements, raising ArithmeticError if one of
+    them does not annihilate v.
 
     Soundness.  The annihilator of v is a subspace of a[t], closed under
     brackets, and [x(a), y(b)] = [x, y](a + b) has no central term when
@@ -476,12 +477,12 @@ def center_check(v: VacuumVector) -> CenterCheck:
     Modes above the depth of v kill it for degree reasons.
     """
     if not v.is_weight_zero():
-        return _full_scan(v)
+        return _witness(v, "the weight test")
     p = v.partition
     d = v.depth
     for x, m in _generating_scan(p, d):
         if act_mode(x, m, v):
-            return _full_scan(v)
+            return _witness(v, "%s(%d)" % (x.text(), m))
     for x in centralizer_basis(p)[:CENTER_SPOT_CHECKS]:
         if act_mode(x, d + 1, v):
             raise ArithmeticError("depth bound violated at %s(%d)" % (x.text(), d + 1))
@@ -512,6 +513,16 @@ def _generating_scan(p: Partition, depth: int) -> list[tuple[BasisElt, int]]:
     mode0, mode1, rest = _scan_sets(p)
     return [(x, 0) for x in mode0] + [(x, m) for m in range(1, depth + 1)
                                       for x in (mode1 if m == 1 else rest)]
+
+
+def _witness(v: VacuumVector, failed: str) -> CenterCheck:
+    """_full_scan(v) after `failed` found v not central.  A scan that finds
+    no witness contradicts that, so it raises rather than passes."""
+    res = _full_scan(v)
+    if res.ok:
+        raise ArithmeticError("partition %s: %s fails on a vector that every basis "
+                              "element x(m) kills" % (v.partition, failed))
+    return res
 
 
 def _full_scan(v: VacuumVector) -> CenterCheck:

@@ -168,10 +168,6 @@ class DiffOp(Sparse):
 
     scale = UPoly.scale
 
-    def constant_part(self) -> dict[int, UPoly]:
-        """Coefficients of pure x-powers (the operator applied to 1)."""
-        return {a: up for (a, b), up in self.terms.items() if b == 0}
-
     def __repr__(self) -> str:
         return "DiffOp(%r)" % (self.terms,)
 
@@ -212,8 +208,8 @@ def column_determinant(rows: list[list[DiffOp]]) -> DiffOp:
 
 def applied_column_determinant(rows: list[list[DiffOp]], one) -> dict[int, UPoly]:
     """cdet M applied to 1, with one the unit of the coefficient ring: the
-    map x-power -> u-polynomial that column_determinant(rows).constant_part()
-    returns, computed without building the operator.
+    map x-power -> u-polynomial of the D-free terms of
+    column_determinant(rows), computed without building the operator.
 
     Sweeps the columns right to left.  A state maps a set of used rows to a
     sparse map (x-power, u-power) -> ring element: the signed sum of the

@@ -28,9 +28,10 @@ tables, also fail unless their keys agree.  A failed entry carries what it was
 compared with: `miura` the expected Miura table entry, `verify-iso` the
 difference of the two sides.
 
-A subcommand accepts only the options it reads: --seed on `jacobian`,
-`pva-axioms` and `sweep`, --samples on `pva-axioms`; any other use is a usage
-error.
+`COMMANDS` declares each command once, and the parser built from it
+accepts only the options a command reads.  -p reports one partition; --max-N
+reports `runs` and a `sweep over ...` line, even for one partition.  Every
+usage error, argparse's own too, is one `error: ...` line on stderr.
 
 Exit status: 0 all checks passed, 1 a verification failed, 2 usage error.
 """
@@ -42,9 +43,10 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import combinations
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import serialize as sz
 from .affine import center_check, ss_vectors, w_correspondence
@@ -58,23 +60,16 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-DEFAULT_SAMPLES = 100
-DEFAULT_CENTER_BOUND = 5
-DEFAULT_COMMUTE_BOUND = 4
-
-LATEX_COMMANDS = {"basis", "generators", "miura", "ss-vectors", "jacobian"}
-SEED_COMMANDS = {"jacobian", "pva-axioms", "sweep"}
-
 
 @dataclass
 class RunConfig:
     command: str
-    partitions: list[Partition]
+    partitions: Partition | list[Partition]  # -p's one, or --max-N's, reported as runs
     seed: int = 0
     fmt: str = "text"
-    samples: int = DEFAULT_SAMPLES
-    center_bound: int = DEFAULT_CENTER_BOUND
-    commute_bound: int = DEFAULT_COMMUTE_BOUND
+    samples: int = 100
+    center_bound: int = 5
+    commute_bound: int = 4
 
 
 @dataclass
@@ -88,11 +83,11 @@ class Report:
     only in the text, never in `data`.
     """
 
-    command: str
     ok: bool
     data: Callable[[], dict]
     lines: Callable[[], list[str]]
     latex: Optional[Callable[[], str]] = None
+    command: str = ""  # set by `run`
 
     def json(self) -> dict:
         """The payload, with its "ok" key (where it has one) set to the verdict."""
@@ -135,8 +130,8 @@ def _verdict_lines(title: str, verdicts: dict) -> list[str]:
                       for key in sorted(verdicts)]
 
 
-def _entry_report(command: str, p: Partition, results: dict, witness: Callable,
-                  title: str, **extra) -> Report:
+def _entry_report(p: Partition, results: dict, witness: Callable, title: str,
+                  **extra) -> Report:
     """The report of a check judged entry by entry: `results` maps each table
     key to a result with `.ok`, and `witness(result)` renders a failed one."""
     ok = all(res.ok for res in results.values())
@@ -146,7 +141,7 @@ def _entry_report(command: str, p: Partition, results: dict, witness: Callable,
                    for key, res in results.items()}
         return {"partition": str(p), **extra, "entries": entries, "ok": ok}
 
-    return Report(command, ok, data, lambda: _verdict_lines(
+    return Report(ok, data, lambda: _verdict_lines(
         title, {key: res.ok for key, res in results.items()}))
 
 
@@ -154,29 +149,31 @@ def _run_basis(ctx: Context) -> Report:
     p = ctx.p
     basis = centralizer_basis(p)
     return Report(
-        "basis", True,
-        lambda: {"partition": str(p), "dim": len(basis),
-                 "basis": [[e.i, e.j, e.r] for e in basis]},
+        True, lambda: {"partition": str(p), "dim": len(basis),
+                       "basis": [[e.i, e.j, e.r] for e in basis]},
         lambda: ["partition %s: dim %d" % (p, len(basis))]
         + ["  " + e.text() for e in basis],
         lambda: "\\begin{itemize}\n%s\n\\end{itemize}" % "\n".join(
             r"\item $%s$" % sz.latex_var(DiffVar.of(e)) for e in basis))
 
 
-def _run_generators(ctx: Context) -> Report:
-    t = ctx.table(w_generators)
+def _run_table(name: str, ctx: Context) -> Report:
+    """`generators` (entries w[k][r]) or `ss-vectors` (phi[k][r]): the table."""
+    w = name == "w"
+    t = ctx.table(w_generators if w else ss_vectors)
+    to_json = sz.generator_table_to_json if w else sz.sugawara_table_to_json
     return Report(
-        "generators", True, lambda: sz.generator_table_to_json(t),
-        lambda: ["partition %s: %d generators" % (t.partition, len(t))]
-        + ["  w[%d][%d] = %s" % (k, r, poly.text()) for (k, r), poly in t.ordered()],
-        lambda: sz.latex_table(t, "w"))
+        True, lambda: to_json(t),
+        lambda: ["partition %s: %d %s" % (t.partition, len(t), "generators" if w else "vectors")]
+        + ["  %s[%d][%d] = %s" % (name, k, r, entry.text()) for (k, r), entry in t.ordered()],
+        lambda: sz.latex_table(t, "w" if w else r"\phi"))
 
 
 def _run_check_membership(ctx: Context) -> Report:
     results = {sz.table_key("w", k, r): w_membership(ctx.p, poly)
                for (k, r), poly in ctx.table(w_generators).ordered()}
     return _entry_report(
-        "check-membership", ctx.p, results,
+        ctx.p, results,
         lambda res: {"x": [res.witness_x.i, res.witness_x.j, res.witness_x.r],
                      "bracket": sz.lambdapoly_to_json(res.witness_bracket)},
         "partition %s: membership (full mode)" % ctx.p, mode="full")
@@ -210,14 +207,14 @@ def _run_miura(ctx: Context) -> Report:
                                   "nothing" if expected is None else expected.text()))
             for key, img, expected in images]
 
-    return Report("miura", ok, data, lines, lambda: sz.latex_table(mt, "w"))
+    return Report(ok, data, lines, lambda: sz.latex_table(mt, "w"))
 
 
 def _run_jacobian(ctx: Context) -> Report:
     p = ctx.p
     cert = jacobian_independence(p, seed=ctx.cfg.seed, mt=ctx.table(miura_generators))
     return Report(
-        "jacobian", cert.ok,
+        cert.ok,
         lambda: {
             "partition": str(p),
             "nonzero": cert.nonzero,
@@ -240,15 +237,6 @@ def _run_jacobian(ctx: Context) -> Report:
             ",\\qquad \\det J(E) = %s" % sz.latex_diffpoly(cert.symbolic_det)))
 
 
-def _run_ss_vectors(ctx: Context) -> Report:
-    t = ctx.table(ss_vectors)
-    return Report(
-        "ss-vectors", True, lambda: sz.sugawara_table_to_json(t),
-        lambda: ["partition %s: %d vectors" % (t.partition, len(t))]
-        + ["  phi[%d][%d] = %s" % (k, r, v.text()) for (k, r), v in t.ordered()],
-        lambda: sz.latex_table(t, r"\phi"))
-
-
 def _run_verify_center(ctx: Context) -> Report:
     results = {sz.table_key("phi", k, r): center_check(v)
                for (k, r), v in ctx.table(ss_vectors).ordered()}
@@ -257,8 +245,7 @@ def _run_verify_center(ctx: Context) -> Report:
         x, m, img = res.witness
         return {"x": [x.i, x.j, x.r], "m": m, "image": sz.vacuum_to_json(img)}
 
-    return _entry_report("verify-center", ctx.p, results, witness,
-                         "partition %s: centre check" % ctx.p)
+    return _entry_report(ctx.p, results, witness, "partition %s: centre check" % ctx.p)
 
 
 def _run_verify_iso(ctx: Context) -> Report:
@@ -276,7 +263,7 @@ def _run_verify_iso(ctx: Context) -> Report:
             out["unmatched"] = [sz.table_key("phi", k, r) for k, r in rep.unmatched]
         return out
 
-    return Report("verify-iso", rep.ok, data, lambda: _verdict_lines(
+    return Report(rep.ok, data, lambda: _verdict_lines(
         "partition %s: Miura/Sugawara correspondence" % rep.partition,
         {name: rep.matches[key] and rep.translation_ok[key] for name, key in keys.items()}))
 
@@ -289,11 +276,10 @@ def _run_verify_commute(ctx: Context) -> Report:
     failed = next(((ka, kb, c) for ka, kb, c in commutators if c), None)
     head = "partition %s: pairwise commutativity of %d vectors" % (p, len(t))
     if failed is None:
-        return Report("verify-commute", True, lambda: {"partition": str(p), "ok": True},
-                      lambda: [head])
+        return Report(True, lambda: {"partition": str(p), "ok": True}, lambda: [head])
     ka, kb, c = failed
     pair = [sz.table_key("phi", *ka), sz.table_key("phi", *kb)]
-    return Report("verify-commute", False,
+    return Report(False,
                   lambda: {"partition": str(p), "ok": False,
                            "witness": {"pair": pair, "commutator": sz.vacuum_to_json(c)}},
                   lambda: [head, "  [%s, %s] = %s" % (pair[0], pair[1], c.text())])
@@ -303,7 +289,7 @@ def _run_pva_axioms(ctx: Context) -> Report:
     p = ctx.p
     rep = pva_axiom_suite(p, seed=ctx.cfg.seed, samples=ctx.cfg.samples)
     return Report(
-        "pva-axioms", rep.ok,
+        rep.ok,
         lambda: {"partition": str(p), "seed": rep.seed, "samples": rep.samples,
                  "checked": dict(sorted(rep.checked.items())),
                  "failures": dict(sorted(rep.failures.items())), "ok": rep.ok},
@@ -339,22 +325,52 @@ def _run_sweep(ctx: Context) -> Report:
         row["witnesses"] = witnesses
     marks = " ".join("%s=%s" % (check, {True: "ok", False: "FAIL"}.get(row.get(check), "-"))
                      for check in SWEEP_CHECKS)
-    return Report("sweep", row["ok"], lambda: dict(row),
+    return Report(row["ok"], lambda: dict(row),
                   lambda: ["%-12s %s  (%.2fs)" % (p, marks, seconds)])
 
 
-RUNNERS: dict[str, Callable[[Context], Report]] = {
-    "basis": _run_basis,
-    "generators": _run_generators,
-    "check-membership": _run_check_membership,
-    "miura": _run_miura,
-    "jacobian": _run_jacobian,
-    "ss-vectors": _run_ss_vectors,
-    "verify-center": _run_verify_center,
-    "verify-iso": _run_verify_iso,
-    "verify-commute": _run_verify_commute,
-    "pva-axioms": _run_pva_axioms,
-    "sweep": _run_sweep,
+class Command(NamedTuple):
+    """A command: its runner, its help text, the options it reads besides
+    -p, --max-N, --max-n and --format, and whether it prints LaTeX."""
+
+    run: Callable[[Context], Report]
+    help: str
+    options: tuple[str, ...] = ()
+    latex: bool = False
+
+
+COMMANDS = {
+    "basis": Command(_run_basis, "list the centralizer basis E[i,j,r]", latex=True),
+    "generators": Command(partial(_run_table, "w"), "compute the W-algebra generator table",
+                          latex=True),
+    "check-membership": Command(_run_check_membership,
+                                "verify every generator against the projected bracket"),
+    "miura": Command(_run_miura,
+                     "compute Miura images and compare against the diagonal product",
+                     latex=True),
+    "jacobian": Command(_run_jacobian, "certify independence of the Miura leading terms",
+                        ("seed",), latex=True),
+    "ss-vectors": Command(partial(_run_table, "phi"),
+                          "compute the Segal-Sugawara vector table", latex=True),
+    "verify-center": Command(_run_verify_center,
+                             "verify the vectors are annihilated by nonnegative modes"),
+    "verify-iso": Command(_run_verify_iso,
+                          "verify projected vectors match realized Miura images"),
+    "verify-commute": Command(_run_verify_commute, "verify the vectors commute pairwise"),
+    "pva-axioms": Command(_run_pva_axioms, "verify bracket axioms on seeded random samples",
+                          ("seed", "samples")),
+    "sweep": Command(_run_sweep, "run the census, membership, Miura, Jacobian, centre, iso "
+                                 "and commutativity checks, one row per partition",
+                     ("seed", "center_bound", "commute_bound")),
+}
+
+# The options of Command.options, each a RunConfig field and defaulting to
+# its default there, spelt as the field with dashes: least value and help.
+OPTIONS = {
+    "seed": (0, "seed for sampled checks"),
+    "samples": (1, "sample count"),
+    "center_bound": (0, "run the centre and iso checks for N up to this"),
+    "commute_bound": (0, "run pairwise commutativity for N up to this"),
 }
 
 
@@ -362,119 +378,98 @@ def run(command: str, ctx: Context) -> Report:
     """Run one command on the context's partition under the N-entry rule:
     the report fails if any table the runner read has other than N entries."""
     start = len(ctx.read)
-    rep = RUNNERS[command](ctx)
-    rep.ok = rep.ok and all(len(t) == ctx.p.N for t in ctx.read[start:])
-    return rep
+    rep = COMMANDS[command].run(ctx)
+    return replace(rep, command=command,
+                   ok=rep.ok and all(len(t) == ctx.p.N for t in ctx.read[start:]))
 
 
 def dispatch(cfg: RunConfig) -> Report:
-    """Run the command over every configured partition, one context each, and
-    merge the reports; the merged builders call each partition's."""
+    """Run the command on -p's partition, or on each of --max-N's with one
+    context each and merge the reports; the merged builders call each
+    partition's."""
+    if isinstance(cfg.partitions, Partition):
+        return run(cfg.command, Context(cfg.partitions, cfg))
     parts = [run(cfg.command, Context(p, cfg)) for p in cfg.partitions]
-    if len(parts) == 1:
-        return parts[0]
     ok = all(r.ok for r in parts)
-    latex = None if parts[0].latex is None else (
-        lambda: "\n\\par\n".join(r.latex() for r in parts))
+    latex = (lambda: "\n\\par\n".join(r.latex() for r in parts)) \
+        if COMMANDS[cfg.command].latex else None
     return Report(
-        cfg.command, ok,
-        lambda: {"command": cfg.command, "ok": ok, "runs": [r.json() for r in parts]},
+        ok, lambda: {"command": cfg.command, "ok": ok, "runs": [r.json() for r in parts]},
         lambda: [line for r in parts for line in r.lines()]
         + ["sweep over %d partitions: %s" % (len(parts), "pass" if ok else "FAIL")],
-        latex)
+        latex, cfg.command)
 
 
 # -- argument handling -----------------------------------------------------------
 
 
-def integer(text: str) -> int:
-    """An option's integer: ASCII digits after an optional minus sign, since
-    int() also reads other scripts' digits and underscores ("\u0663", "1_0").
-    The sign lets a negative value reach the option's own range message."""
-    digits = text[1:] if text.startswith("-") else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(text)
-    return int(text)
+class _Parser(argparse.ArgumentParser):
+    """Raises its usage errors as ValueError, which `main` reports as it
+    reports its own: one `error:` line and exit 2, never argparse's exit."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
+def integer(least: int) -> Callable[[str], int]:
+    """The type of an integer option whose value must be at least `least`.
+    It reads ASCII digits after an optional minus sign only, since int()
+    also reads other scripts' digits and underscores ("\u0663", "1_0")."""
+    def read(text: str) -> int:
+        digits = text[1:] if text.startswith("-") else text
+        if not (digits.isascii() and digits.isdigit()):
+            raise argparse.ArgumentTypeError("invalid integer value: %r" % text)
+        if int(text) < least:
+            raise argparse.ArgumentTypeError("must be at least %d, not %s" % (least, text))
+        return int(text)
+    return read
+
+
+def partition(text: str) -> Partition:
+    """-p's type: `Partition.parse`, keeping its message."""
+    try:
+        return Partition.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wcent",
         description="Exact verification of W-algebra generators for centralizers "
                     "and the centre of the affine vertex algebra at the critical level.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, help_text in [
-        ("basis", "list the centralizer basis E[i,j,r]"),
-        ("generators", "compute the W-algebra generator table"),
-        ("check-membership", "verify every generator against the projected bracket"),
-        ("miura", "compute Miura images and compare against the diagonal product"),
-        ("jacobian", "certify independence of the Miura leading terms"),
-        ("ss-vectors", "compute the Segal-Sugawara vector table"),
-        ("verify-center", "verify the vectors are annihilated by nonnegative modes"),
-        ("verify-iso", "verify projected vectors match realized Miura images"),
-        ("verify-commute", "verify the vectors commute pairwise"),
-        ("pva-axioms", "verify bracket axioms on seeded random samples"),
-        ("sweep", "run the census, membership, Miura, Jacobian, centre, iso and "
-                  "commutativity checks, one row per partition"),
-    ]:
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("-p", "--partition", metavar="PARTS",
-                        help="comma-separated nondecreasing parts, e.g. 1,2,2")
-        sp.add_argument("--max-N", type=integer, metavar="N",
-                        help="sweep all partitions with at most N boxes")
-        sp.add_argument("--max-n", type=integer, metavar="LEN",
+    for name, command in COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        target = sp.add_mutually_exclusive_group(required=True)
+        target.add_argument("-p", "--partition", type=partition, metavar="PARTS",
+                            help="comma-separated nondecreasing parts, e.g. 1,2,2")
+        target.add_argument("--max-N", type=integer(1), metavar="N",
+                            help="sweep all partitions with at most N boxes")
+        sp.add_argument("--max-n", type=integer(1), metavar="LEN",
                         help="cap the number of parts during a sweep")
-        if name in SEED_COMMANDS:
-            sp.add_argument("--seed", type=integer, default=0,
-                            help="seed for sampled checks (default: %(default)s)")
-        if name == "pva-axioms":
-            sp.add_argument("--samples", type=integer, default=DEFAULT_SAMPLES,
-                            help="sample count (default: %(default)s)")
-        sp.add_argument("--format", dest="fmt", choices=["text", "json", "latex"],
-                        default="text", help="report format (default: text)")
-        if name == "sweep":
-            sp.add_argument("--center-bound", type=integer, default=DEFAULT_CENTER_BOUND,
-                            metavar="N",
-                            help="run the centre and iso checks for N up to this "
-                                 "(default: %(default)s)")
-            sp.add_argument("--commute-bound", type=integer, default=DEFAULT_COMMUTE_BOUND,
-                            metavar="N",
-                            help="run pairwise commutativity for N up to this "
-                                 "(default: %(default)s)")
+        for dest in command.options:
+            least, help_text = OPTIONS[dest]
+            sp.add_argument("--" + dest.replace("_", "-"), type=integer(least),
+                            default=getattr(RunConfig, dest),
+                            help=help_text + " (default: %(default)s)")
+        sp.add_argument("--format", dest="fmt", default="text",
+                        choices=["text", "json"] + ["latex"] * command.latex,
+                        help="report format (default: text)")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.partition is not None and args.max_N is not None:
-        raise ValueError("give either --partition or --max-N, not both")
-    if args.partition is not None:
+    """The run that parsed arguments ask for, under the one rule the parser
+    does not hold: --max-n caps a --max-N sweep."""
+    if args.max_N is None:
         if args.max_n is not None:
             raise ValueError("--max-n caps a sweep; give it with --max-N, not --partition")
-        partitions = [Partition.parse(args.partition)]
-    elif args.max_N is not None:
-        if args.max_N < 1:
-            raise ValueError("--max-N must be at least 1")
-        if args.max_n is not None and args.max_n < 1:
-            raise ValueError("--max-n must be at least 1")
-        partitions = all_partitions(args.max_N, max_parts=args.max_n)
+        partitions = args.partition
     else:
-        raise ValueError("a partition (-p) or a sweep bound (--max-N) is required")
-    if args.fmt == "latex" and args.command not in LATEX_COMMANDS:
-        raise ValueError("latex format is not available for %s" % args.command)
-    cfg = RunConfig(args.command, partitions, fmt=args.fmt)
-    if args.command in SEED_COMMANDS:
-        if args.seed < 0:
-            raise ValueError("seed must be non-negative")
-        cfg.seed = args.seed
-    if args.command == "pva-axioms":
-        if args.samples < 1:
-            raise ValueError("--samples must be at least 1")
-        cfg.samples = args.samples
-    if args.command == "sweep":
-        if min(args.center_bound, args.commute_bound) < 0:
-            raise ValueError("--center-bound and --commute-bound must be non-negative")
-        cfg.center_bound, cfg.commute_bound = args.center_bound, args.commute_bound
-    return cfg
+        partitions = all_partitions(args.max_N, max_parts=args.max_n)
+    return RunConfig(args.command, partitions, fmt=args.fmt,
+                     **{dest: getattr(args, dest) for dest in COMMANDS[args.command].options})
 
 
 def render(report: Report, fmt: str, elapsed: float) -> str:
@@ -487,12 +482,11 @@ def render(report: Report, fmt: str, elapsed: float) -> str:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run the command line; only --help leaves by SystemExit."""
     try:
-        cfg = config_from_args(args)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        cfg = config_from_args(build_parser().parse_args(argv))
+    except ValueError as exc:  # one line, even for an argument that holds a newline
+        print("error: %s" % str(exc).replace("\n", "\\n"), file=sys.stderr)
         return EXIT_USAGE
     start = time.perf_counter()
     report = dispatch(cfg)

@@ -176,7 +176,8 @@ def w_membership(p: Partition, poly: DiffPoly,
     The input is checked by its variables: any upper variable E[i,j,r][s]
     with i < j raises ValueError.  Scans membership_test_set(p); only if a
     bracket there is nonzero, scans upper_basis(p) in canonical order and
-    reports the first violation as (x, pi({x_lam poly})).  mode is unread.
+    reports the first violation as (x, pi({x_lam poly})), raising
+    ArithmeticError if it finds none.  mode is unread.
 
     Soundness, for a parabolic P.  ker pi is the differential ideal
     generated by the m - pi(m), m an upper variable.  For x and m upper,
@@ -205,7 +206,11 @@ def w_membership(p: Partition, poly: DiffPoly,
     if not any(_bracket_gen(p, x, partials, project=True) for x in membership_test_set(p)):
         return MembershipResult(True)
     images = ((x, _bracket_gen(p, x, partials, project=True)) for x in upper_basis(p))
-    return MembershipResult(False, *next((x, img) for x, img in images if img))
+    witness = next(((x, img) for x, img in images if img), None)
+    if witness is None:
+        raise ArithmeticError("partition %s: a superdiagonal bracket is nonzero, but no "
+                              "upper basis bracket is" % p)
+    return MembershipResult(False, *witness)
 
 
 def w_bracket(p: Partition, a: DiffPoly, b: DiffPoly,

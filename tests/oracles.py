@@ -106,6 +106,12 @@ def ss_matrix(p):
     return rows
 
 
+def constant_part(op):
+    """The coefficients of the pure x-powers of a DiffOp (the operator
+    applied to 1), as applied_column_determinant returns them."""
+    return {a: up for (a, b), up in op.terms.items() if b == 0}
+
+
 def window_table(p, cp, one):
     """The table of a column determinant applied to 1, given as the map
     x-power -> u-polynomial: entry (k, r) is the u^r coefficient of the

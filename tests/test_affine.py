@@ -262,6 +262,30 @@ def test_center_check_raises_on_violated_depth_bound(monkeypatch):
         center_check(v)
 
 
+def test_center_check_never_passes_after_a_failed_generator(monkeypatch):
+    # A generator of the scan fails (the first act_mode call returns the
+    # vacuum), but the full scan finds no witness: an error, not a pass.
+    v = ss_vectors(Partition.of(1, 2)).entries[(2, 1)]
+    assert center_check(v).ok
+    real, calls = affine.act_mode, []
+
+    def first_call_fails(x, m, w):
+        calls.append((x, m))
+        return VacuumVector.vacuum(w.partition) if len(calls) == 1 else real(x, m, w)
+
+    monkeypatch.setattr(affine, "act_mode", first_call_fails)
+    with pytest.raises(ArithmeticError, match=r"^partition 1,2: E\[\d,\d,\d\]\(0\) fails"):
+        center_check(v)
+
+
+def test_center_check_never_passes_after_a_failed_weight_test(monkeypatch):
+    # A vector of nonzero weight that no x(m) moves, under an act_mode that
+    # returns zero: the weight test fails, so the full scan must find a witness.
+    monkeypatch.setattr(affine, "act_mode", lambda x, m, w: VacuumVector.vacuum(w.partition, 0))
+    with pytest.raises(ArithmeticError, match="^partition 1,1: the weight test fails"):
+        center_check(single(P11, 1, 2, 0, -1))
+
+
 def test_center_check_witness_is_first_in_scan_order():
     res = center_check(single(P11, 1, 1, 0, -1))
     assert not res.ok

@@ -51,44 +51,70 @@ def test_verify_center_text(capsys):
     assert "phi[1][0]: pass" in out and "verify-center: pass" in out
 
 
+# Each invalid command line, with the start of its one error line.
+USAGE_ERRORS = [
+    (["basis", "-p", "bogus"], "argument -p/--partition: cannot parse partition 'bogus'"),
+    (["basis", "-p", "2,1"], "argument -p/--partition: partition parts must be nondecreasing"),
+    (["basis", "-p", "1,0"], "argument -p/--partition: partition parts must be positive"),
+    (["basis", "-p", "\u0661,\u0662"], "argument -p/--partition: cannot parse partition"),
+    (["basis"], "one of the arguments -p/--partition --max-N is required"),
+    (["basis", "-p", "1,2", "--max-N", "3"], "argument --max-N: not allowed with argument -p"),
+    (["basis", "--max-N", "3", "-p", "1,2"], "argument -p/--partition: not allowed with"),
+    (["verify-center", "-p", "1,1", "--format", "latex"],
+     "argument --format: invalid choice: 'latex'"),
+    (["sweep", "--max-N", "2", "--format", "latex"], "argument --format: invalid choice"),
+    (["jacobian", "-p", "1,1", "--seed", "-4"], "argument --seed: must be at least 0, not -4"),
+    (["jacobian", "-p", "1,2", "--seed", "\u0663"], "argument --seed: invalid integer value"),
+    (["pva-axioms", "-p", "1,2", "--samples", "0"], "argument --samples: must be at least 1"),
+    (["pva-axioms", "-p", "1,2", "--samples", "-3"], "argument --samples: must be at least 1"),
+    (["basis", "--max-N", "3", "--max-n", "0"], "argument --max-n: must be at least 1, not 0"),
+    (["basis", "-p", "1,2", "--max-n", "1"], "--max-n caps a sweep"),
+    (["sweep", "--max-N", "2", "--center-bound", "-1"], "argument --center-bound: must be at"),
+    (["sweep", "--max-N", "2", "--commute-bound", "-1"], "argument --commute-bound: must be"),
+    (["sweep", "--max-N", "0"], "argument --max-N: must be at least 1, not 0"),
+    (["sweep", "--max-N", "-2"], "argument --max-N: must be at least 1, not -2"),
+    ([], "the following arguments are required: command"),
+    (["not-a-command"], "argument command: invalid choice: 'not-a-command'"),
+    # an option the command does not read
+    (["basis", "-p", "1,2", "--samples", "5", "--mode", "generators", "--seed", "3"],
+     "unrecognized arguments: --samples 5 --mode generators --seed 3"),
+    (["verify-center", "-p", "1,1", "--mode", "generators", "--samples", "7"],
+     "unrecognized arguments: --mode generators --samples 7"),
+    (["basis", "-p", "1,2", "--samples", "5"], "unrecognized arguments: --samples 5"),
+    (["generators", "-p", "1,2", "--seed", "3"], "unrecognized arguments: --seed 3"),
+    (["sweep", "--max-N", "2", "--samples", "5"], "unrecognized arguments: --samples 5"),
+    (["check-membership", "-p", "1,2", "--mode", "full"], "unrecognized arguments: --mode"),
+    (["jacobian", "-p", "1,2", "--center-bound", "3"], "unrecognized arguments"),
+    (["basis", "-p", "1", "a\nb"], "unrecognized arguments: a\\nb"),
+]
+
+
 def test_usage_errors(capsys):
-    assert run(capsys, "basis", "-p", "bogus")[0] == 2
-    assert run(capsys, "basis", "-p", "2,1")[0] == 2
-    assert run(capsys, "basis")[0] == 2  # no partition, no sweep
-    assert run(capsys, "basis", "-p", "1,2", "--max-N", "3")[0] == 2
-    assert run(capsys, "verify-center", "-p", "1,1", "--format", "latex")[0] == 2
-    assert run(capsys, "jacobian", "-p", "1,1", "--seed", "-4")[0] == 2
-    for argv in (["pva-axioms", "-p", "1,2", "--samples", "0"],
-                 ["pva-axioms", "-p", "1,2", "--samples", "-3"],
-                 ["basis", "--max-N", "3", "--max-n", "0"],
-                 ["basis", "-p", "1,2", "--max-n", "1"],
-                 ["sweep", "--max-N", "2", "--center-bound", "-1"],
-                 ["sweep", "--max-N", "2", "--commute-bound", "-1"],
-                 ["sweep", "--max-N", "0"]):
-        assert cli.main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-    # argparse rejects an unknown command, and any option the command does not read
-    for argv in (["not-a-command"],
-                 ["basis", "-p", "1,2", "--samples", "5", "--mode", "generators",
-                  "--seed", "3"],
-                 ["verify-center", "-p", "1,1", "--mode", "generators", "--samples", "7"],
-                 ["basis", "-p", "1,2", "--samples", "5"],
-                 ["verify-center", "-p", "1,1", "--mode", "generators"],
-                 ["generators", "-p", "1,2", "--seed", "3"],
-                 ["sweep", "--max-N", "2", "--samples", "5"],
-                 ["check-membership", "-p", "1,2", "--mode", "full"],
-                 ["sweep", "--max-N", "2", "--mode", "generators"]):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == 2
+    # Every usage error, argparse's own included, returns 2 from main with
+    # one `error:` line on stderr and nothing on stdout; none raises SystemExit.
+    wrong = []
+    for argv, message in USAGE_ERRORS:
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        if not (code == 2 and out == "" and err.startswith("error: " + message)
+                and err.count("\n") == 1 and err.endswith("\n")):
+            wrong.append((argv, code, out, err))
+    assert not wrong
+
+
+def test_help_exits_through_system_exit(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--help"])
+    assert exc.value.code == 0
+    assert "--center-bound" in capsys.readouterr().out
 
 
 def test_non_ascii_partition_is_a_usage_error(capsys):
     for text in ("\u0661,\u0662", "\u00b2"):
         assert cli.main(["basis", "-p", text]) == 2
         err = capsys.readouterr().err
-        assert err == "error: cannot parse partition %r (expected e.g. '1,2,2')\n" % text
+        assert err == ("error: argument -p/--partition: cannot parse partition %r "
+                       "(expected e.g. '1,2,2')\n" % text)
 
 
 def fake_check(v):
@@ -120,7 +146,7 @@ def test_seed_sources(capsys):
     _, out = run(capsys, "jacobian", "-p", "1,2", "--format", "json")
     assert json.loads(out)["seed"] == 0
     assert cli.main(["jacobian", "-p", "1", "--seed", "-3"]) == 2
-    assert "error: seed must be non-negative" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: argument --seed: must be at least 0, not -3\n"
 
 
 @pytest.mark.parametrize("value", ["7", "abc"])
@@ -141,11 +167,9 @@ def test_seed_ignores_the_environment(capsys, monkeypatch, value):
                          ids=lambda argv: argv[-1])
 def test_integer_options_read_ascii_digits_only(capsys, argv, text):
     # int() alone reads both as numbers: 3 and 10
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv + [text])
-    assert exc.value.code == 2
-    assert "argument %s: invalid integer value: %r" % (argv[-1], text) \
-        in capsys.readouterr().err
+    assert cli.main(argv + [text]) == 2
+    assert capsys.readouterr().err == \
+        "error: argument %s: invalid integer value: %r\n" % (argv[-1], text)
 
 
 def test_sweep_reports(capsys):
@@ -156,6 +180,23 @@ def test_sweep_reports(capsys):
     assert len(blob["runs"]) == 6  # partitions of 1, 2, 3
     assert {r["partition"] for r in blob["runs"]} == \
         {"1", "1,1", "2", "1,1,1", "1,2", "3"}
+
+
+@pytest.mark.parametrize("command", ["basis", "sweep"])
+def test_max_N_reports_runs_even_for_one_partition(capsys, command):
+    # The shape follows the option, not the count: --max-N 1 reports `runs`
+    # and the summary line, -p 1 the partition alone.
+    code, out = run(capsys, command, "--max-N", "1", "--format", "json")
+    blob = json.loads(out)
+    assert code == 0 and blob["command"] == command
+    assert [r["partition"] for r in blob["runs"]] == ["1"]
+    code, out = run(capsys, command, "--max-N", "1")
+    assert code == 0 and out.splitlines()[-2] == "sweep over 1 partitions: pass"
+    code, out = run(capsys, command, "-p", "1", "--format", "json")
+    blob = json.loads(out)
+    assert code == 0 and "runs" not in blob and blob["partition"] == "1"
+    code, out = run(capsys, command, "-p", "1")
+    assert code == 0 and not any(line.startswith("sweep over") for line in out.splitlines())
 
 
 def test_sweep_with_length_cap(capsys):
@@ -231,7 +272,7 @@ def test_sweep_script_rejects_empty_sweep(capsys):
     assert cli.main(["sweep", "--max-N", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines()[-1].endswith("error: --max-N must be at least 1")
+    assert captured.err == "error: argument --max-N: must be at least 1, not 0\n"
 
 
 def test_sweep_failure_carries_witness(capsys, monkeypatch):
@@ -549,14 +590,20 @@ def test_outputs_match_recorded_digests(capsys):
     assert not changed
 
 
-@pytest.mark.parametrize("command", sorted(cli.RUNNERS))
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 def test_latex_commands_match_the_runners(command):
-    # --format latex is accepted exactly for LATEX_COMMANDS; a runner outside
-    # them with a LaTeX builder, or one inside without, would go unprinted or
-    # print an empty report with exit 0.
-    assert cli.LATEX_COMMANDS <= set(cli.RUNNERS)
-    args = cli.build_parser().parse_args([command, "-p", "1,2"])
-    report = cli.dispatch(cli.config_from_args(args))
-    assert (report.latex is not None) == (command in cli.LATEX_COMMANDS)
+    # Every entry of COMMANDS parses and runs on -p 1,2, and --format latex is
+    # offered exactly where the report has LaTeX: a runner outside with a
+    # LaTeX builder, or one inside without, would go unprinted or print an
+    # empty report with exit 0.
+    parser = cli.build_parser()
+    report = cli.dispatch(cli.config_from_args(parser.parse_args([command, "-p", "1,2"])))
+    assert report.ok and report.command == command
+    try:
+        parser.parse_args([command, "-p", "1,2", "--format", "latex"])
+        offered = True
+    except ValueError:
+        offered = False
+    assert offered == cli.COMMANDS[command].latex == (report.latex is not None)
     if report.latex is not None:
         assert report.latex().strip()

@@ -191,6 +191,24 @@ def test_member_costs_one_kernel_call_per_superdiagonal_element(parts, monkeypat
         assert calls == membership_test_set(p)
 
 
+def test_membership_never_passes_after_a_failed_superdiagonal_bracket(monkeypatch):
+    # The first superdiagonal bracket is made nonzero, and no upper basis
+    # bracket is: an ArithmeticError naming the partition, not StopIteration.
+    p = Partition.of(1, 2)
+    poly = w_generators(p).entries[(2, 1)]
+    assert w_membership(p, poly).ok
+    real, calls = pva._bracket_gen, []
+
+    def first_call_nonzero(p, x, partials, project=False):
+        calls.append(x)
+        return UPoly({0: DiffPoly.const(1)}) if len(calls) == 1 else \
+            real(p, x, partials, project)
+
+    monkeypatch.setattr(pva, "_bracket_gen", first_call_nonzero)
+    with pytest.raises(ArithmeticError, match="^partition 1,2: a superdiagonal bracket"):
+        w_membership(p, poly)
+
+
 # Largest len(a) * len(b) of a pair that one example brackets.  The bracket
 # grows with both sizes: on 1,1,1,1 a pair of 434 and 338 terms brackets,
 # correctly, to 535,960 terms, some 20 s per bracket.
