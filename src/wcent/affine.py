@@ -101,7 +101,9 @@ class _Commutators(dict):
     a.m = -y.m, is left to critical_form.  An entry is computed on first use
     (by __missing__, through the module's bracket, so a tracer that rebinds
     it counts each miss) and kept as long as the table, which _commutators
-    holds only while its partition is in use.
+    holds only while its partition is in use.  modes holds the LoopModes
+    that the VacuumVector constructor has found to be negative modes of p,
+    so that it checks each mode once while the table lasts.
 
     Soundness.  bracket reads only the fields i, j, r of each factor and the
     partition, which the table fixes; the key holds the whole of both modes,
@@ -109,11 +111,12 @@ class _Commutators(dict):
     of immutable LoopModes and rationals, so no caller can change an entry.
     """
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "modes")
 
     def __init__(self, p: Partition):
         super().__init__()
         self.p = p
+        self.modes: set[LoopMode] = set()
 
     def __missing__(self, key: tuple[LoopMode, LoopMode]) -> tuple:
         a, y = key
@@ -203,27 +206,27 @@ def _negative_modes(p: Partition, modes: Iterable) -> tuple[LoopMode, ...]:
     return tuple(out)
 
 
-def _pbw_mono(p: Partition, word) -> PBWMono:
-    """Validate a PBW monomial: a nondecreasing word of negative modes of p."""
-    word = _negative_modes(p, word)
-    if any(b < a for a, b in zip(word, word[1:])):
-        raise ValueError("monomial factors not in PBW order")
-    return word
-
-
 class VacuumVector(Sparse):
     """PBW-normal-ordered element of the vacuum module (equivalently, of the
     enveloping algebra of the negative loop modes) of one partition: terms
-    maps each PBW word to its coefficient.  +, - and * raise ValueError on
-    vectors of different partitions."""
+    maps each PBW word to its coefficient.  Built from such a map, whose
+    words may be any products of negative modes of the partition, each
+    mode a LoopMode or a tuple (i, j, r, m) of integers: each word is
+    straightened to PBW order and the results add.  +, - and * raise
+    ValueError on vectors of different partitions."""
 
     __slots__ = ("partition",)
 
     def __init__(self, partition: Partition, terms=None):
-        items = terms.items() if isinstance(terms, dict) else terms
         self.partition = partition
-        self.terms = add_into({}, ((_pbw_mono(partition, mono), c)
-                                   for mono, c in items or ()))
+        self.terms = {}
+        if terms:
+            table = _commutators(partition)
+            for word, c in terms.items():
+                if not table.modes.issuperset(word):
+                    word = _negative_modes(partition, word)
+                    table.modes.update(word)
+                _normal_insert(self.terms, table, word, c)
 
     @classmethod
     def _raw(cls, partition: Partition, terms: dict) -> "VacuumVector":
@@ -328,9 +331,8 @@ def weights(word: PBWMono) -> dict[int, int]:
 
 def normal_order(p: Partition, modes: Iterable[LoopMode], coeff: Rat = 1) -> VacuumVector:
     """PBW normal form of a formal product of negative modes."""
-    acc: dict[PBWMono, Rat] = {}
-    _normal_insert(acc, _commutators(p), _negative_modes(p, modes), coeff)
-    return VacuumVector._raw(p, acc)
+    # as LoopModes, so that modes given as lists can key the map
+    return VacuumVector(p, {_negative_modes(p, modes): coeff})
 
 
 def act_mode(x: BasisElt, m: int, v: VacuumVector) -> VacuumVector:
@@ -559,12 +561,9 @@ def loop_realization(poly: DiffPoly, p: Partition) -> VacuumVector:
     """
     if any(v.i != v.j for v in poly.variables()):
         raise ValueError("loop realization is defined on the diagonal sector")
-    table = _commutators(p)
-    acc: dict[PBWMono, Rat] = {}
-    for mono, c in poly.terms.items():
-        _normal_insert(acc, table, tuple(LoopMode(v.i, v.j, v.r, -v.s - 1) for v in mono),
-                       c * prod(factorial(v.s) for v in mono))
-    return VacuumVector._raw(p, acc)
+    return VacuumVector(p, {tuple(LoopMode(v.i, v.j, v.r, -v.s - 1) for v in mono):
+                            c * prod(factorial(v.s) for v in mono)
+                            for mono, c in poly.terms.items()})
 
 
 @dataclass

@@ -50,7 +50,10 @@ class Sparse:
     """A sparse sum over Q: terms maps each key to its nonzero coefficient.
 
     The base of DiffPoly, VacuumVector, UPoly and DiffOp.  terms is kept
-    through add_into, so equal elements have equal maps.  Results are built
+    through add_into, so equal elements have equal maps.  Each constructor
+    takes the map it stores and puts each key in normal form, so
+    type(x)(x.terms) == x (with the partition first for a VacuumVector);
+    _raw wraps a map whose keys are normal already.  Results are built
     by _like, which a subclass with fields besides terms (the partition of
     a VacuumVector) overrides; a subclass whose coefficients are ring
     elements overrides scale.

@@ -56,19 +56,6 @@ def mono_degree(mono: Mono) -> int:
     return sum(v.s for v in mono)
 
 
-def _word(pairs) -> Mono:
-    """The word of a monomial given as (DiffVar, exponent) pairs: each
-    variable repeated exponent times, sorted.  A variable may appear in more
-    than one pair; its exponents add."""
-    out: list = []
-    for v, e in pairs:
-        if e < 0 or v.s < 0:
-            raise ValueError("bad monomial factor %s^%d" % (v.text(), e))
-        out += [v] * e
-    out.sort()
-    return tuple(out)
-
-
 # Each variable's derived variable v.shifted(), built once: without it every
 # derivation makes a new DiffVar for each factor it shifts, and the monomials
 # of derived polynomials hold that many copies of equal variables.  Bounded
@@ -97,15 +84,18 @@ def _derive_terms(terms: dict):
 
 class DiffPoly(Sparse):
     """Differential polynomial in canonical sparse form: terms maps each
-    monomial's word to its coefficient.  Built from (monomial, coefficient)
-    pairs, each monomial given as (DiffVar, exponent) pairs.  Rationals
-    coerce to constants in +, -, * and ==."""
+    monomial's word to its coefficient.  Built from such a map, whose words
+    may list their factors in any order: each is sorted, and words equal
+    once sorted add.  Rationals coerce to constants in +, -, * and ==."""
 
     __slots__ = ()
 
-    def __init__(self, terms=()):
-        self.terms: dict[Mono, Rat] = add_into(
-            {}, ((_word(pairs), c) for pairs, c in terms))
+    def __init__(self, terms=None):
+        words = [(tuple(sorted(word)), c) for word, c in (terms or {}).items()]
+        for word, _ in words:
+            if word and word[0].s < 0:  # the least s sorts first
+                raise ValueError("bad monomial factor %s" % word[0].text())
+        self.terms: dict[Mono, Rat] = add_into({}, words)
 
     @classmethod
     def const(cls, c: Rat) -> "DiffPoly":

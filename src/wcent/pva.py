@@ -37,11 +37,16 @@ from .diffpoly import DiffPoly, DiffVar
 LCoeffs = dict  # lambda-power -> DiffPoly
 
 
+def _neg_shift(f: DiffPoly, s: int) -> LCoeffs:
+    """(-lam-d)^s f as a raw lambda-power map."""
+    return _shift({0: f.scale(-1) if s % 2 else f}, s)
+
+
 def neg_lambda_substitute(lp: UPoly) -> UPoly:
     """sum_k (-lam-d)^k C_k for lp = sum_k C_k lam^k (skewsymmetry substitution)."""
     acc: LCoeffs = {}
     for pwr, poly in lp.terms.items():
-        add_into(acc, _shift({0: poly.scale(-1) if pwr % 2 else poly}, pwr).items())
+        add_into(acc, _neg_shift(poly, pwr).items())
     return UPoly._raw(acc)
 
 
@@ -122,7 +127,7 @@ def lambda_bracket(p: Partition, a: DiffPoly, b: DiffPoly) -> UPoly:
     for base, orders in _partials(a).items():
         kernel = _bracket_gen(p, base, partials_b).terms  # {u_lam b}
         for s, fa in orders:
-            right = _shift({0: fa.scale(-1) if s % 2 else fa}, s)
+            right = _neg_shift(fa, s)
             for k, c in kernel.items():
                 for j, q in _shift(right, k).items():
                     c.mul_into(acc.setdefault(j, {}), q)
@@ -272,11 +277,11 @@ def random_diffpoly(p: Partition, rng: random.Random, max_terms: int = 2,
     """Small random polynomial in valid variables of the given partition."""
     pool = [DiffVar.of(e, s) for e in centralizer_basis(p) for s in range(max_s + 1)]
     chosen = rng.sample(pool, min(max_vars, len(pool)))
-    terms = []
+    out = DiffPoly()
     for _ in range(rng.randint(1, max_terms)):
-        factors = [(rng.choice(chosen), 1) for _ in range(rng.randint(1, max_degree))]
-        terms.append((factors, rng.choice([-3, -2, -1, 1, 2, 3])))
-    return DiffPoly(terms)
+        word = tuple(rng.choice(chosen) for _ in range(rng.randint(1, max_degree)))
+        out = out + DiffPoly({word: rng.choice([-3, -2, -1, 1, 2, 3])})
+    return out
 
 
 @dataclass

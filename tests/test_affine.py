@@ -62,10 +62,11 @@ def test_loop_mode_contract():
         assert [x.m for x in back] == [-1, -3, -2]
     assert copy.deepcopy(word) == word and copy.copy(a) == a
     assert type(copy.deepcopy(a)) is LoopMode
-    # a plain mode list is read as (i, j, r, m), also next to a LoopMode
-    v = VacuumVector(P11, [([[2, 1, 0, -1], M(1, 2, 0, -1)], 3)])
+    # a plain mode tuple is read as (i, j, r, m), also next to a LoopMode,
+    # and normal_order reads a mode list too
+    v = VacuumVector(P11, {((2, 1, 0, -1), M(1, 2, 0, -1)): 3})
     assert v == single(P11, 2, 1, 0, -1, 3) * single(P11, 1, 2, 0, -1)
-    assert normal_order(P11, [(1, 2, 0, -1), M(2, 1, 0, -1)]) == \
+    assert normal_order(P11, [(1, 2, 0, -1), [2, 1, 0, -1]]) == \
         normal_order(P11, [M(1, 2, 0, -1), M(2, 1, 0, -1)])
 
 
@@ -95,16 +96,33 @@ def test_normal_order_rejects_nonnegative_modes():
 
 
 def test_vacuum_vector_validation():
-    # a vector is built from PBW words, one mode per factor
+    # a vector is built from words of negative modes, one mode per factor,
+    # each word straightened to PBW order
     with pytest.raises(ValueError):
-        VacuumVector(P11, [((M(1, 2, 0, -1), M(2, 1, 0, -1)), 1)])  # out of order
+        VacuumVector(P11, {(M(2, 1, 0, -1), M(1, 1, 0, 0)): 1})  # nonnegative mode
+    # invalid window, also right after the same mode was read for P11
+    assert VacuumVector(P11, {(M(1, 2, 0, -1),): 1}) == single(P11, 1, 2, 0, -1)
     with pytest.raises(ValueError):
-        VacuumVector(P11, [((M(2, 1, 0, -1), M(1, 1, 0, 0)), 1)])  # nonnegative mode
-    with pytest.raises(ValueError):
-        VacuumVector(P12, [((M(1, 2, 0, -1),), 1)])  # invalid window
-    v = VacuumVector(P11, [((M(2, 1, 0, -1), M(2, 1, 0, -1)), 3)])
+        VacuumVector(P12, {(M(1, 2, 0, -1),): 1})
+    v = VacuumVector(P11, {(M(2, 1, 0, -1), M(2, 1, 0, -1)): 3})
     assert v.terms == {(M(2, 1, 0, -1), M(2, 1, 0, -1)): 3}
     assert v == single(P11, 2, 1, 0, -1, 3) * single(P11, 2, 1, 0, -1)
+    # an out-of-order word is straightened; the words of a map add
+    swapped = (M(1, 2, 0, -1), M(2, 1, 0, -1))
+    assert VacuumVector(P11, {swapped: 2}) == \
+        single(P11, 1, 2, 0, -1, 2) * single(P11, 2, 1, 0, -1)
+    assert VacuumVector(P11, {swapped: 1, swapped[::-1]: -1}) == \
+        single(P11, 1, 1, 0, -2) - single(P11, 2, 2, 0, -2)
+
+
+def test_from_modes_is_normal_order():
+    rng = random.Random(4)
+    modes = [LoopMode.of(e, -m) for e in centralizer_basis(P12) for m in (1, 2)]
+    for _ in range(20):
+        word = [rng.choice(modes) for _ in range(rng.randint(0, 4))]
+        c = rng.choice((-2, 1, Fraction(1, 3)))
+        assert VacuumVector.from_modes(P12, word, c) == normal_order(P12, word, c)
+        assert VacuumVector.from_modes(P12, word) == normal_order(P12, word)
 
 
 def test_product_groups_exponents():

@@ -14,13 +14,13 @@ from oracles import (constant_part, miura_matrix, ss_matrix, w_generator_matrix,
                      window_table)
 from wcent import (DiffOp, DiffPoly, DiffVar, LoopMode, Partition, UPoly, VacuumVector,
                    all_partitions, centralizer_basis,
-                   column_determinant, in_window,
+                   column_determinant, in_window, lambda_bracket,
                    jacobian_independence, miura_generators, miura_image, normal_order,
                    operator_matrix, ss_vectors, w_generators)
 from wcent import affine, cdet
 from wcent.cdet import (GeneratorTable, _scalar_det, applied_column_determinant,
                         fraction_det, generator_table, jacobian_point, tail_sum)
-from wcent.centralizer import add_into
+from wcent.centralizer import Sparse, add_into
 from wcent.diffpoly import mono_degree
 from wcent.pva import random_diffpoly
 
@@ -263,6 +263,55 @@ def test_tables_match_oracle_products(monkeypatch):
             assert len(table) == p.N, (make.__name__, p)
             assert table.entries == expected.entries, (make.__name__, p)
             assert table.out_of_window == expected.out_of_window, (make.__name__, p)
+
+
+def _rebuilt(x):
+    """x built again by its type's constructor from the map it stores."""
+    if isinstance(x, VacuumVector):
+        return VacuumVector(x.partition, x.terms)
+    return type(x)(x.terms)
+
+
+def _assert_rebuilds(x):
+    """_rebuilt(y) == y for x and for each sparse coefficient inside it."""
+    assert _rebuilt(x) == x, x
+    for c in x.terms.values():
+        if isinstance(c, Sparse):
+            _assert_rebuilds(c)
+
+
+def test_constructors_rebuild_what_they_store():
+    # Every sparse type is built from the map it stores, key -> coefficient,
+    # with each key put in normal form; a stored key is in normal form
+    # already, so the constructor gives back an equal element.  A word out of
+    # order is put in normal form: sorted (the DiffPoly words commute), or
+    # straightened to PBW order.
+    for p in all_partitions(5):
+        for make, (one, lift) in table_lifts(p).items():
+            table = make(p)
+            for val in [*table.entries.values(), *table.out_of_window.values()]:
+                _assert_rebuilds(val)
+                if isinstance(val, DiffPoly):
+                    assert DiffPoly({w[::-1]: c for w, c in val.terms.items()}) == val
+            for row in operator_matrix(p, one, lift):
+                for entry in row:
+                    _assert_rebuilds(entry)
+        gens = [DiffPoly.var(DiffVar.of(e)) for e in centralizer_basis(p)]
+        for a in gens:
+            for b in gens:
+                _assert_rebuilds(lambda_bracket(p, a, b))
+        for v in ss_vectors(p).entries.values():
+            for word, c in list(v.terms.items())[:3]:
+                out_of_order = word[::-1]
+                assert VacuumVector(p, {out_of_order: c}) == \
+                    normal_order(p, out_of_order, c) == \
+                    reduce(mul, (VacuumVector.single(p, m.base, m.m) for m in out_of_order),
+                           VacuumVector.vacuum(p, c))
+
+
+def test_diffop_repr():
+    assert repr(D) == "DiffOp({(0, 1): UPoly(1)})"
+    assert repr(op_const(vp(1, 1, 0))) == "DiffOp({(0, 0): UPoly(E[1,1,0][0])})"
 
 
 def brute_force_cdet(rows):

@@ -573,6 +573,10 @@ OUTPUT_DIGESTS = {
         "a1696fd5c8ac76806c15eddabb353c0d633f0b2776eb684958f4741ffdd8f922",
     "verify-commute -p 1,1,2 --format json":
         "3c9493cfbb8f40e383eb8a59eaaf95e45f0eb7721707e34dddc11e5dded077d6",
+    # jacobian_point's random rationals: every other jacobian pin takes
+    # seed 0, the primes
+    "jacobian -p 2,3 --seed 5 --format json":
+        "cc04fc0bc1d3b32dfa85df1f4d13aa8859ae524e6f3b921b02c691f7ab6398e1",
     "sweep --max-N 5 --format text":
         "af0094f3c03e8f5ec1e55099e785dfb84ab9b60ca97e4109a48d75ffa8311125",
     "sweep --max-N 5 --format json":

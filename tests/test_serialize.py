@@ -302,10 +302,8 @@ def test_sugawara_table_checks_the_type_of_every_mode(bad):
 coeffs = st.one_of(st.integers(min_value=-9, max_value=9),
                    st.fractions(min_value=-5, max_value=5, max_denominator=6))
 VAR_POOL = [V(1, 1, 0), V(2, 2, 1), V(2, 1, 0), V(1, 2, 1, s=1), V(2, 2, 0, s=3)]
-monos = st.lists(st.tuples(st.sampled_from(VAR_POOL),
-                           st.integers(min_value=1, max_value=3)),
-                 max_size=3).map(tuple)
-polys = st.lists(st.tuples(monos, coeffs), max_size=4).map(DiffPoly)
+words = st.lists(st.sampled_from(VAR_POOL), max_size=6).map(tuple)
+polys = st.dictionaries(words, coeffs, max_size=4).map(DiffPoly)
 
 
 @given(polys)
